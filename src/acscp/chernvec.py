@@ -12,6 +12,11 @@ from the c_k by Newton's identities
 
     s_i = c_1 s_(i-1) - c_2 s_(i-2) + ... + (-1)^(i-1) i c_i.
 
+The integrality test is done in integers, as adj(Q) C == 0 (mod det Q), with
+the adjugate and determinant computed once per d and cached; every caller
+that decomposes a Chern vector (realizable and the searches in
+acscp.homotopy) goes through that one test.
+
 The recursion is the single source of truth for C.  (A commonly transcribed
 closed form of the degree-6 power sum contains "- 2c_3^2 + 3c_3^2" where the
 recursion gives "- 2c_2^3 + 3c_3^2"; the regression tests pin the recursion's
@@ -21,10 +26,11 @@ version.)
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .cohomology import exp_series, _mul, _pow_int
-from .exactmath import RatMatrix, solve_exact
+from .exactmath import RatMatrix, det_exact, inverse_exact
 
 
 class NotRealizable(ValueError):
@@ -100,22 +106,60 @@ def newton_power_sums(cs):
 
 
 def power_sums_from_chern(chern):
-    """Integer power sums i!*ch_(2i) of a class with the given Chern vector."""
-    return newton_power_sums([int(c) for c in chern])
+    """Integer power sums i!*ch_(2i) of a class with the given Chern vector.
+
+    Raises TypeError unless every entry is an int.
+    """
+    chern = list(chern)
+    if not all(isinstance(c, int) for c in chern):
+        raise TypeError(f"Chern coefficients must be integers, got {chern!r}")
+    return newton_power_sums(chern)
+
+
+@lru_cache(maxsize=None)
+def _q_adjugate(d):
+    """(adjugate rows, determinant) of the d x d exponential-lattice matrix,
+    for fast integrality tests: Q^-1 s integral iff det | (adj @ s)."""
+    Q = q_matrix(d)
+    det = det_exact(Q)
+    inv = inverse_exact(Q)
+    rows = []
+    for i in range(d):
+        row = [x * det for x in inv.row(i)]
+        assert all(x.denominator == 1 for x in row)
+        rows.append(tuple(int(x) for x in row))
+    return tuple(rows), int(det)
+
+
+def _decompose(sums):
+    """Q^-1 s for integer power sums s: the integer tuple adj(Q) s / det Q,
+    or None when some row of adj(Q) s is not divisible by det Q."""
+    adj, det = _q_adjugate(len(sums))
+    out = []
+    for row in adj:
+        x, r = divmod(sum(a * s for a, s in zip(row, sums)), det)
+        if r:
+            return None
+        out.append(x)
+    return tuple(out)
 
 
 def realizable(chern):
     """Decompose a Chern vector over the exponential basis, or raise.
 
     Returns the integer multiplicity tuple (a_1, ..., a_d) with Q a = C;
-    raises NotRealizable when the exact solution is non-integral.
+    raises NotRealizable when the exact solution is non-integral, ValueError
+    for an empty vector and TypeError for a non-integer entry.
     """
-    d = len(chern)
+    if len(chern) == 0:
+        raise ValueError("a Chern vector needs at least one coefficient")
     s = power_sums_from_chern(chern)
-    sol = solve_exact(q_matrix(d), [Fraction(x) for x in s])
-    if any(x.denominator != 1 for x in sol):
-        raise NotRealizable(chern, sol)
-    return tuple(int(x) for x in sol)
+    dec = _decompose(s)
+    if dec is None:
+        adj, det = _q_adjugate(len(s))
+        raise NotRealizable(chern, [Fraction(sum(a * x for a, x in zip(row, s)), det)
+                                    for row in adj])
+    return dec
 
 
 def chern_from_multiplicities(mults):

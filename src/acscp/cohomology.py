@@ -8,6 +8,9 @@ CohClass values; multiplication truncates above u^d.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
+
+from .exactmath import _power
 
 
 class DimensionMismatch(ValueError):
@@ -91,13 +94,7 @@ class CohClass:
         if k < 0:
             base = self.invert_unit()
             k = -k
-        result = CohClass.one(self.d)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(base, k, CohClass.one(self.d), mul)
 
     def coeff(self, i):
         return self.coeffs[i]
@@ -172,11 +169,4 @@ def _pow_int(xs, k, d):
     if k < 0:
         xs = _inv_unit_int(xs, d)
         k = -k
-    result = [1] + [0] * d
-    base = list(xs) + [0] * (d + 1 - len(xs))
-    while k:
-        if k & 1:
-            result = _mul(result, base, d)
-        base = _mul(base, base, d)
-        k >>= 1
-    return result
+    return _power(xs, k, [1] + [0] * d, lambda x, y: _mul(x, y, d))

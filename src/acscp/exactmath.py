@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 BigRational = Fraction
 
@@ -37,6 +38,18 @@ class ZeroArgument(ValueError):
 
 class NotDivisible(ValueError):
     """Polynomial is not divisible by the requested variable."""
+
+
+def _power(base, k, one, mul):
+    """base^k for k >= 0 by square-and-multiply, with unit one and product mul."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +355,7 @@ class MPolyZ:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = MPolyZ.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, MPolyZ.const(1), mul)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -27,7 +27,9 @@ matching conditions solve degree by degree:
 and the surviving integrality condition collapses to an explicit divisor
 criterion on a (and congruences on (a, c) for d = 6).  Both routes -- the
 divisor criterion and the direct integrality scan -- are implemented and
-cross-checked against each other.
+cross-checked against each other.  Each search computes the Pontrjagin
+classes of X once and passes them to the completion and decomposition of
+every candidate (a, c).
 
 For d = 6 the congruence-and-divisor criterion is uniform in the
 parameters, and (a, c) = (1, 1) always satisfies it, so every admissible
@@ -44,12 +46,10 @@ for every (m, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, lcm
 
-from .chernvec import (NotRealizable, newton_power_sums, q_matrix, realizable)
-from .exactmath import (MPolyZ, det_exact, divisors_signed, inverse_exact,
-                        poly_variables)
+from .chernvec import _decompose, newton_power_sums, q_matrix
+from .exactmath import MPolyZ, divisors_signed, inverse_exact, poly_variables
 from .ktheory import (KClass, KOClass, UnsupportedDimension, pontrjagin_total,
                       real_reduce, total_chern)
 
@@ -208,24 +208,21 @@ class ACSSolution:
     decomposition: tuple
 
 
-def _make_solution(X, a, c=None):
-    v = complete_chern_vector(X, a, c)
-    return ACSSolution(X.d, a, c, v, realizable(v))
+def _solution(d, p, a, c=None):
+    """The structure with c_1 = a (and c_3 = c when d = 6) on the manifold
+    with Pontrjagin tuple p, or None when its Chern vector does not complete
+    or does not decompose integrally."""
+    v = _complete_ints(d, p, a, c)
+    if v is None:
+        return None
+    dec = _decompose(newton_power_sums(v))
+    return None if dec is None else ACSSolution(d, a, c, v, dec)
 
 
-@lru_cache(maxsize=None)
-def _q_adjugate(d):
-    """(adjugate rows, determinant) of the d x d exponential-lattice matrix,
-    for fast integrality tests: Q^-1 s integral iff det | (adj @ s)."""
-    Q = q_matrix(d)
-    det = det_exact(Q)
-    inv = inverse_exact(Q)
-    rows = []
-    for i in range(d):
-        row = [x * det for x in inv.row(i)]
-        assert all(x.denominator == 1 for x in row)
-        rows.append(tuple(int(x) for x in row))
-    return tuple(rows), int(det)
+def _signed_odds(n):
+    """The odd integers a with 1 <= |a| <= n."""
+    odds = list(range(1, n + 1, 2))
+    return odds + [-a for a in odds]
 
 
 # ---------------------------------------------------------------------------
@@ -241,34 +238,10 @@ def divisor_target_cp4(m):
     return 25 + 3 * (num // 7)
 
 
-def _direct_set_cp4(p1, p2, window):
+def _direct_set_cp4(p, window):
     """All odd a with |a| <= window whose completion exists and decomposes
     integrally.  Pure integer arithmetic."""
-    adj, det = _q_adjugate(4)
-    (r0, r1, r2, r3) = adj
-    out = set()
-    candidates = list(range(1, window + 1, 2))
-    candidates += [-a for a in candidates]
-    for a in candidates:
-        c2 = (a * a - p1) // 2
-        num3 = 10 + c2 * c2 - p2
-        if num3 % (2 * a):
-            continue
-        c3 = num3 // (2 * a)
-        s1 = a
-        s2 = a * s1 - 2 * c2
-        s3 = a * s2 - c2 * s1 + 3 * c3
-        s4 = a * s3 - c2 * s2 + c3 * s1 - 20
-        if (r0[0] * s1 + r0[1] * s2 + r0[2] * s3 + r0[3] * s4) % det:
-            continue
-        if (r1[0] * s1 + r1[1] * s2 + r1[2] * s3 + r1[3] * s4) % det:
-            continue
-        if (r2[0] * s1 + r2[1] * s2 + r2[2] * s3 + r2[3] * s4) % det:
-            continue
-        if (r3[0] * s1 + r3[1] * s2 + r3[2] * s3 + r3[3] * s4) % det:
-            continue
-        out.add(a)
-    return out
+    return {a for a in _signed_odds(window) if _solution(4, p, a) is not None}
 
 
 def acs_search_cp4(X, cross_check_window=200):
@@ -285,19 +258,9 @@ def acs_search_cp4(X, cross_check_window=200):
     if D == 0:
         raise ArithmeticError("divisor target vanished; cannot enumerate")
     p = pontrjagin_of_X(X)
-    sols = []
-    for a in divisors_signed(D):
-        v = _complete_ints(4, p, a, None)
-        if v is None:
-            continue
-        try:
-            dec = realizable(v)
-        except NotRealizable:
-            continue
-        sols.append(ACSSolution(4, a, None, v, dec))
-    sols.sort(key=lambda s: s.a)
+    sols = [s for s in (_solution(4, p, a) for a in divisors_signed(D)) if s is not None]
     if cross_check_window:
-        direct = _direct_set_cp4(p[0], p[1], cross_check_window)
+        direct = _direct_set_cp4(p, cross_check_window)
         from_divisors = {s.a for s in sols if abs(s.a) <= cross_check_window}
         if from_divisors != direct:
             raise ArithmeticError(
@@ -313,8 +276,14 @@ def acs_search_cp4(X, cross_check_window=200):
 def cp6_exists(X):
     """Whether a homotopy CP^6 admits any almost complex structure.
 
-    Decided constructively: (c_1, c_3) coefficients (1, 1) always complete
-    to an integral Chern vector, and the decomposition is checked exactly.
+    Always, decided constructively: (c_1, c_3) = (1, 1) completes to an
+    integral Chern vector for every admissible (m, n, q).  With p_1 = 7 + 24m
+    the completion gives c_2 = -3 - 12m, which is odd; p_2 is odd as well, so
+    t_4 = p_2 - c_2^2 is even; and num_5 = 14 + 2 c_2 c_4 - 1 + p_3 is even
+    because p_3 is odd, so c_5 = num_5 / (2 c_1) is an integer.  The
+    decomposition of the witness is checked exactly, and a failure raises
+    ArithmeticError because it would contradict the criterion.
+
     A mod-3 nonexistence test (no structure when m != 0 mod 3) is sometimes
     quoted for this problem; it descends from the same 228-for-288 slip as
     the variant divisor target (see divisor_target_cp6) and is contradicted
@@ -322,12 +291,10 @@ def cp6_exists(X):
     """
     if X.d != 6:
         raise UnsupportedDimension("cp6_exists needs d = 6")
-    try:
-        realizable(complete_chern_vector(X, 1, 1))
-        return True
-    except (NoCompletion, NotRealizable):
-        # not expected for any valid triple; fall back to a small window scan
-        return bool(_direct_set_cp6(X, 16, 16))
+    if _solution(6, pontrjagin_of_X(X), 1, 1) is None:
+        raise ArithmeticError(
+            f"the witness (a, c) = (1, 1) does not decompose on {X}; this contradicts the criterion")
+    return True
 
 
 def divisor_target_cp6(c, m, n):
@@ -354,11 +321,8 @@ _CP6_PARITY = {1: 1, 7: 3, 9: 5, 15: 7}
 
 def _criterion_set_cp6(X, a_max, c_max):
     out = set()
-    cs = [c for c in range(1, c_max + 1, 2)]
-    cs += [-c for c in cs]
-    as_ = [a for a in range(1, a_max + 1, 2)]
-    as_ += [-a for a in as_]
-    for c in cs:
+    as_ = _signed_odds(a_max)
+    for c in _signed_odds(c_max):
         if c % 3 == 0:
             continue
         target = divisor_target_cp6(c, X.m, X.n)
@@ -373,42 +337,12 @@ def _criterion_set_cp6(X, a_max, c_max):
     return out
 
 
-def _direct_set_cp6(X, a_max, c_max):
-    p1, p2, p3 = pontrjagin_of_X(X)
-    adj, det = _q_adjugate(6)
-    out = set()
-    as_ = [a for a in range(1, a_max + 1, 2)]
-    as_ += [-a for a in as_]
-    cs = [c for c in range(1, c_max + 1, 2)]
-    cs += [-c for c in cs]
-    for a in as_:
-        c2 = (a * a - p1) // 2
-        t4 = p2 - c2 * c2
-        if t4 % 2:
-            continue
-        half4 = t4 // 2
-        twoa = 2 * a
-        base = 14 + 2 * c2 * half4 + p3
-        for c in cs:
-            # a4 = a*c + half4; num5 = 14 + 2 c2 a4 - c^2 + p3
-            num5 = base + 2 * c2 * a * c - c * c
-            if num5 % twoa:
-                continue
-            a4 = a * c + half4
-            a5 = num5 // twoa
-            s1 = a
-            s2 = a * s1 - 2 * c2
-            s3 = a * s2 - c2 * s1 + 3 * c
-            s4 = a * s3 - c2 * s2 + c * s1 - 4 * a4
-            s5 = a * s4 - c2 * s3 + c * s2 - a4 * s1 + 5 * a5
-            s6 = a * s5 - c2 * s4 + c * s3 - a4 * s2 + a5 * s1 - 42
-            for row in adj:
-                if (row[0] * s1 + row[1] * s2 + row[2] * s3
-                        + row[3] * s4 + row[4] * s5 + row[5] * s6) % det:
-                    break
-            else:
-                out.add((a, c))
-    return out
+def _direct_set_cp6(p, a_max, c_max):
+    """All odd (a, c) in the window whose completion exists and decomposes
+    integrally.  Pure integer arithmetic."""
+    cs = _signed_odds(c_max)
+    return {(a, c) for a in _signed_odds(a_max) for c in cs
+            if _solution(6, p, a, c) is not None}
 
 
 def acs_search_cp6(X, a_max=200, c_max=200, cross_check=True):
@@ -422,12 +356,15 @@ def acs_search_cp6(X, a_max=200, c_max=200, cross_check=True):
     if X.d != 6:
         raise UnsupportedDimension("acs_search_cp6 needs d = 6")
     crit = _criterion_set_cp6(X, a_max, c_max)
+    p = pontrjagin_of_X(X)
     if cross_check:
-        direct = _direct_set_cp6(X, a_max, c_max)
+        direct = _direct_set_cp6(p, a_max, c_max)
         if crit != direct:
             raise ArithmeticError(
                 f"criterion and direct scan disagree on the window: {sorted(crit ^ direct)}")
-    sols = [_make_solution(X, a, c) for a, c in sorted(crit)]
+    sols = [_solution(6, p, a, c) for a, c in sorted(crit)]
+    if None in sols:
+        raise ArithmeticError("a pair passing the criterion does not decompose integrally")
     return sols
 
 
@@ -632,6 +569,11 @@ _CP6_F1_PIN.update({
 })
 
 
+def _a_free_part(poly):
+    """The terms of poly that do not contain the variable a."""
+    return MPolyZ({e: coeff for e, coeff in poly.terms.items() if e[0] == 0})
+
+
 @dataclass(frozen=True)
 class CP6Symbolic:
     """Numerators and denominators of the symbolic decomposition vector."""
@@ -692,7 +634,7 @@ def symbolic_cp6_numerators():
     pinned against an independently verified regression value.
     """
     numerators, denominators = _symbolic_cp6_rows()
-    f = MPolyZ({e: coeff for e, coeff in numerators[0].terms.items() if e[0] == 0})
+    f = _a_free_part(numerators[0])
     if f != MPolyZ(_CP6_F_PIN) or numerators[0] != MPolyZ(_CP6_F1_PIN):
         raise ArithmeticError("symbolic numerators drifted from their pinned values")
     for f_i, k in zip(numerators, _CP6_F_MULTIPLES):

@@ -27,9 +27,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .cohomology import (CohClass, DimensionMismatch, exp_series,
                          _mul, _pow_int)
+from .exactmath import _power
 
 
 class UnsupportedDimension(ValueError):
@@ -103,14 +105,7 @@ class KClass:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative powers are not defined in K(CP^d)")
-        result = KClass.one(self.d)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, KClass.one(self.d), mul)
 
     def __eq__(self, other):
         return (isinstance(other, KClass) and self.d == other.d
@@ -216,14 +211,7 @@ class KOClass:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative powers are not defined in KO(CP^d)")
-        result = KOClass.one(self.d)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, KOClass.one(self.d), mul)
 
     def __eq__(self, other):
         return (isinstance(other, KOClass) and self.d == other.d

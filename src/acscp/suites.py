@@ -18,7 +18,7 @@ from .exactmath import det_exact, solve_exact
 from .homotopy import (HtpyCP, acs_search_cp4, acs_search_cp6, cp6_exists,
                        cp5_structure, mod31_table, pontrjagin_of_X,
                        symbolic_cp6_numerators, symbolic_verify_cp5,
-                       _symbolic_cp6_rows)
+                       _a_free_part, _symbolic_cp6_rows)
 from .ktheory import (KClass, KOClass, adams, adams_ko, chern_character,
                       complexify, conjugate, pontrjagin_total, real_reduce,
                       total_chern)
@@ -31,11 +31,6 @@ class Check:
     name: str
     passed: bool
     detail: str = ""
-
-
-def _a_free_part(poly):
-    from .exactmath import MPolyZ
-    return MPolyZ({e: c for e, c in poly.terms.items() if e[0] == 0})
 
 
 def _check(name, passed, detail=""):

@@ -138,6 +138,34 @@ def test_not_realizable_detail():
     assert Fraction(-5, 6) in info.value.solution
 
 
+def test_realizable_rejects_non_integer_entries():
+    # int() used to truncate these silently: (1.5, 2) came back as (5, -2)
+    for bad in ((1.5, 2), (Fraction(5), 10, 10, 5), ("1", 0)):
+        with pytest.raises(TypeError):
+            realizable(bad)
+
+
+def test_realizable_rejects_empty_vector():
+    with pytest.raises(ValueError):
+        realizable(())
+
+
+def test_realizable_matches_bareiss_reference():
+    # the adjugate route must return exactly the Fraction solve's answer,
+    # integral (the tuple) or not (NotRealizable.solution)
+    rng = random.Random(41)
+    for _ in range(300):
+        d = rng.randint(1, 8)
+        v = tuple(rng.randint(-9, 9) for _ in range(d))
+        want = solve_exact(q_matrix(d), power_sums_from_chern(v))
+        try:
+            got = list(realizable(v))
+        except NotRealizable as exc:
+            got = exc.solution
+            assert any(x.denominator != 1 for x in want)
+        assert got == want
+
+
 def test_forward_map_frozen():
     assert chern_from_multiplicities((5, 0, 0, 0)) == (5, 10, 10, 5)
     assert chern_from_multiplicities((0, 0, 0)) == (0, 0, 0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from acscp.chernvec import (NotRealizable, newton_power_sums, q_matrix,
-                            realizable)
+                            realizable, _q_adjugate)
 from acscp.exactmath import MPolyZ, solve_exact
 from acscp.homotopy import (ConstraintViolated, HtpyCP, NoCompletion,
                             ZeroFirstChern, acs_search_cp4, acs_search_cp6,
@@ -14,7 +14,7 @@ from acscp.homotopy import (ConstraintViolated, HtpyCP, NoCompletion,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
                             tangent_ko_class, validate_params,
                             _CP6_F_MULTIPLES, _direct_set_cp4,
-                            _direct_set_cp6, _q_adjugate, _symbolic_cp6_rows)
+                            _direct_set_cp6, _symbolic_cp6_rows)
 from acscp.ktheory import KClass, KOClass, UnsupportedDimension
 
 
@@ -143,7 +143,7 @@ def test_acs_search_cp4_every_valid_m_up_to_40():
 def test_direct_scan_matches_public_ops():
     X = HtpyCP(4, 6, 3)
     p = pontrjagin_of_X(X)
-    fast = _direct_set_cp4(p[0], p[1], 100)
+    fast = _direct_set_cp4(p, 100)
     slow = set()
     for a in range(-99, 100, 2):
         try:
@@ -156,7 +156,7 @@ def test_direct_scan_matches_public_ops():
 
 
 def test_q_adjugate_consistency():
-    for d in (4, 6):
+    for d in range(1, 9):
         rows, det = _q_adjugate(d)
         Q = q_matrix(d)
         for i in range(d):
