@@ -98,6 +98,9 @@ def _solution_dict(sol):
 
 
 def _cmd_acs(args):
+    for flag, value in (("--a-max", args.a_max), ("--c-max", args.c_max)):
+        if value < 1:
+            raise _UsageError(f"{flag} must be at least 1, got {value}")
     X = validate_params(args.dim, args.m, args.n, args.q)
     payload = {"dim": args.dim, "params": {"m": X.m, "n": X.n}}
     if X.q is not None:

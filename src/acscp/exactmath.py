@@ -6,6 +6,13 @@ Everything here is exact.  Scalars are arbitrary-precision rationals
 are solved by fraction-free (Bareiss) elimination so that intermediate
 entries stay integral after clearing denominators row by row.
 
+Divisors are expanded from a prime factorization: small primes by trial
+division, larger ones split off by Brent-Pollard rho and certified by
+deterministic Miller-Rabin on the bases 2..41, which is proven correct below
+3 317 044 064 679 887 385 961 981 (Sorenson-Webster 2015).  A cofactor beyond
+that bound that tests prime raises ``UnprovenPrime`` instead of returning a
+divisor list that might be incomplete.
+
 ``MPolyZ`` is a polynomial ring with integer coefficients over the fixed
 variable universe ``a, c, m, n, q`` -- the handful of symbols needed by the
 divisibility analysis in :mod:`acscp.homotopy`.
@@ -14,6 +21,7 @@ divisibility analysis in :mod:`acscp.homotopy`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt
 from operator import mul
 
@@ -254,20 +262,129 @@ def vandermonde_matrix(nodes):
 # Divisors
 # ---------------------------------------------------------------------------
 
+# Deterministic Miller-Rabin on the prime bases 2..41 is proven correct below
+# this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+# Primes below _TRIAL are stripped by trial division, so a cofactor left below
+# _TRIAL**2 is prime, and rho only sees odd cofactors with no factor below 1000.
+_TRIAL = 1000
+
+
+def _primes_below(n):
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL)
+
+_RHO_BATCH = 128    # rho steps whose differences share one gcd
+
+
+class UnprovenPrime(ValueError):
+    """A cofactor passes Miller-Rabin but lies beyond its proven bound."""
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for odd n > 41.
+
+    Raises UnprovenPrime when n >= _MR_BOUND passes every base, where a pass
+    no longer proves primality.
+    """
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_BOUND:
+        raise UnprovenPrime(
+            f"{n} passes Miller-Rabin on bases 2..41, which proves primality only "
+            f"below {_MR_BOUND}; its divisor list cannot be certified")
+    return True
+
+
+def _rho(n):
+    """A proper factor of the odd composite n: Pollard rho with Brent's cycle
+    finding and one gcd per _RHO_BATCH steps (Brent 1980)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _factor(n):
+    """Prime factorization {p: e} of n >= 1, every prime certified."""
+    factors = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        n = pending.pop()
+        if n < _TRIAL * _TRIAL or _is_prime(n):
+            factors[n] = factors.get(n, 0) + 1
+        else:
+            g = _rho(n)
+            pending += (g, n // g)
+    return factors
+
+
 def divisors_signed(n):
-    """All divisors of n, positive and negative, in ascending order."""
+    """All divisors of n, positive and negative, in ascending order.
+
+    The divisors are expanded from the prime factorization of |n|: trial
+    division by the primes below 1000, then Brent-Pollard rho, with every
+    prime certified by deterministic Miller-Rabin on the bases 2..41.  That
+    test is proven below 3 317 044 064 679 887 385 961 981; a cofactor at or
+    above this bound that tests prime raises UnprovenPrime, so a returned
+    list is always complete.  Raises TypeError unless n is an int, and
+    ZeroArgument for 0.
+    """
+    if not isinstance(n, int):
+        raise TypeError(f"divisors need an integer, got {n!r}")
     if n == 0:
         raise ZeroArgument("zero is divisible by everything")
-    n = abs(n)
-    small = []
-    large = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    pos = small + large[::-1]
-    return [-d for d in pos[::-1]] + pos
+    pos = [1]
+    for p, e in _factor(abs(n)).items():
+        pos = [d * p ** k for d in pos for k in range(e + 1)]
+    pos.sort()
+    return [-d for d in reversed(pos)] + pos
 
 
 # ---------------------------------------------------------------------------

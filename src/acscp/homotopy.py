@@ -81,6 +81,9 @@ class HtpyCP:
 
     def __post_init__(self):
         d, m, n, q = self.d, self.m, self.n, self.q
+        for name, value in (("d", d), ("m", m), ("n", n), ("q", q)):
+            if value is not None and not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if d == 4:
             if q is not None:
                 raise ConstraintViolated("d=4 takes parameters (m, n) only")
@@ -106,7 +109,8 @@ class HtpyCP:
 
 
 def validate_params(d, m, n, q=None):
-    """Construct a HtpyCP, raising ConstraintViolated with the failing equation."""
+    """Construct a HtpyCP, raising ConstraintViolated with the failing equation
+    and TypeError for a parameter that is not an int."""
     return HtpyCP(d, m, n, q)
 
 

@@ -64,6 +64,27 @@ def test_acs_cp6(capsys):
     assert doc["payload"]["exists"] is True
 
 
+def test_acs_cp4_large_m(capsys):
+    code, doc, _ = run_json(capsys, "acs", "--dim", "4", "--m", "1400000006",
+                            "--n", "280000001900000003")
+    assert code == 0
+    assert len(doc["payload"]["a_values"]) == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ("--dim", "4", "--m", "0", "--n", "0", "--a-max", "0"),
+    ("--dim", "4", "--m", "0", "--n", "0", "--a-max", "-3"),
+    ("--dim", "6", "--m", "0", "--n", "0", "--q", "0", "--a-max", "0"),
+    ("--dim", "6", "--m", "0", "--n", "0", "--q", "0", "--c-max", "0"),
+    ("--dim", "6", "--m", "0", "--n", "0", "--q", "0", "--c-max", "-1"),
+])
+def test_acs_empty_window_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "acs", *argv)
+    assert code == 64
+    assert out == ""
+    assert "must be at least 1" in err
+
+
 def test_acs_violation(capsys):
     code, doc, _ = run_json(capsys, "acs", "--dim", "5", "--m", "1", "--n", "0")
     assert code == 2

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from acscp.exactmath import (DuplicateNodes, IndexOutOfRange, MPolyZ,
                              NotDivisible, RatMatrix, SingularMatrix,
-                             ZeroArgument, det_exact, divisors_signed,
-                             elem_sym, inverse_exact, poly_variables,
-                             solve_exact, vandermonde_inverse,
+                             UnprovenPrime, ZeroArgument, det_exact,
+                             divisors_signed, elem_sym, inverse_exact,
+                             poly_variables, solve_exact, vandermonde_inverse,
                              vandermonde_matrix)
 
 # ---------------------------------------------------------------------------
@@ -163,6 +164,62 @@ def test_divisors_properties(n):
     assert divs == sorted(divs)
     assert [-d for d in reversed(divs)] == divs
     assert divs[0] * divs[-1] == -n * n
+
+
+def trial_divisors(n):
+    """Signed divisors by trial division up to isqrt(|n|), with no factoring."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    pos = small + [n // d for d in reversed(small) if d * d != n]
+    return [-d for d in reversed(pos)] + pos
+
+
+def test_divisors_match_trial_division_seeded():
+    # naive_divisors is O(n), about a minute for these 2000 draws; the
+    # isqrt trial-division loop is the same kind of oracle, without factoring
+    rng = random.Random(20150101)
+    for _ in range(2000):
+        n = rng.randint(1, 10 ** 6)
+        assert divisors_signed(n) == trial_divisors(n)
+
+
+def test_divisors_of_one():
+    assert divisors_signed(1) == [-1, 1]
+    assert divisors_signed(-1) == [-1, 1]
+
+
+# (prime, exponent) blocks: 2, 3, primes around the trial-division bound 1000,
+# squares and cubes; at most one prime near 2^31 and one near 2^40 is added,
+# so rho never has to split two primes above 2^31 and each example stays fast.
+PRIME_POWERS = [(2, 1), (2, 5), (3, 1), (3, 3), (5, 1), (7, 2), (997, 1),
+                (1009, 1), (1009, 2), (1009, 3), (65537, 2), (2097143, 1),
+                (2097143, 3)]
+NEAR_2_31 = [2147483647, 2147483659]
+NEAR_2_40 = [1099511627689, 1099511627791]
+
+
+@settings(max_examples=80)
+@given(st.lists(st.sampled_from(PRIME_POWERS), max_size=5),
+       st.sampled_from([None] + NEAR_2_31),
+       st.sampled_from([None] + NEAR_2_40),
+       st.sampled_from([1, -1]))
+def test_divisors_match_known_factorization(powers, p31, p40, sign):
+    exps = {}
+    for p, e in powers + [(p, 1) for p in (p31, p40) if p]:
+        exps[p] = exps.get(p, 0) + e
+    primes = list(exps)
+    pos = sorted(prod(p ** k for p, k in zip(primes, ks))
+                 for ks in product(*(range(exps[p] + 1) for p in primes)))
+    n = pos[-1]
+    assert divisors_signed(sign * n) == [-d for d in reversed(pos)] + pos
+
+
+def test_divisors_refuse_unproven_prime():
+    # 2^89 - 1 is a Mersenne prime above the Miller-Rabin bound for bases 2..41
+    with pytest.raises(UnprovenPrime, match="3317044064679887385961981"):
+        divisors_signed(2 ** 89 - 1)
+    with pytest.raises(UnprovenPrime):
+        divisors_signed(-6 * (2 ** 89 - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
 from acscp.chernvec import (NotRealizable, newton_power_sums, q_matrix,
                             realizable, _q_adjugate)
-from acscp.exactmath import MPolyZ, solve_exact
+from acscp.exactmath import MPolyZ, divisors_signed, solve_exact
 from acscp.homotopy import (ConstraintViolated, HtpyCP, NoCompletion,
                             ZeroFirstChern, acs_search_cp4, acs_search_cp6,
                             complete_chern_vector, cp5_structure, cp6_exists,
@@ -33,6 +35,17 @@ def test_validate_params():
         validate_params(6, 1, 1)  # q missing
     with pytest.raises(UnsupportedDimension):
         validate_params(7, 0, 0)
+
+
+def test_validate_params_rejects_non_integers():
+    with pytest.raises(TypeError):
+        validate_params(4, 6.0, 3.0)
+    with pytest.raises(TypeError):
+        validate_params(4, 6, 3.0)
+    with pytest.raises(TypeError):
+        validate_params(6, 0, 0, 0.0)
+    with pytest.raises(TypeError):
+        divisors_signed(6.0)
 
 
 def test_cp4_m_residues():
@@ -127,6 +140,27 @@ def test_acs_search_cp4_every_divisor_is_admissible():
         X = HtpyCP(4, m, n)
         sols = acs_search_cp4(X, cross_check_window=None)
         assert [s.a for s in sols] == divisors_signed(divisor_target_cp4(m))
+
+
+# m -> prime factorization of divisor_target_cp4(m); at m = 10000000002 the
+# target is a product of two primes near 1.5e11
+LARGE_M_TARGETS = {
+    1400000006: {157: 1, 3081783466822929997: 1},
+    10000000002: {129671969341: 1, 190370474221: 1},
+}
+
+
+@pytest.mark.parametrize("m", sorted(LARGE_M_TARGETS))
+def test_acs_search_cp4_large_m(m):
+    n = (4 * m * m - 10 * m) // 28
+    D = divisor_target_cp4(m)
+    exps = LARGE_M_TARGETS[m]
+    assert prod(p ** e for p, e in exps.items()) == D
+    pos = sorted(prod(p ** k for p, k in zip(exps, ks))
+                 for ks in product(*(range(e + 1) for e in exps.values())))
+    sols = acs_search_cp4(HtpyCP(4, m, n))
+    assert all(D % s.a == 0 for s in sols)
+    assert [s.a for s in sols] == [-d for d in reversed(pos)] + pos
 
 
 def test_acs_search_cp4_every_valid_m_up_to_40():
