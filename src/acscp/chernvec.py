@@ -29,8 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .cohomology import exp_series, _mul, _pow_int
-from .exactmath import RatMatrix, det_exact, inverse_exact
+from .cohomology import exp_series, _line_pow, _mul
+from .exactmath import RatMatrix, _is_int, det_exact, inverse_exact
 
 
 class NotRealizable(ValueError):
@@ -108,10 +108,10 @@ def newton_power_sums(cs):
 def power_sums_from_chern(chern):
     """Integer power sums i!*ch_(2i) of a class with the given Chern vector.
 
-    Raises TypeError unless every entry is an int.
+    Raises TypeError unless every entry is an int (a bool is refused too).
     """
     chern = list(chern)
-    if not all(isinstance(c, int) for c in chern):
+    if not all(_is_int(c) for c in chern):
         raise TypeError(f"Chern coefficients must be integers, got {chern!r}")
     return newton_power_sums(chern)
 
@@ -168,5 +168,5 @@ def chern_from_multiplicities(mults):
     series = [1] + [0] * d
     for k, a in enumerate(mults, start=1):
         if a:
-            series = _mul(series, _pow_int([1, k], a, d), d)
+            series = _mul(series, _line_pow(k, a, d), d)
     return tuple(series[1:])

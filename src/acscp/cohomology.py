@@ -136,10 +136,12 @@ def exp_series(t, d):
 # ---------------------------------------------------------------------------
 # Raw truncated-series helpers over plain lists.
 #
-# Classes produced from line-bundle factors (1 + j*u)^k have integer
+# Classes built from line-bundle factors (1 + j*u)^k have integer
 # coefficients throughout, and the searches in acscp.homotopy grind through
 # many thousands of them, so the K-theory layer works on plain int lists and
-# only wraps the final answer in a CohClass.
+# only wraps the final answer in a CohClass.  Each factor comes from its
+# binomial closed form (_line_pow), never from repeated products, so its cost
+# does not grow with |k|.
 # ---------------------------------------------------------------------------
 
 def _mul(xs, ys, d):
@@ -154,19 +156,19 @@ def _mul(xs, ys, d):
     return out
 
 
-def _inv_unit_int(xs, d):
-    # constant term must be +1 or -1 for an integer inverse
-    c0 = xs[0]
-    if c0 not in (1, -1):
-        raise NonUnit(f"cannot invert integer series with constant term {c0}")
-    out = [c0] + [0] * d
-    for k in range(1, d + 1):
-        out[k] = -c0 * sum(xs[i] * out[k - i] for i in range(1, min(k, len(xs) - 1) + 1))
+def _line_pow(j, k, d):
+    """(1 + j*u)^k truncated above u^d, for any integer k, as an int list.
+
+    Entry i is C(k, i) j^i, with C the generalized binomial coefficient, by
+    b_i = b_(i-1) (k - i + 1) // i * j.  The division is exact because
+    b_(i-1) (k - i + 1) = i C(k, i) j^(i-1); once b_i = 0 (0 <= k < i) every
+    later entry is 0 too.
+    """
+    out = [1] + [0] * d
+    b = 1
+    for i in range(1, d + 1):
+        b = b * (k - i + 1) // i * j
+        if not b:
+            break
+        out[i] = b
     return out
-
-
-def _pow_int(xs, k, d):
-    if k < 0:
-        xs = _inv_unit_int(xs, d)
-        k = -k
-    return _power(xs, k, [1] + [0] * d, lambda x, y: _mul(x, y, d))

@@ -3,8 +3,11 @@ and multivariate integer polynomials.
 
 Everything here is exact.  Scalars are arbitrary-precision rationals
 (``fractions.Fraction``), matrices are small and dense, and linear systems
-are solved by fraction-free (Bareiss) elimination so that intermediate
-entries stay integral after clearing denominators row by row.
+are solved in integers: denominators are cleared row by row, fraction-free
+(Bareiss) elimination keeps every entry integral, and back-substitution is
+scaled by the last pivot D (which is +-det of the scaled system), so that by
+Cramer's rule every D*x_i is an integer and each step is an exact integer
+division.  Only the answers x_i = (D*x_i)/D are built as Fractions.
 
 Divisors are expanded from a prime factorization: small primes by trial
 division, larger ones split off by Brent-Pollard rho and certified by
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 BigRational = Fraction
@@ -58,6 +61,12 @@ def _power(base, k, one, mul):
         if k:
             base = mul(base, base)
     return result
+
+
+def _is_int(x):
+    """The integer test at the package's boundaries: exactly int, so a bool
+    (an int subclass) is refused along with floats and Fractions."""
+    return type(x) is int
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +140,16 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _scaled_int_rows(matrix, rhs=None):
-    """Clear denominators row by row, returning integer rows (and the scale
-    factor applied to each row, needed for determinants)."""
+def _scaled_int_rows(rows):
+    """Clear the denominators of int or Fraction rows row by row, returning
+    integer rows (and the scale factor applied to each row, needed for
+    determinants)."""
     out = []
     scales = []
-    for i in range(matrix.rows):
-        row = matrix.row(i)
-        if rhs is not None:
-            row = row + [Fraction(rhs[i])]
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        out.append([int(x * scale) for x in row])
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        scale = lcm(*[q for _, q in ratios])
+        out.append([p * (scale // q) for p, q in ratios])
         scales.append(scale)
     return out, scales
 
@@ -174,29 +180,37 @@ def _bareiss(rows, width):
 
 
 def solve_exact(matrix, b):
-    """Solve M x = b exactly for square M.  Raises SingularMatrix if det M = 0."""
+    """Solve M x = b exactly for square M.  Raises SingularMatrix if det M = 0.
+
+    After Bareiss elimination the last pivot D is +-det of the scaled system,
+    so by Cramer's rule D*x is integral, and back-substitution runs in
+    integers: y_i = (D*r_(i,n) - sum_(j>i) r_(i,j)*y_j) // r_(i,i) is exact,
+    and x_i = y_i / D.
+    """
     if matrix.rows != matrix.cols:
         raise ValueError("matrix must be square")
     n = matrix.rows
     if len(b) != n:
         raise ValueError("right-hand side length must equal matrix size")
-    rows, _ = _scaled_int_rows(matrix, rhs=b)
+    rows, _ = _scaled_int_rows([matrix.row(i) + [b[i]] for i in range(n)])
     if _bareiss(rows, n + 1) == 0:
         raise SingularMatrix("matrix has determinant zero")
-    x = [Fraction(0)] * n
+    D = rows[n - 1][n - 1]
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(rows[i][n])
+        ri = rows[i]
+        acc = D * ri[n]
         for j in range(i + 1, n):
-            acc -= rows[i][j] * x[j]
-        x[i] = acc / rows[i][i]
-    return x
+            acc -= ri[j] * y[j]
+        y[i] = acc // ri[i]
+    return [Fraction(v, D) for v in y]
 
 
 def det_exact(matrix):
     """Exact determinant via Bareiss elimination."""
     if matrix.rows != matrix.cols:
         raise ValueError("matrix must be square")
-    rows, scales = _scaled_int_rows(matrix)
+    rows, scales = _scaled_int_rows(matrix.to_rows())
     sign = _bareiss(rows, matrix.rows)
     if sign == 0:
         return Fraction(0)
@@ -211,7 +225,7 @@ def inverse_exact(matrix):
     n = matrix.rows
     cols = []
     for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
+        e = [int(i == j) for i in range(n)]
         cols.append(solve_exact(matrix, e))
     return RatMatrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
 
@@ -373,10 +387,10 @@ def divisors_signed(n):
     prime certified by deterministic Miller-Rabin on the bases 2..41.  That
     test is proven below 3 317 044 064 679 887 385 961 981; a cofactor at or
     above this bound that tests prime raises UnprovenPrime, so a returned
-    list is always complete.  Raises TypeError unless n is an int, and
-    ZeroArgument for 0.
+    list is always complete.  Raises TypeError unless n is an int (a bool is
+    refused too), and ZeroArgument for 0.
     """
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise TypeError(f"divisors need an integer, got {n!r}")
     if n == 0:
         raise ZeroArgument("zero is divisible by everything")

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .chernvec import _decompose, newton_power_sums, q_matrix
-from .exactmath import MPolyZ, divisors_signed, inverse_exact, poly_variables
+from .exactmath import (MPolyZ, _is_int, divisors_signed, inverse_exact,
+                        poly_variables)
 from .ktheory import (KClass, KOClass, UnsupportedDimension, pontrjagin_total,
                       real_reduce, total_chern)
 
@@ -82,7 +83,7 @@ class HtpyCP:
     def __post_init__(self):
         d, m, n, q = self.d, self.m, self.n, self.q
         for name, value in (("d", d), ("m", m), ("n", n), ("q", q)):
-            if value is not None and not isinstance(value, int):
+            if value is not None and not _is_int(value):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if d == 4:
             if q is not None:
@@ -110,7 +111,7 @@ class HtpyCP:
 
 def validate_params(d, m, n, q=None):
     """Construct a HtpyCP, raising ConstraintViolated with the failing equation
-    and TypeError for a parameter that is not an int."""
+    and TypeError for a parameter that is not an int (or is a bool)."""
     return HtpyCP(d, m, n, q)
 
 

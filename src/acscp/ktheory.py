@@ -25,12 +25,13 @@ exercised heavily by the test suite.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from operator import mul
 
 from .cohomology import (CohClass, DimensionMismatch, exp_series,
-                         _mul, _pow_int)
+                         _line_pow, _mul)
 from .exactmath import _power
 
 
@@ -42,13 +43,24 @@ class UnsupportedOperation(ValueError):
     """The requested map is not defined (or not determined) in this ring."""
 
 
+def _int_coeffs(coeffs):
+    coeffs = list(coeffs)
+    # exactmath._is_int, inlined: this runs on every K-theory product
+    if not all(type(x) is int for x in coeffs):
+        raise TypeError(f"K-theory coefficients must be integers, got {coeffs!r}")
+    return coeffs
+
+
 class KClass:
-    """Element of Z[L]/(L^(d+1)); coeffs[i] is the coefficient of L^i."""
+    """Element of Z[L]/(L^(d+1)); coeffs[i] is the coefficient of L^i.
+
+    Raises TypeError for a coefficient that is not an int (or is a bool).
+    """
 
     __slots__ = ("d", "coeffs")
 
     def __init__(self, d, coeffs):
-        coeffs = [int(x) for x in coeffs]
+        coeffs = _int_coeffs(coeffs)
         if len(coeffs) > d + 1:
             raise ValueError(f"too many coefficients for dimension {d}")
         coeffs += [0] * (d + 1 - len(coeffs))
@@ -137,14 +149,15 @@ class KOClass:
     """Element of KO(CP^d) for d in {4, 5, 6}.
 
     coeffs[j] is the coefficient of w^j.  For d = 5 the w^3 coefficient is
-    a 2-torsion residue and is stored reduced mod 2.
+    a 2-torsion residue and is stored reduced mod 2.  Raises TypeError for a
+    coefficient that is not an int (or is a bool).
     """
 
     __slots__ = ("d", "coeffs")
 
     def __init__(self, d, coeffs):
         width = _ko_width(d)
-        coeffs = [int(x) for x in coeffs]
+        coeffs = _int_coeffs(coeffs)
         if len(coeffs) > width:
             raise ValueError(f"too many coefficients for KO(CP^{d})")
         coeffs += [0] * (width - len(coeffs))
@@ -268,18 +281,28 @@ def _ring_extend(x, image_of_l):
 # Chern character and total Chern class
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _ch_table(d):
+    """ch(L^i) = (e^u - 1)^i for i = 0..d, as integer tuples scaled by k!.
+
+    Entry [i][k] is k! times the u^k coefficient, i.e. i! S(k, i) with S the
+    Stirling numbers of the second kind, so it is an integer.
+    """
+    eu_minus_1 = exp_series(1, d) - 1
+    table = []
+    power = CohClass.one(d)
+    for _ in range(d + 1):
+        table.append(tuple(int(c * factorial(k)) for k, c in enumerate(power.coeffs)))
+        power = power * eu_minus_1
+    return tuple(table)
+
+
 def chern_character(x):
     """ch(x) in Q[u]/(u^(d+1)): additive extension of ch(L^i) = (e^u - 1)^i."""
     d = x.d
-    eu_minus_1 = exp_series(1, d) - 1
-    total = CohClass.zero(d)
-    power = CohClass.one(d)
-    for i in range(d + 1):
-        if x.coeffs[i]:
-            total = total + power * x.coeffs[i]
-        if i < d:
-            power = power * eu_minus_1
-    return total
+    terms = [(c, row) for c, row in zip(x.coeffs, _ch_table(d)) if c]
+    return CohClass(d, [Fraction(sum(c * row[k] for c, row in terms), factorial(k))
+                        for k in range(d + 1)])
 
 
 def line_multiplicities(x):
@@ -302,14 +325,16 @@ def total_chern(x):
 
     c(H^j) = 1 + j*u, so after expanding x over the H^j the answer is the
     product of (1 + j*u)^(mult_j).  The rank part (j = 0) contributes
-    nothing.  Coefficients are always integers.
+    nothing.  Each factor is read off the binomial series, coefficient i
+    being C(mult_j, i) j^i, in O(d) integer steps however large |mult_j| is.
+    Coefficients are always integers.
     """
     d = x.d
     mult = line_multiplicities(x)
     series = [1] + [0] * d
     for j in range(1, d + 1):
         if mult[j]:
-            series = _mul(series, _pow_int([1, j], mult[j], d), d)
+            series = _mul(series, _line_pow(j, mult[j], d), d)
     return CohClass(d, series)
 
 

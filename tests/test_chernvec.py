@@ -139,8 +139,9 @@ def test_not_realizable_detail():
 
 
 def test_realizable_rejects_non_integer_entries():
-    # int() used to truncate these silently: (1.5, 2) came back as (5, -2)
-    for bad in ((1.5, 2), (Fraction(5), 10, 10, 5), ("1", 0)):
+    # int() used to truncate these silently: (1.5, 2) came back as (5, -2),
+    # and a bool passed as an int: (True, 2) came back as (5, -2) too
+    for bad in ((1.5, 2), (Fraction(5), 10, 10, 5), ("1", 0), (True, 2)):
         with pytest.raises(TypeError):
             realizable(bad)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +172,12 @@ def test_jsonable_transform():
         {"x": str(2 ** 60), "y": [True, None, 3]}
     assert _jsonable(-(2 ** 53)) == str(-(2 ** 53))
     assert _jsonable(2 ** 53 - 1) == 2 ** 53 - 1
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "acscp", "verify", "cp4", "--seed", "0"],
+                          cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["payload"]["all_pass"] is True

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acscp.cohomology import CohClass, DimensionMismatch, NonUnit, exp_series
+from acscp.cohomology import (CohClass, DimensionMismatch, NonUnit, exp_series,
+                              _line_pow)
 
 
 def C(d, *coeffs):
@@ -92,3 +94,22 @@ def test_pow_inverse_property():
 @given(st.integers(-8, 8), st.integers(-8, 8), st.integers(1, 8))
 def test_exp_additivity(s, t, d):
     assert exp_series(s, d) * exp_series(t, d) == exp_series(s + t, d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 8), st.one_of(st.just(0), st.integers(-10 ** 4, 10 ** 4)),
+       st.integers(1, 8))
+def test_line_pow_matches_fraction_power(j, k, d):
+    # independent route: Fraction square-and-multiply, through invert_unit for k < 0
+    want = CohClass(d, [1, j] + [0] * (d - 1)) ** k
+    assert _line_pow(j, k, d) == list(want.coeffs)
+
+
+def test_line_pow_at_huge_exponents():
+    big = 10 ** 12
+    for j in (1, 3, 8):
+        # (1 + j u)^K = sum C(K, i) j^i u^i and (1 + j u)^-K = sum (-1)^i C(K+i-1, i) j^i u^i
+        assert _line_pow(j, big, 8) == [comb(big, i) * j ** i for i in range(9)]
+        assert _line_pow(j, -big, 8) == [(-1) ** i * comb(big + i - 1, i) * j ** i
+                                         for i in range(9)]
+    assert _line_pow(5, 3, 6) == [1, 15, 75, 125, 0, 0, 0]

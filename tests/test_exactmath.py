@@ -78,6 +78,54 @@ def test_solve_matches_cramer_on_random_systems():
         done += 1
 
 
+def gauss_jordan_solve(rows, b):
+    """Fraction Gauss-Jordan with partial pivoting on the largest |entry|;
+    None when the matrix is singular."""
+    n = len(rows)
+    aug = [list(map(Fraction, r)) + [Fraction(x)] for r, x in zip(rows, b)]
+    for k in range(n):
+        piv = max(range(k, n), key=lambda r: abs(aug[r][k]))
+        if aug[piv][k] == 0:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        aug[k] = [x / aug[k][k] for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k]:
+                f = aug[i][k]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
+    return [r[n] for r in aug]
+
+
+def test_solve_matches_gauss_jordan_seeded():
+    rng = random.Random(17)
+
+    def frac():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+    done = 0
+    while done < 300:
+        n = rng.randint(1, 9)
+        rows = [[frac() for _ in range(n)] for _ in range(n)]
+        b = [frac() for _ in range(n)]
+        want = gauss_jordan_solve(rows, b)
+        if want is None:
+            continue
+        assert solve_exact(RatMatrix.from_rows(rows), b) == want
+        done += 1
+    # singular: the last row is a rational combination of the others
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        rows = [[frac() for _ in range(n)] for _ in range(n - 1)]
+        weights = [frac() for _ in range(n - 1)]
+        rows.append([sum((w * r[j] for w, r in zip(weights, rows)), Fraction(0))
+                     for j in range(n)])
+        assert gauss_jordan_solve(rows, [1] * n) is None
+        with pytest.raises(SingularMatrix):
+            solve_exact(RatMatrix.from_rows(rows), [frac() for _ in range(n)])
+        with pytest.raises(SingularMatrix):
+            inverse_exact(RatMatrix.from_rows(rows))
+
+
 def test_inverse_roundtrip_up_to_8():
     rng = random.Random(3)
     done = 0

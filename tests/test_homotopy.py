@@ -46,6 +46,11 @@ def test_validate_params_rejects_non_integers():
         validate_params(6, 0, 0, 0.0)
     with pytest.raises(TypeError):
         divisors_signed(6.0)
+    # bool is an int subclass; these used to pass as m = n = 0 and as n = 1
+    with pytest.raises(TypeError):
+        validate_params(4, False, False)
+    with pytest.raises(TypeError):
+        divisors_signed(True)
 
 
 def test_cp4_m_residues():

@@ -53,6 +53,20 @@ def test_ko_unsupported_dimension():
         KOClass(7, [0, 1])
 
 
+def test_k_class_rejects_non_integer_coefficients():
+    # int() used to truncate these silently: KClass(4, [1.7]) stored 1
+    for bad in ([1.7], [Fraction(3)], [0, True], [1, "2"]):
+        with pytest.raises(TypeError):
+            KClass(4, bad)
+
+
+def test_ko_class_rejects_non_integer_coefficients():
+    # int() used to truncate these silently: KOClass(4, [2.5]) stored 2
+    for bad in ([2.5], [Fraction(1, 2)], [False, 1], [0, 1.0]):
+        with pytest.raises(TypeError):
+            KOClass(4, bad)
+
+
 # ---------------------------------------------------------------------------
 # conjugation
 # ---------------------------------------------------------------------------
@@ -113,6 +127,26 @@ def test_chern_character_is_a_ring_map():
         x = KClass(d, [rng.randint(-4, 4) for _ in range(d + 1)])
         y = KClass(d, [rng.randint(-4, 4) for _ in range(d + 1)])
         assert chern_character(x * y) == chern_character(x) * chern_character(y)
+
+
+def ch_by_products(x):
+    """ch(x) as sum_i x_i (e^u - 1)^i, with the powers multiplied out per call."""
+    d = x.d
+    eu_minus_1 = exp_series(1, d) - 1
+    total, power = CohClass.zero(d), CohClass.one(d)
+    for coef in x.coeffs:
+        total = total + power * coef
+        power = power * eu_minus_1
+    return total
+
+
+def test_chern_character_matches_per_call_products():
+    rng = random.Random(13)
+    for _ in range(80):
+        d = rng.randint(1, 8)
+        x = KClass(d, [rng.choice((0, rng.randint(-10 ** 6, 10 ** 6)))
+                       for _ in range(d + 1)])
+        assert chern_character(x) == ch_by_products(x)
 
 
 def test_line_multiplicities_binomial():
