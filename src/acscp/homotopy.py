@@ -31,6 +31,15 @@ cross-checked against each other.  Each search computes the Pontrjagin
 classes of X once and passes them to the completion and decomposition of
 every candidate (a, c).
 
+For d = 6 the completion is one head per a, c_2 and h_4 = (p_2 - c_2^2)/2,
+and one tail per c, c_4 = a c + h_4 and c_5 = num_5 / (2a).  Since
+
+    num_5 = (K - c^2) + 2a c_2 c,   K = 14 + 2 c_2 h_4 + p_3,
+
+c_5 is integral exactly when 2a divides K - c^2.  The direct scan computes
+the head and K once per a and runs the tail, the Newton recursion and the
+decomposition only on the cells that pass this test.
+
 For d = 6 the congruence-and-divisor criterion is uniform in the
 parameters, and (a, c) = (1, 1) always satisfies it, so every admissible
 (m, n, q) carries almost complex structures.  (The mod-3 nonexistence test
@@ -157,26 +166,46 @@ def pontrjagin_of_X(X):
 # Chern-vector completion (d = 4, 6)
 # ---------------------------------------------------------------------------
 
-def _complete_ints(d, p, a, c):
-    """Integer completion of the Chern vector, or None at the first
-    non-integral step.  p is the Pontrjagin coefficient tuple."""
+def _complete_head(p, a):
+    """The per-a part of the d = 6 completion: (c_2, h_4) with
+    c_2 = (a^2 - p_1)/2 and h_4 = (p_2 - c_2^2)/2, or None when either is
+    not integral."""
     t = a * a - p[0]
     if t % 2:
         return None
     c2 = t // 2
-    if d == 4:
-        num3 = 10 + c2 * c2 - p[1]
-        if num3 % (2 * a):
-            return None
-        return (a, c2, num3 // (2 * a), 5)
     t4 = p[1] - c2 * c2
     if t4 % 2:
         return None
-    a4 = a * c + t4 // 2
+    return c2, t4 // 2
+
+
+def _complete_tail(p, a, head, c):
+    """The per-c part of the d = 6 completion from head = (c_2, h_4):
+    c_4 = a c + h_4 and c_5 = num_5 / (2a), or None when c_5 is not
+    integral."""
+    c2, h4 = head
+    a4 = a * c + h4
     num5 = 14 + 2 * c2 * a4 - c * c + p[2]
     if num5 % (2 * a):
         return None
     return (a, c2, c, a4, num5 // (2 * a), 7)
+
+
+def _complete_ints(d, p, a, c):
+    """Integer completion of the Chern vector, or None at the first
+    non-integral step.  p is the Pontrjagin coefficient tuple."""
+    if d == 4:
+        t = a * a - p[0]
+        if t % 2:
+            return None
+        c2 = t // 2
+        num3 = 10 + c2 * c2 - p[1]
+        if num3 % (2 * a):
+            return None
+        return (a, c2, num3 // (2 * a), 5)
+    head = _complete_head(p, a)
+    return None if head is None else _complete_tail(p, a, head, c)
 
 
 def complete_chern_vector(X, a, c=None):
@@ -224,6 +253,15 @@ def _solution(d, p, a, c=None):
     return None if dec is None else ACSSolution(d, a, c, v, dec)
 
 
+def _check_window(name, value):
+    """Refuse a search window that is not an int (or is a bool) with
+    TypeError, and one below 1 with ValueError."""
+    if not _is_int(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _signed_odds(n):
     """The odd integers a with 1 <= |a| <= n."""
     odds = list(range(1, n + 1, 2))
@@ -255,16 +293,19 @@ def acs_search_cp4(X, cross_check_window=200):
     Enumerates a over the signed divisors of the target, completes each
     Chern vector, and keeps the realizable ones.  When cross_check_window
     is set, a brute-force integrality scan over |a| <= window is run and
-    must agree with the divisor criterion on that window.
+    must agree with the divisor criterion on that window; None turns the
+    cross-check off.
     """
     if X.d != 4:
         raise UnsupportedDimension("acs_search_cp4 needs d = 4")
+    if cross_check_window is not None:
+        _check_window("cross_check_window", cross_check_window)
     D = divisor_target_cp4(X.m)
     if D == 0:
         raise ArithmeticError("divisor target vanished; cannot enumerate")
     p = pontrjagin_of_X(X)
     sols = [s for s in (_solution(4, p, a) for a in divisors_signed(D)) if s is not None]
-    if cross_check_window:
+    if cross_check_window is not None:
         direct = _direct_set_cp4(p, cross_check_window)
         from_divisors = {s.a for s in sols if abs(s.a) <= cross_check_window}
         if from_divisors != direct:
@@ -325,29 +366,40 @@ _CP6_PARITY = {1: 1, 7: 3, 9: 5, 15: 7}
 
 
 def _criterion_set_cp6(X, a_max, c_max):
+    # the a passing the mod-3 and mod-16 tests, keyed by the c mod 8 they pair with
+    paired = {}
+    for a in _signed_odds(a_max):
+        if a % 3 and a % 16 in _CP6_PARITY:
+            paired.setdefault(_CP6_PARITY[a % 16], []).append(a)
     out = set()
-    as_ = _signed_odds(a_max)
     for c in _signed_odds(c_max):
         if c % 3 == 0:
             continue
         target = divisor_target_cp6(c, X.m, X.n)
         if target == 0:
             raise ArithmeticError(f"divisor target vanished at c={c}")
-        want = c % 8
-        for a in as_:
-            if a % 3 == 0 or _CP6_PARITY.get(a % 16) != want:
-                continue
-            if target % a == 0:
-                out.add((a, c))
+        out.update((a, c) for a in paired.get(c % 8, ()) if target % a == 0)
     return out
 
 
 def _direct_set_cp6(p, a_max, c_max):
     """All odd (a, c) in the window whose completion exists and decomposes
-    integrally.  Pure integer arithmetic."""
-    cs = _signed_odds(c_max)
-    return {(a, c) for a in _signed_odds(a_max) for c in cs
-            if _solution(6, p, a, c) is not None}
+    integrally.  Pure integer arithmetic.  Only the cells with
+    2a | K - c^2, exactly those whose c_5 is integral (see the module
+    docstring), run the tail, the Newton recursion and the decomposition."""
+    squares = [(c, c * c) for c in _signed_odds(c_max)]
+    out = set()
+    for a in _signed_odds(a_max):
+        head = _complete_head(p, a)
+        if head is None:
+            continue
+        K = 14 + 2 * head[0] * head[1] + p[2]
+        two_a = 2 * a
+        for c, cc in squares:
+            if (K - cc) % two_a == 0 and _decompose(
+                    newton_power_sums(_complete_tail(p, a, head, c))) is not None:
+                out.add((a, c))
+    return out
 
 
 def acs_search_cp6(X, a_max=200, c_max=200, cross_check=True):
@@ -360,6 +412,8 @@ def acs_search_cp6(X, a_max=200, c_max=200, cross_check=True):
     """
     if X.d != 6:
         raise UnsupportedDimension("acs_search_cp6 needs d = 6")
+    _check_window("a_max", a_max)
+    _check_window("c_max", c_max)
     crit = _criterion_set_cp6(X, a_max, c_max)
     p = pontrjagin_of_X(X)
     if cross_check:

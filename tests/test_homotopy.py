@@ -4,6 +4,7 @@ from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from acscp.chernvec import (NotRealizable, newton_power_sums, q_matrix,
                             realizable, _q_adjugate)
@@ -15,8 +16,9 @@ from acscp.homotopy import (ConstraintViolated, HtpyCP, NoCompletion,
                             mod31_table, pontrjagin_of_X,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
                             tangent_ko_class, validate_params,
-                            _CP6_F_MULTIPLES, _direct_set_cp4,
-                            _direct_set_cp6, _symbolic_cp6_rows)
+                            _CP6_F_MULTIPLES, _criterion_set_cp6,
+                            _direct_set_cp4, _direct_set_cp6, _signed_odds,
+                            _solution, _symbolic_cp6_rows)
 from acscp.ktheory import KClass, KOClass, UnsupportedDimension
 
 
@@ -194,6 +196,20 @@ def test_direct_scan_matches_public_ops():
     assert fast == slow
 
 
+@pytest.mark.parametrize("window, error", [
+    (2.5, TypeError), (True, TypeError), ("7", TypeError),
+    (0, ValueError), (-7, ValueError),
+])
+def test_search_windows_are_validated(window, error):
+    X4, X6 = HtpyCP(4, 0, 0), HtpyCP(6, 0, 0, 0)
+    with pytest.raises(error, match="cross_check_window"):
+        acs_search_cp4(X4, cross_check_window=window)
+    with pytest.raises(error, match="a_max"):
+        acs_search_cp6(X6, a_max=window, c_max=5)
+    with pytest.raises(error, match="c_max"):
+        acs_search_cp6(X6, a_max=5, c_max=window)
+
+
 def test_q_adjugate_consistency():
     for d in range(1, 9):
         rows, det = _q_adjugate(d)
@@ -260,6 +276,45 @@ def test_acs_search_cp6_cross_checks():
     # the criterion agrees with the direct scan for m = 0 and m != 0 mod 3
     for (m, n, q) in ((0, 31, -24), (48, 12, -1747), (16, 11, 23), (32, 7, -442)):
         acs_search_cp6(validate_params(6, m, n, q), a_max=60, c_max=60)
+
+
+@pytest.mark.parametrize("mnq", [(0, 0, 0), (16, 11, 23), (-48, 16, 2419)])
+def test_direct_scan_cp6_matches_public_ops(mnq):
+    X = validate_params(6, *mnq)
+    fast = _direct_set_cp6(pontrjagin_of_X(X), 23, 11)
+    slow = set()
+    for a in range(-23, 24, 2):
+        for c in range(-11, 12, 2):
+            try:
+                v = complete_chern_vector(X, a, c)
+                realizable(v)
+                slow.add((a, c))
+            except (NoCompletion, NotRealizable):
+                continue
+    assert fast == slow
+    assert (1, 1) in fast
+
+
+_MOD31 = dict(mod31_table())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50),
+       st.integers(1, 60), st.integers(1, 60))
+def test_cp6_criterion_set_equals_direct_set(k, j, a_max, c_max):
+    # admissible triples through the mod-31 table: m = 16k, n = r(m) mod 31,
+    # and q solves the constraint exactly
+    m = 16 * k
+    assume(m % 31 in _MOD31)
+    n = _MOD31[m % 31] + 31 * j
+    lhs = 32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1152 * n
+    X = validate_params(6, m, n, -lhs // 1488)
+    p = pontrjagin_of_X(X)
+    direct = _direct_set_cp6(p, a_max, c_max)
+    assert direct == _criterion_set_cp6(X, a_max, c_max)
+    per_cell = {(a, c) for a in _signed_odds(a_max) for c in _signed_odds(c_max)
+                if _solution(6, p, a, c) is not None}
+    assert direct == per_cell
 
 
 def test_cp6_exists_everywhere():
