@@ -1,7 +1,7 @@
 """Almost complex structures on homotopy CP^6.
 
-Parameters (m, n, q) satisfy 32m^3 - 252m^2 + 301m - 672mn + 1152n + 1488q
-= 0; reducing mod 31 pins (m, n) to one of 30 residue pairs.  Structures
+Parameters (m, n, q) satisfy the constraint CP6_CONSTRAINT = 0 (printed
+below); reducing mod 31 pins (m, n) to one of 30 residue pairs.  Structures
 with c_1 = a u and c_3 = c u^3 are characterized by congruences on (a, c)
 mod 16/8 and mod 3 plus a divisibility a | T(c, m, n) -- and since
 (a, c) = (1, 1) always qualifies, every admissible (m, n, q) carries
@@ -15,10 +15,11 @@ and re-running it with the slip reproduces the transcribed variant term
 for term -- both directions are pinned in the test suite."""
 
 from acscp.exactmath import MPolyZ
-from acscp.homotopy import (acs_search_cp6, cp6_exists, mod31_table,
-                            symbolic_cp6_numerators, validate_params,
-                            _symbolic_cp6_rows)
+from acscp.homotopy import (CP6_CONSTRAINT, acs_search_cp6, cp6_exists,
+                            mod31_table, symbolic_cp6_numerators,
+                            validate_params, _symbolic_cp6_rows)
 
+print("constraint:", CP6_CONSTRAINT, "= 0")
 print("allowed (m, n) residues mod 31:", mod31_table())
 
 sym = symbolic_cp6_numerators()

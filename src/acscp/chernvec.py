@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .cohomology import exp_series, _line_pow, _mul
+from .cohomology import exp_series, _line_product
 from .exactmath import RatMatrix, _is_int, det_exact, inverse_exact
 
 
@@ -164,9 +164,4 @@ def realizable(chern):
 
 def chern_from_multiplicities(mults):
     """Chern vector of sum_k a_k (H^k - 1): coefficients of prod (1+k*u)^(a_k)."""
-    d = len(mults)
-    series = [1] + [0] * d
-    for k, a in enumerate(mults, start=1):
-        if a:
-            series = _mul(series, _line_pow(k, a, d), d)
-    return tuple(series[1:])
+    return tuple(_line_product(mults, len(mults))[1:])

@@ -172,3 +172,13 @@ def _line_pow(j, k, d):
             break
         out[i] = b
     return out
+
+
+def _line_product(mults, d):
+    """prod_j (1 + j*u)^(mults[j-1]) over j = 1, 2, ..., truncated above u^d,
+    as an int list: one _line_pow factor per nonzero multiplicity."""
+    series = [1] + [0] * d
+    for j, k in enumerate(mults, start=1):
+        if k:
+            series = _mul(series, _line_pow(j, k, d), d)
+    return series

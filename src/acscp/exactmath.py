@@ -110,9 +110,6 @@ class RatMatrix:
     def row(self, i):
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def column(self, j):
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
 
@@ -563,9 +560,6 @@ class MPolyZ:
         for name, power in exps.items():
             e[_VAR_INDEX[name]] = power
         return self.terms.get(tuple(e), 0)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def _sorted_terms(self):
         # graded lexicographic, highest first

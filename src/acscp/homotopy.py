@@ -13,6 +13,12 @@ one constraint:
     d = 6:  xi = m(24w + 98w^2 + 111w^3) + n(240w^2 + 380w^3) + q(504w^3),
             32m^3 - 252m^2 + 301m - 672mn + 1152n + 1488q = 0
 
+The d = 4 and 6 models live once, as the MPolyZ constants CP4_CONSTRAINT,
+CP6_CONSTRAINT and CP4_PONTRJAGIN, CP6_PONTRJAGIN (p_1, ..., p_(d/2) of T
+with n and q free), read by HtpyCP, pontrjagin_of_X (which still checks
+them against the K-theory route), mod31_table and the symbolic pipeline.
+The d = 6 divisor target is F / 155, F the pinned _CP6_F_PIN.
+
 For d = 4 and 6 an almost complex structure is the same thing as an integer
 Chern vector (c_1, ..., c_d) with c_d = d + 1 whose even combinations match
 the Pontrjagin classes of X and which is realizable over the exponential
@@ -58,8 +64,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .chernvec import _decompose, newton_power_sums, q_matrix
-from .exactmath import (MPolyZ, _is_int, divisors_signed, inverse_exact,
-                        poly_variables)
+from .exactmath import (MPolyZ, NotDivisible, _is_int, divisors_signed,
+                        inverse_exact, poly_variables)
 from .ktheory import (KClass, KOClass, UnsupportedDimension, pontrjagin_total,
                       real_reduce, total_chern)
 
@@ -77,8 +83,24 @@ class ZeroFirstChern(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Parameters
+# Parameters: the constraints and Pontrjagin classes in (m, n, q)
 # ---------------------------------------------------------------------------
+
+_, _, _m, _n, _q = poly_variables()
+
+CP4_CONSTRAINT = 4 * _m ** 2 - 10 * _m - 28 * _n
+CP4_PONTRJAGIN = (5 + 24 * _m, 10 - 480 * _m + 288 * _m ** 2 - 1440 * _n)
+
+CP6_CONSTRAINT = (32 * _m ** 3 - 252 * _m ** 2 + 301 * _m - 672 * _m * _n
+                  + 1152 * _n + 1488 * _q)
+CP6_PONTRJAGIN = (7 + 24 * _m,
+                  21 + 288 * _m ** 2 - 432 * _m - 1440 * _n,
+                  35 + 2304 * _m ** 3 - 12384 * _m ** 2 + 11592 * _m
+                  - 34560 * _m * _n + 40320 * _n + 60480 * _q)
+
+_CONSTRAINTS = {4: CP4_CONSTRAINT, 6: CP6_CONSTRAINT}
+_PONTRJAGIN = {4: CP4_PONTRJAGIN, 6: CP6_PONTRJAGIN}
+
 
 @dataclass(frozen=True)
 class HtpyCP:
@@ -94,25 +116,18 @@ class HtpyCP:
         for name, value in (("d", d), ("m", m), ("n", n), ("q", q)):
             if value is not None and not _is_int(value):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        if d == 4:
-            if q is not None:
-                raise ConstraintViolated("d=4 takes parameters (m, n) only")
-            if 4 * m * m - 10 * m - 28 * n != 0:
-                raise ConstraintViolated(f"4m^2 - 10m - 28n = {4*m*m - 10*m - 28*n} != 0")
-        elif d == 5:
-            if q is not None:
-                raise ConstraintViolated("d=5 takes parameters (m, n) only")
-            if m % 2 != 0:
-                raise ConstraintViolated(f"m = {m} must be even")
-        elif d == 6:
-            if q is None:
-                raise ConstraintViolated("d=6 needs a third parameter q")
-            lhs = 32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1152 * n + 1488 * q
-            if lhs != 0:
-                raise ConstraintViolated(
-                    f"32m^3 - 252m^2 + 301m - 672mn + 1152n + 1488q = {lhs} != 0")
-        else:
+        if d not in (4, 5, 6):
             raise UnsupportedDimension(f"d must be 4, 5, or 6, not {d}")
+        if d == 6 and q is None:
+            raise ConstraintViolated("d=6 needs a third parameter q")
+        if d != 6 and q is not None:
+            raise ConstraintViolated(f"d={d} takes parameters (m, n) only")
+        if d == 5 and m % 2 != 0:
+            raise ConstraintViolated(f"m = {m} must be even")
+        if d in _CONSTRAINTS:
+            lhs = _CONSTRAINTS[d].evaluate(**dict(zip("mnq", self.params())))
+            if lhs != 0:
+                raise ConstraintViolated(f"{_CONSTRAINTS[d]} = {lhs} != 0")
 
     def params(self):
         return (self.m, self.n) if self.q is None else (self.m, self.n, self.q)
@@ -141,22 +156,12 @@ def pontrjagin_of_X(X):
     Evaluated from the closed formulas in (m, n, q) and, independently, from
     the total Pontrjagin class of the tangent KO-class; the two must agree.
     """
-    d, m, n = X.d, X.m, X.n
-    if d == 4:
-        num = 576 * m * m + 240 * m
-        if num % 7:
-            raise ArithmeticError("p_2 formula is not integral; invalid parameters")
-        formulas = (5 + 24 * m, 10 + num // 7)
-    elif d == 6:
-        q = X.q
-        formulas = (7 + 24 * m,
-                    21 + 288 * m * m - 432 * m - 1440 * n,
-                    35 + 2304 * m ** 3 - 12384 * m * m + 11592 * m
-                    - 34560 * m * n + 40320 * n + 60480 * q)
-    else:
+    if X.d not in _PONTRJAGIN:
         raise UnsupportedDimension("Pontrjagin data is only defined for d = 4 and 6")
+    point = dict(zip("mnq", X.params()))
+    formulas = tuple(p.evaluate(**point) for p in _PONTRJAGIN[X.d])
     total = pontrjagin_total(tangent_ko_class(X))
-    from_ko = tuple(int(total.coeff(2 * i)) for i in range(1, d // 2 + 1))
+    from_ko = tuple(int(total.coeff(2 * i)) for i in range(1, X.d // 2 + 1))
     if from_ko != formulas:
         raise ArithmeticError(f"Pontrjagin mismatch: formulas {formulas}, K-theory {from_ko}")
     return formulas
@@ -343,22 +348,28 @@ def cp6_exists(X):
     return True
 
 
+def _target_cp6(m, n):
+    """The d = 6 divisor target at fixed (m, n) as an MPolyZ in c: F / 155,
+    F the pinned a-free part _CP6_F_PIN of the first symbolic numerator.
+    ArithmeticError unless (m, n) meets the constraint mod 31."""
+    try:
+        return MPolyZ(_CP6_F_PIN).substitute(m=m, n=n).divexact(155)
+    except NotDivisible:
+        raise ArithmeticError(f"target is not integral at (m, n) = ({m}, {n})") from None
+
+
 def divisor_target_cp6(c, m, n):
     """The integer that c_1 must divide when d = 6:
 
-        147 - 8c^2 + (1/31)(-179712 m^3 + 879552 m^2 + 2488320 mn
-                            + 262584 m - 362880 n),
+        F / 155 = 147 - 8c^2 + (1/31)(-179712 m^3 + 879552 m^2 + 2488320 mn
+                                      + 262584 m - 362880 n),
 
     integral whenever (m, n) satisfies the constraint mod 31.  (A variant
     form of the cubic coefficients, -1152 m^3 + 931632 m^2, circulates; it
     descends from a 228-for-288 digit slip in the degree-4 Pontrjagin input
     and fails the direct integrality cross-check whenever m != 0.  See the
     regression tests around symbolic_cp6_numerators.)"""
-    num = (-179712 * m ** 3 + 879552 * m * m + 2488320 * m * n
-           + 262584 * m - 362880 * n)
-    if num % 31:
-        raise ArithmeticError(f"target is not integral at (m, n) = ({m}, {n})")
-    return 147 - 8 * c * c + num // 31
+    return _target_cp6(m, n).evaluate(c=c)
 
 
 # admissible (a mod 16 -> c mod 8) pairings; a and c are odd throughout
@@ -371,11 +382,12 @@ def _criterion_set_cp6(X, a_max, c_max):
     for a in _signed_odds(a_max):
         if a % 3 and a % 16 in _CP6_PARITY:
             paired.setdefault(_CP6_PARITY[a % 16], []).append(a)
+    target_in_c = _target_cp6(X.m, X.n)
     out = set()
     for c in _signed_odds(c_max):
         if c % 3 == 0:
             continue
-        target = divisor_target_cp6(c, X.m, X.n)
+        target = target_in_c.evaluate(c=c)
         if target == 0:
             raise ArithmeticError(f"divisor target vanished at c={c}")
         out.update((a, c) for a in paired.get(c % 8, ()) if target % a == 0)
@@ -430,14 +442,16 @@ def acs_search_cp6(X, a_max=200, c_max=200, cross_check=True):
 def mod31_table():
     """All residue pairs (m, n) mod 31 allowed by the d = 6 constraint.
 
-    Brute force over the 961 pairs; exactly one n for every m except
-    m = 15, which admits none.
+    The q coefficient 1488 is 0 mod 31, so each m is substituted once into
+    the q-free part, which is linear in n, and the 31 values of n are tested
+    in integers.  Exactly one n for every m except m = 15, which admits none.
     """
+    q_free = CP6_CONSTRAINT.substitute(q=0)
     out = []
     for m in range(31):
-        for n in range(31):
-            if (32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1152 * n) % 31 == 0:
-                out.append((m, n))
+        line = q_free.substitute(m=m)
+        k0, k1 = line.coefficient(), line.coefficient(n=1)
+        out.extend((m, n) for n in range(31) if (k0 + k1 * n) % 31 == 0)
     return out
 
 
@@ -584,9 +598,7 @@ class _SymFrac:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _SymFrac(self.num * other, self.den, self.apow)
-        if isinstance(other, MPolyZ):
+        if isinstance(other, (int, MPolyZ)):
             return _SymFrac(self.num * other, self.den, self.apow)
         return _SymFrac(self.num * other.num, self.den * other.den,
                         self.apow + other.apow)
@@ -651,17 +663,15 @@ def _symbolic_cp6_rows(p2_m2_coefficient=288):
     Pontrjagin input is parametrised so the regression tests can
     demonstrate how a transcribed 228 (for 288) propagates downstream.
     """
-    a, c, m, n, q = poly_variables()
+    a, c, m, _, _ = poly_variables()
 
-    p1 = 24 * m + 7
-    p2 = p2_m2_coefficient * m * m - 432 * m - 1440 * n + 21
-    p3_q = (2304 * m ** 3 - 12384 * m * m + 11592 * m
-            - 34560 * m * n + 40320 * n + 35 + 60480 * q)
-    # eliminate q: it appears linearly, q = q_num / 1488
-    q_num = -32 * m ** 3 + 252 * m * m - 301 * m + 672 * m * n - 1152 * n
+    p1, p2, p3_q = CP6_PONTRJAGIN
+    p2 = p2 + (p2_m2_coefficient - p2.coefficient(m=2)) * m * m
+    # eliminate q, which appears linearly in the constraint
+    q_num = -CP6_CONSTRAINT.substitute(q=0)
     q_free = p3_q.substitute(q=0)
     q_coeff = (p3_q - q_free).divide_by_variable("q")
-    p3 = _SymFrac(q_free) + _SymFrac(q_coeff * q_num, 1488)
+    p3 = _SymFrac(q_free) + _SymFrac(q_coeff * q_num, CP6_CONSTRAINT.coefficient(q=1))
 
     a1 = _SymFrac(a)
     a2 = _SymFrac(a * a - p1, 2)

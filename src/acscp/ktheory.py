@@ -31,7 +31,7 @@ from math import comb, factorial
 from operator import mul
 
 from .cohomology import (CohClass, DimensionMismatch, exp_series,
-                         _line_pow, _mul)
+                         _line_product, _mul)
 from .exactmath import _power
 
 
@@ -329,13 +329,7 @@ def total_chern(x):
     being C(mult_j, i) j^i, in O(d) integer steps however large |mult_j| is.
     Coefficients are always integers.
     """
-    d = x.d
-    mult = line_multiplicities(x)
-    series = [1] + [0] * d
-    for j in range(1, d + 1):
-        if mult[j]:
-            series = _mul(series, _line_pow(j, mult[j], d), d)
-    return CohClass(d, series)
+    return CohClass(x.d, _line_product(line_multiplicities(x)[1:], x.d))
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +342,18 @@ def complexify(x):
     For d = 5 the torsion coefficient is handled by c(w^3) = c(w)^3, which
     vanishes in Z[L]/(L^6), so the map is well defined on residues.
     """
-    d = x.d
-    c_omega = KClass.L(d) + conjugate(KClass.L(d))
-    total = KClass(d, [x.coeffs[0]])
-    power = KClass.one(d)
-    for j in range(1, len(x.coeffs)):
-        power = power * c_omega
-        if x.coeffs[j]:
-            total = total + power * x.coeffs[j]
+    return _substitute_omega(x, KClass.L(x.d) + conjugate(KClass.L(x.d)))
+
+
+def _substitute_omega(x, image):
+    """sum_j x_j image^j: the KO-class x with w replaced by image, a KClass
+    or KOClass over the same d."""
+    power = type(image).one(x.d)
+    total = power * x.coeffs[0]
+    for coef in x.coeffs[1:]:
+        power = power * image
+        if coef:
+            total = total + power * coef
     return total
 
 
@@ -416,15 +414,7 @@ def adams_ko(k, x):
         return x
     if k not in (2, 4):
         raise UnsupportedOperation(f"psi^{k} on KO(CP^d) is not implemented; use k in (1, 2, 4)")
-    d = x.d
-    psi_omega = real_reduce(adams(k, KClass.L(d)))
-    total = KOClass(d, [x.coeffs[0]])
-    power = KOClass.one(d)
-    for j in range(1, len(x.coeffs)):
-        power = power * psi_omega
-        if x.coeffs[j]:
-            total = total + power * x.coeffs[j]
-    return total
+    return _substitute_omega(x, real_reduce(adams(k, KClass.L(x.d))))
 
 
 def pontrjagin_total(x):

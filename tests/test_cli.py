@@ -96,6 +96,17 @@ def test_acs_violation(capsys):
     assert "even" in doc["payload"]["violation"]
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("--dim", "6", "--m", "1", "--n", "0", "--q", "0"), 81),
+    (("--dim", "4", "--m", "1", "--n", "1"), -34),
+])
+def test_acs_constraint_violation_names_the_value(capsys, argv, value):
+    code, doc, _ = run_json(capsys, "acs", *argv)
+    assert code == 2
+    assert doc["status"] == "violation"
+    assert f"= {value} != 0" in doc["payload"]["violation"]
+
+
 def test_acs_missing_q(capsys):
     code, doc, _ = run_json(capsys, "acs", "--dim", "6", "--m", "0", "--n", "0")
     assert code == 2

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,9 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 from acscp.chernvec import (NotRealizable, newton_power_sums, q_matrix,
                             realizable, _q_adjugate)
 from acscp.exactmath import MPolyZ, divisors_signed, solve_exact
-from acscp.homotopy import (ConstraintViolated, HtpyCP, NoCompletion,
-                            ZeroFirstChern, acs_search_cp4, acs_search_cp6,
-                            complete_chern_vector, cp5_structure, cp6_exists,
+from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP6_CONSTRAINT,
+                            CP6_PONTRJAGIN, ConstraintViolated, HtpyCP,
+                            NoCompletion, ZeroFirstChern, acs_search_cp4,
+                            acs_search_cp6, complete_chern_vector,
+                            cp5_structure, cp6_exists,
                             divisor_target_cp4, divisor_target_cp6,
                             mod31_table, pontrjagin_of_X,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
@@ -19,7 +22,14 @@ from acscp.homotopy import (ConstraintViolated, HtpyCP, NoCompletion,
                             _CP6_F_MULTIPLES, _criterion_set_cp6,
                             _direct_set_cp4, _direct_set_cp6, _signed_odds,
                             _solution, _symbolic_cp6_rows)
-from acscp.ktheory import KClass, KOClass, UnsupportedDimension
+from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
+                           pontrjagin_total)
+
+
+def cp6_q_free(m, n):
+    """The q-free part of the d = 6 constraint, written out here as an
+    independent reference: the constraint is cp6_q_free(m, n) + 1488 q = 0."""
+    return 32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1152 * n
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +71,9 @@ def test_cp4_m_residues():
         n2 = 2 * m * m - 5 * m
         if n2 % 14 == 0:
             assert m % 14 in (0, 6)
-            validate_params(4, m, n2 // 14)
+            X = validate_params(4, m, n2 // 14)
+            # with n eliminated, p_2 is the closed form 10 + (576 m^2 + 240 m)/7
+            assert pontrjagin_of_X(X)[1] == 10 + (576 * m * m + 240 * m) // 7
 
 
 def test_tangent_classes():
@@ -77,6 +89,19 @@ def test_pontrjagin_of_x():
     assert pontrjagin_of_X(HtpyCP(4, 6, 3)) == (149, 3178)
     with pytest.raises(UnsupportedDimension):
         pontrjagin_of_X(HtpyCP(5, 0, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6))
+def test_model_polynomials_match_ktheory_at_any_parameters(m, n, q):
+    # the polynomials hold with n and q free, not only on the constraint
+    assert CP4_CONSTRAINT.evaluate(m=m, n=n) == 4 * m * m - 10 * m - 28 * n
+    assert CP6_CONSTRAINT.evaluate(m=m, n=n, q=q) == cp6_q_free(m, n) + 1488 * q
+    for d, polys in ((4, CP4_PONTRJAGIN), (6, CP6_PONTRJAGIN)):
+        total = pontrjagin_total(tangent_ko_class(SimpleNamespace(d=d, m=m, n=n, q=q)))
+        assert (tuple(p.evaluate(m=m, n=n, q=q) for p in polys)
+                == tuple(total.coeff(2 * i) for i in range(1, d // 2 + 1)))
 
 
 def test_pontrjagin_two_routes_agree_on_samples():
@@ -232,18 +257,22 @@ def test_mod31_table():
     assert ms == [m for m in range(31) if m != 15]  # one n per m, 15 absent
 
 
+def test_mod31_table_matches_brute_force():
+    brute = [(m, n) for m in range(31) for n in range(31) if cp6_q_free(m, n) % 31 == 0]
+    assert mod31_table() == brute
+
+
 def test_no_valid_triples_at_missing_residue():
     # m = -16 = 15 mod 31: the constraint has no solution mod 31
     for n in range(-200, 201):
-        num = -(32 * (-16) ** 3 - 252 * 16 ** 2 + 301 * (-16)
-                - 672 * (-16) * n + 1152 * n)
+        num = -cp6_q_free(-16, n)
         assert num % 1488 != 0
 
 
 def test_constraint_forces_m_divisible_by_16():
     for m in range(-64, 65):
         for n in range(-80, 81):
-            lhs = 32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1152 * n
+            lhs = cp6_q_free(m, n)
             if lhs % 1488 == 0:
                 assert m % 16 == 0
                 validate_params(6, m, n, -lhs // 1488)
@@ -298,6 +327,27 @@ def test_direct_scan_cp6_matches_public_ops(mnq):
 _MOD31 = dict(mod31_table())
 
 
+def literal_target_cp6(c, m, n):
+    """The d = 6 divisor target as a closed formula, an independent copy."""
+    num = (-179712 * m ** 3 + 879552 * m * m + 2488320 * m * n
+           + 262584 * m - 362880 * n)
+    assert num % 31 == 0
+    return 147 - 8 * c * c + num // 31
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4),
+       st.integers(-10 ** 4, 10 ** 4))
+def test_divisor_target_cp6_equals_closed_formula(m, j, k):
+    # admissible (m, n) through the mod-31 table, any odd c
+    assume(m % 31 in _MOD31)
+    n = _MOD31[m % 31] + 31 * j
+    c = 2 * k + 1
+    assert divisor_target_cp6(c, m, n) == literal_target_cp6(c, m, n)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        divisor_target_cp6(c, m, n + 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(-50, 50), st.integers(-50, 50),
        st.integers(1, 60), st.integers(1, 60))
@@ -307,7 +357,7 @@ def test_cp6_criterion_set_equals_direct_set(k, j, a_max, c_max):
     m = 16 * k
     assume(m % 31 in _MOD31)
     n = _MOD31[m % 31] + 31 * j
-    lhs = 32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1152 * n
+    lhs = cp6_q_free(m, n)
     X = validate_params(6, m, n, -lhs // 1488)
     p = pontrjagin_of_X(X)
     direct = _direct_set_cp6(p, a_max, c_max)
@@ -359,7 +409,7 @@ def test_symbolic_matches_numeric_oracle():
     sym = symbolic_cp6_numerators()
 
     def numeric_rows(a, c, m, n):
-        q = Fraction(-32 * m ** 3 + 252 * m * m - 301 * m + 672 * m * n - 1152 * n, 1488)
+        q = Fraction(-cp6_q_free(m, n), 1488)
         p1 = 7 + 24 * m
         p2 = 21 + 288 * m * m - 432 * m - 1440 * n
         p3 = (35 + 2304 * m ** 3 - 12384 * m * m + 11592 * m
