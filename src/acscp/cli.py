@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from .chernvec import NotRealizable, realizable
 from .homotopy import (ConstraintViolated, NoCompletion, ZeroFirstChern,
@@ -34,15 +33,7 @@ USAGE_ERROR = 64
 _SAFE = 1 << 53
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    status: str          # ok | violation | error
-    payload: dict
-    elapsed_ms: int
-
-    @property
-    def exit_code(self):
-        return {"ok": 0, "violation": 2, "error": 1}[self.status]
+_EXIT_CODES = {"ok": 0, "violation": 2, "error": 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,14 +55,14 @@ def _jsonable(value):
     return value
 
 
-def _emit(result, csv_text=None):
+def _emit(status, payload, elapsed_ms, csv_text):
     if csv_text is not None:
         sys.stdout.write(csv_text)
     else:
-        doc = {"status": result.status, "payload": _jsonable(result.payload)}
+        doc = {"status": status, "payload": _jsonable(payload)}
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    sys.stderr.write(f"elapsed_ms={result.elapsed_ms}\n")
-    return result.exit_code
+    sys.stderr.write(f"elapsed_ms={elapsed_ms}\n")
+    return _EXIT_CODES[status]
 
 
 def _cmd_realizable(args):
@@ -231,7 +222,7 @@ def main(argv=None):
             ArithmeticError) as exc:
         status, payload = "error", {"error": str(exc)}
     elapsed = int((time.perf_counter() - started) * 1000)
-    return _emit(CommandResult(status, payload, elapsed), csv_text)
+    return _emit(status, payload, elapsed, csv_text)
 
 
 if __name__ == "__main__":

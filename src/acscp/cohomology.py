@@ -1,8 +1,11 @@
-"""The truncated polynomial ring Q[u]/(u^(d+1)).
+"""Truncated polynomial rings, and Q[u]/(u^(d+1)) in particular.
 
-This is the rational cohomology of complex projective d-space, with u the
-degree-2 generator.  Chern, Pontrjagin, and Euler classes all live here as
-CohClass values; multiplication truncates above u^d.
+_TruncatedRing holds the arithmetic that the three rings of the package
+share: sums, negation, scalar and ring products truncated at the ring's
+width, square-and-multiply powers, equality, hashing and the printed form.
+CohClass is the rational cohomology of complex projective d-space, with u
+the degree-2 generator; Chern, Pontrjagin and Euler classes all live there.
+acscp.ktheory builds KClass and KOClass on the same base.
 """
 
 from __future__ import annotations
@@ -21,10 +24,96 @@ class NonUnit(ValueError):
     """Constant term is zero, so no multiplicative inverse exists."""
 
 
-class CohClass:
-    """Element of Q[u]/(u^(d+1)): coeffs[i] is the coefficient of u^i."""
+class _TruncatedRing:
+    """coeffs[i] is the coefficient of gen^i for i below the ring's width;
+    products drop every power from the width on.
+
+    A subclass supplies __init__, which normalises the coefficients to
+    exactly _width(d) of them, its scalar types, its generator name and the
+    format of a scaled monomial.
+    """
 
     __slots__ = ("d", "coeffs")
+    _scalars = (int,)
+    _term = "{}*{}"
+
+    @staticmethod
+    def _width(d):
+        return d + 1
+
+    @classmethod
+    def _monomial(cls, d, power=0, coeff=1):
+        """coeff * gen^power, zero once power reaches the width."""
+        coeffs = [0] * cls._width(d)
+        if power < len(coeffs):
+            coeffs[power] = coeff
+        return cls(d, coeffs)
+
+    @classmethod
+    def zero(cls, d):
+        return cls._monomial(d, 0, 0)
+
+    @classmethod
+    def one(cls, d):
+        return cls._monomial(d)
+
+    def _check(self, other):
+        if self.d != other.d:
+            raise DimensionMismatch(f"dimension {self.d} vs {other.d}")
+
+    def __add__(self, other):
+        if isinstance(other, self._scalars):
+            other = self._monomial(self.d, 0, other)
+        self._check(other)
+        return type(self)(self.d, [x + y for x, y in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.d, [-x for x in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return type(self)(self.d, [x * other for x in self.coeffs])
+        self._check(other)
+        return type(self)(self.d, _mul(self.coeffs, other.coeffs, len(self.coeffs) - 1))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError(f"negative powers are not defined for {type(self).__name__}")
+        return _power(self, k, self.one(self.d), mul)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.d == other.d
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.d, self.coeffs))
+
+    def __repr__(self):
+        parts = []
+        for i, x in enumerate(self.coeffs):
+            if x:
+                mono = self._gen if i == 1 else f"{self._gen}^{i}"
+                parts.append(str(x) if i == 0 else mono if x == 1 else self._term.format(x, mono))
+        return " + ".join(parts) or "0"
+
+
+class CohClass(_TruncatedRing):
+    """Element of Q[u]/(u^(d+1)): coeffs[i] is the coefficient of u^i."""
+
+    __slots__ = ()
+    _scalars = (int, Fraction)
+    _gen = "u"
+    _term = "({})*{}"
 
     def __init__(self, d, coeffs):
         coeffs = [Fraction(x) for x in coeffs]
@@ -34,50 +123,8 @@ class CohClass:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls, d):
-        return cls(d, [0] * (d + 1))
-
-    @classmethod
-    def one(cls, d):
-        return cls(d, [1] + [0] * d)
-
-    @classmethod
     def u(cls, d, power=1):
-        coeffs = [0] * (d + 1)
-        if power <= d:
-            coeffs[power] = 1
-        return cls(d, coeffs)
-
-    def _check(self, other):
-        if self.d != other.d:
-            raise DimensionMismatch(f"dimension {self.d} vs {other.d}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CohClass(self.d, [other] + [0] * self.d)
-        self._check(other)
-        return CohClass(self.d, [x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CohClass(self.d, [-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CohClass(self.d, [other] + [0] * self.d)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CohClass(self.d, [x * other for x in self.coeffs])
-        self._check(other)
-        return CohClass(self.d, _mul(self.coeffs, other.coeffs, self.d))
-
-    __rmul__ = __mul__
+        return cls._monomial(d, power)
 
     def invert_unit(self):
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -90,36 +137,15 @@ class CohClass:
         return CohClass(self.d, out)
 
     def __pow__(self, k):
-        base = self
         if k < 0:
-            base = self.invert_unit()
-            k = -k
-        return _power(base, k, CohClass.one(self.d), mul)
+            return self.invert_unit() ** -k
+        return super().__pow__(k)
 
     def coeff(self, i):
         return self.coeffs[i]
 
     def is_integral(self):
         return all(x.denominator == 1 for x in self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, CohClass) and self.d == other.d
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.d, self.coeffs))
-
-    def __repr__(self):
-        parts = []
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            if i == 0:
-                parts.append(str(x))
-            else:
-                mono = "u" if i == 1 else f"u^{i}"
-                parts.append(mono if x == 1 else f"({x})*{mono}")
-        return " + ".join(parts) if parts else "0"
 
 
 def exp_series(t, d):

@@ -408,6 +408,11 @@ _NVARS = len(VARIABLES)
 _ZERO_EXP = (0,) * _NVARS
 
 
+def _check_value(name, value):
+    if not _is_int(value):
+        raise TypeError(f"value of {name} must be an int, got {value!r}")
+
+
 class MPolyZ:
     """Polynomial with integer coefficients in the variables a, c, m, n, q.
 
@@ -494,22 +499,34 @@ class MPolyZ:
         """Substitute integers for some of the variables."""
         out = self
         for name, value in values.items():
+            _check_value(name, value)
             idx = _VAR_INDEX[name]
             acc = {}
             for e, c in out.terms.items():
-                coeff = c * int(value) ** e[idx]
+                coeff = c * value ** e[idx]
                 enew = e[:idx] + (0,) + e[idx + 1:]
                 acc[enew] = acc.get(enew, 0) + coeff
             out = MPolyZ(acc)
         return out
 
     def evaluate(self, **values):
-        """Full evaluation; every variable appearing must be given."""
-        out = self.substitute(**values)
-        if any(e != _ZERO_EXP for e in out.terms):
-            missing = sorted({VARIABLES[i] for e in out.terms for i in range(_NVARS) if e[i]})
-            raise ValueError(f"unbound variables {missing}")
-        return out.terms.get(_ZERO_EXP, 0)
+        """Full evaluation, term by term; every variable appearing must be
+        given, and every value must be an int."""
+        point = [None] * _NVARS
+        for name, value in values.items():
+            _check_value(name, value)
+            point[_VAR_INDEX[name]] = value
+        total = 0
+        for e, c in self.terms.items():
+            for x, k in zip(point, e):
+                if k:
+                    if x is None:
+                        missing = sorted({VARIABLES[i] for f in self.terms
+                                          for i, j in enumerate(f) if j and point[i] is None})
+                        raise ValueError(f"unbound variables {missing}")
+                    c *= x ** k
+            total += c
+        return total
 
     def divisible_by_variable(self, name):
         idx = _VAR_INDEX[name]

@@ -414,13 +414,13 @@ def _direct_set_cp6(p, a_max, c_max):
     return out
 
 
-def acs_search_cp6(X, a_max=200, c_max=200, cross_check=True):
+def acs_search_cp6(X, a_max=200, c_max=200):
     """All almost complex structures on a homotopy CP^6 with |c_1| <= a_max
     and |c_3| <= c_max.
 
     The criterion route applies the congruence conditions mod 16/8 and
-    mod 3 plus the divisor condition; when cross_check is set, a direct
-    completion & integrality scan over the same window must agree exactly.
+    mod 3 plus the divisor condition; a direct completion & integrality scan
+    over the same window must agree with it exactly.
     """
     if X.d != 6:
         raise UnsupportedDimension("acs_search_cp6 needs d = 6")
@@ -428,11 +428,10 @@ def acs_search_cp6(X, a_max=200, c_max=200, cross_check=True):
     _check_window("c_max", c_max)
     crit = _criterion_set_cp6(X, a_max, c_max)
     p = pontrjagin_of_X(X)
-    if cross_check:
-        direct = _direct_set_cp6(p, a_max, c_max)
-        if crit != direct:
-            raise ArithmeticError(
-                f"criterion and direct scan disagree on the window: {sorted(crit ^ direct)}")
+    direct = _direct_set_cp6(p, a_max, c_max)
+    if crit != direct:
+        raise ArithmeticError(
+            f"criterion and direct scan disagree on the window: {sorted(crit ^ direct)}")
     sols = [_solution(6, p, a, c) for a, c in sorted(crit)]
     if None in sols:
         raise ArithmeticError("a pair passing the criterion does not decompose integrally")
@@ -502,7 +501,7 @@ def cp5_structure(X):
     )
 
 
-def symbolic_verify_cp5(samples=True):
+def symbolic_verify_cp5():
     """Verify symbolically that the top Chern class of the d = 5 structure
     is 6u^5 for every admissible (m, n).
 
@@ -522,19 +521,15 @@ def symbolic_verify_cp5(samples=True):
     K = k3 + 2 * k4 + 4 * k5 + 24 * m * m - 10 * m - 4 * (m * k3)
     if not K.is_zero():
         return False
-    c5_minus_6 = 6 * k3 + 12 * k4 + 24 * k5 + 144 * m * m - 60 * m - 24 * (m * k3)
-    if c5_minus_6 != 6 * K:
-        return False
-    if samples:
-        for mm in range(-3, 4):
-            for (a3, a4, a5) in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-                                 (2, -3, 5), (-4, 7, -1), (6, 6, 6)):
-                e = KClass(5, [0, 6, 12 * mm, a3, a4, a5])
-                got = total_chern(e).coeff(5)
-                want = (6 + 6 * a3 + 12 * a4 + 24 * a5
-                        + 144 * mm * mm - 60 * mm - 24 * mm * a3)
-                if got != want:
-                    return False
+    for mm in range(-3, 4):
+        for (a3, a4, a5) in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                             (2, -3, 5), (-4, 7, -1), (6, 6, 6)):
+            e = KClass(5, [0, 6, 12 * mm, a3, a4, a5])
+            got = total_chern(e).coeff(5)
+            want = (6 + 6 * a3 + 12 * a4 + 24 * a5
+                    + 144 * mm * mm - 60 * mm - 24 * mm * a3)
+            if got != want:
+                return False
     return True
 
 

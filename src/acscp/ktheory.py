@@ -19,6 +19,11 @@ Supported maps:
         on KO, psi^k(w) = r((L+1)^k - 1)
   * chern_character, total_chern, pontrjagin_total
 
+KClass and KOClass take their arithmetic from cohomology._TruncatedRing;
+each only normalises its int coefficients.  The four ring maps t, c, psi^k
+and psi^k on KO are one routine, _compose, which replaces the generator of
+a class with its image.
+
 The identities r(c(x)) = 2x and c(r(x)) = x + t(x) hold on the nose and are
 exercised heavily by the test suite.
 """
@@ -28,11 +33,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import mul
 
-from .cohomology import (CohClass, DimensionMismatch, exp_series,
-                         _line_product, _mul)
-from .exactmath import _power
+from .cohomology import (CohClass, exp_series, _line_product, _mul,
+                         _TruncatedRing)
 
 
 class UnsupportedDimension(ValueError):
@@ -43,37 +46,30 @@ class UnsupportedOperation(ValueError):
     """The requested map is not defined (or not determined) in this ring."""
 
 
-def _int_coeffs(coeffs):
+def _int_coeffs(coeffs, width):
+    """coeffs zero-padded to width; TypeError for a coefficient that is not
+    an int (or is a bool), ValueError if there are more than width."""
     coeffs = list(coeffs)
     # exactmath._is_int, inlined: this runs on every K-theory product
     if not all(type(x) is int for x in coeffs):
         raise TypeError(f"K-theory coefficients must be integers, got {coeffs!r}")
-    return coeffs
+    if len(coeffs) > width:
+        raise ValueError(f"too many coefficients: {len(coeffs)} for width {width}")
+    return coeffs + [0] * (width - len(coeffs))
 
 
-class KClass:
+class KClass(_TruncatedRing):
     """Element of Z[L]/(L^(d+1)); coeffs[i] is the coefficient of L^i.
 
     Raises TypeError for a coefficient that is not an int (or is a bool).
     """
 
-    __slots__ = ("d", "coeffs")
+    __slots__ = ()
+    _gen = "L"
 
     def __init__(self, d, coeffs):
-        coeffs = _int_coeffs(coeffs)
-        if len(coeffs) > d + 1:
-            raise ValueError(f"too many coefficients for dimension {d}")
-        coeffs += [0] * (d + 1 - len(coeffs))
         self.d = d
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, d):
-        return cls(d, [])
-
-    @classmethod
-    def one(cls, d):
-        return cls(d, [1])
+        self.coeffs = tuple(_int_coeffs(coeffs, d + 1))
 
     @classmethod
     def L(cls, d):
@@ -82,58 +78,6 @@ class KClass:
     @classmethod
     def H(cls, d):
         return cls(d, [1, 1])
-
-    def _check(self, other):
-        if self.d != other.d:
-            raise DimensionMismatch(f"dimension {self.d} vs {other.d}")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = KClass(self.d, [other])
-        self._check(other)
-        return KClass(self.d, [x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return KClass(self.d, [-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = KClass(self.d, [other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return KClass(self.d, [x * other for x in self.coeffs])
-        self._check(other)
-        return KClass(self.d, _mul(self.coeffs, other.coeffs, self.d))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers are not defined in K(CP^d)")
-        return _power(self, k, KClass.one(self.d), mul)
-
-    def __eq__(self, other):
-        return (isinstance(other, KClass) and self.d == other.d
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.d, self.coeffs))
-
-    def __repr__(self):
-        parts = []
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            mono = "1" if i == 0 else ("L" if i == 1 else f"L^{i}")
-            parts.append(mono if (x == 1 and i) else f"{x}*{mono}" if i else str(x))
-        return " + ".join(parts) if parts else "0"
 
 
 def _ko_width(d):
@@ -145,7 +89,7 @@ def _ko_width(d):
     raise UnsupportedDimension(f"KO(CP^{d}) is not modelled; d must be 4, 5, or 6")
 
 
-class KOClass:
+class KOClass(_TruncatedRing):
     """Element of KO(CP^d) for d in {4, 5, 6}.
 
     coeffs[j] is the coefficient of w^j.  For d = 5 the w^3 coefficient is
@@ -153,94 +97,20 @@ class KOClass:
     coefficient that is not an int (or is a bool).
     """
 
-    __slots__ = ("d", "coeffs")
+    __slots__ = ()
+    _gen = "w"
+    _width = staticmethod(_ko_width)
 
     def __init__(self, d, coeffs):
-        width = _ko_width(d)
-        coeffs = _int_coeffs(coeffs)
-        if len(coeffs) > width:
-            raise ValueError(f"too many coefficients for KO(CP^{d})")
-        coeffs += [0] * (width - len(coeffs))
+        coeffs = _int_coeffs(coeffs, _ko_width(d))
         if d == 5:
             coeffs[3] %= 2
         self.d = d
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def zero(cls, d):
-        return cls(d, [])
-
-    @classmethod
-    def one(cls, d):
-        return cls(d, [1])
-
-    @classmethod
     def omega(cls, d, power=1):
-        width = _ko_width(d)
-        coeffs = [0] * width
-        if power < width:
-            coeffs[power] = 1
-        return cls(d, coeffs)
-
-    def _check(self, other):
-        if self.d != other.d:
-            raise DimensionMismatch(f"dimension {self.d} vs {other.d}")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = KOClass(self.d, [other])
-        self._check(other)
-        return KOClass(self.d, [x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return KOClass(self.d, [-x for x in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = KOClass(self.d, [other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return KOClass(self.d, [x * other for x in self.coeffs])
-        self._check(other)
-        width = _ko_width(self.d)
-        out = [0] * width
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y and i + j < width:
-                    out[i + j] += x * y
-        return KOClass(self.d, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers are not defined in KO(CP^d)")
-        return _power(self, k, KOClass.one(self.d), mul)
-
-    def __eq__(self, other):
-        return (isinstance(other, KOClass) and self.d == other.d
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.d, self.coeffs))
-
-    def __repr__(self):
-        parts = []
-        for j, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            mono = "1" if j == 0 else ("w" if j == 1 else f"w^{j}")
-            parts.append(mono if (x == 1 and j) else f"{x}*{mono}" if j else str(x))
-        return " + ".join(parts) if parts else "0"
+        return cls._monomial(d, power)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +120,7 @@ class KOClass:
 def conjugate(x):
     """t(x): the ring map with t(L) = (1+L)^(-1) - 1 = -L + L^2 - ..."""
     d = x.d
-    tl = [0] + [(-1) ** i for i in range(1, d + 1)]
-    return _ring_extend(x, tl)
+    return _compose(x, KClass(d, [0] + [(-1) ** i for i in range(1, d + 1)]))
 
 
 def adams(k, x):
@@ -259,22 +128,27 @@ def adams(k, x):
     if k < 1:
         raise ValueError("Adams operations need k >= 1")
     d = x.d
-    psi_l = [comb(k, i) if i else 0 for i in range(min(k, d) + 1)]
-    return _ring_extend(x, psi_l)
+    return _compose(x, KClass(d, [comb(k, i) if i else 0 for i in range(min(k, d) + 1)]))
 
 
-def _ring_extend(x, image_of_l):
-    """Apply the ring endomorphism sending L to the given int series."""
-    d = x.d
-    out = [x.coeffs[0]] + [0] * d
-    power = [1] + [0] * d
-    for i in range(1, d + 1):
-        power = _mul(power, image_of_l, d)
-        coef = x.coeffs[i]
+def _compose(x, image):
+    """sum_i x_i image^i: the KClass or KOClass x with its generator replaced
+    by image, a KClass or KOClass over the same d.
+
+    The powers of image are summed as int lists and only the answer is built
+    as a ring element.  Over KO(CP^5) the constructor reduces the 2-torsion
+    w^3 coefficient; a product's w^3 coefficient is integer-linear in each
+    factor's, so reducing once, at the end, gives the same class.
+    """
+    top = len(image.coeffs) - 1
+    out = [x.coeffs[0]] + [0] * top
+    power = [1] + [0] * top
+    for coef in x.coeffs[1:]:
+        power = _mul(power, image.coeffs, top)
         if coef:
-            for j in range(d + 1):
-                out[j] += coef * power[j]
-    return KClass(d, out)
+            for j, y in enumerate(power):
+                out[j] += coef * y
+    return type(image)(x.d, out)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +216,7 @@ def complexify(x):
     For d = 5 the torsion coefficient is handled by c(w^3) = c(w)^3, which
     vanishes in Z[L]/(L^6), so the map is well defined on residues.
     """
-    return _substitute_omega(x, KClass.L(x.d) + conjugate(KClass.L(x.d)))
-
-
-def _substitute_omega(x, image):
-    """sum_j x_j image^j: the KO-class x with w replaced by image, a KClass
-    or KOClass over the same d."""
-    power = type(image).one(x.d)
-    total = power * x.coeffs[0]
-    for coef in x.coeffs[1:]:
-        power = power * image
-        if coef:
-            total = total + power * coef
-    return total
+    return _compose(x, KClass.L(x.d) + conjugate(KClass.L(x.d)))
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +276,7 @@ def adams_ko(k, x):
         return x
     if k not in (2, 4):
         raise UnsupportedOperation(f"psi^{k} on KO(CP^d) is not implemented; use k in (1, 2, 4)")
-    return _substitute_omega(x, real_reduce(adams(k, KClass.L(x.d))))
+    return _compose(x, real_reduce(adams(k, KClass.L(x.d))))
 
 
 def pontrjagin_total(x):

@@ -8,6 +8,43 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# the printed forms of all three rings and the values of the ring maps
+DEMO_03_STDOUT = """\
+t(L) = -1*L + L^2 + -1*L^3 + L^4 + -1*L^5
+ch(L) = u + (1/2)*u^2 + (1/6)*u^3 + (1/24)*u^4 + (1/120)*u^5
+
+total Chern classes of the powers of L over CP^5:
+  c(L^1) = 1 + u
+  c(L^2) = 1 + (-1)*u^2 + (2)*u^3 + (-3)*u^4 + (4)*u^5
+  c(L^3) = 1 + (2)*u^3 + (-9)*u^4 + (30)*u^5
+  c(L^4) = 1 + (-6)*u^4 + (48)*u^5
+  c(L^5) = 1 + (24)*u^5
+
+real reduction of the additive generators of K(CP^5):
+  r(L^0) = 2
+  r(L^1) = w
+  r(L^2) = 2*w + w^2
+  r(L^3) = 3*w^2 + w^3
+  r(L^4) = 2*w^2
+  r(L^5) = w^3
+
+Adams operations on KO(CP^5):
+  psi^2(w) = 4*w + w^2
+  psi^4(w) = 16*w + 20*w^2
+  psi^2(psi^2(w)) == psi^4(w): True
+  psi^3(L) = 3*L + 3*L^2 + L^3
+
+identities:
+  r(c(w)) == 2w: True
+  c(r(L^3)) == L^3 + t(L^3): True
+
+Pontrjagin classes of omega powers over CP^6:
+  p(w^1) = 1 + u^2
+  p(w^2) = 1 + (-6)*u^4 + (20)*u^6
+  p(w^3) = 1 + (120)*u^6
+  p(7w) = 1 + (7)*u^2 + (21)*u^4 + (35)*u^6  (the untwisted tangent class)
+"""
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
@@ -18,3 +55,5 @@ def test_demo_runs(demo):
     if demo.name == "01_exact_arithmetic.py":
         assert ("divisors of 9529: [-9529, -733, -13, -1, 1, 13, 733, 9529]"
                 in done.stdout)
+    if demo.name == "03_ktheory_maps.py":
+        assert done.stdout == DEMO_03_STDOUT

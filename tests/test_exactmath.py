@@ -304,6 +304,7 @@ def test_substitution_is_a_homomorphism(p1, p2, va, vm, vn):
     point = dict(a=va, c=0, m=vm, n=vn, q=0)
     assert (p1 * p2).evaluate(**point) == p1.evaluate(**point) * p2.evaluate(**point)
     assert (p1 + p2).evaluate(**point) == p1.evaluate(**point) + p2.evaluate(**point)
+    assert p1.evaluate(**point) == p1.substitute(**point).coefficient()
 
 
 def test_reduce_mod_frozen():
@@ -316,6 +317,25 @@ def test_substitute_constant_term():
     f = -5184 * m * m - 2160 * m - 525
     assert f.substitute(m=0) == MPolyZ.const(-525)
     assert f.evaluate(m=1) == -5184 - 2160 - 525
+
+
+def test_evaluate_and_substitute_refuse_non_integers():
+    # int(value) used to truncate these silently: m=1.5 and m=True gave m=1
+    f = 4 * m * m - 10 * m - 28 * n
+    for bad in (1.5, True, Fraction(3, 2), Fraction(1), "1"):
+        with pytest.raises(TypeError, match="value of m must be an int"):
+            f.evaluate(m=bad, n=0)
+        with pytest.raises(TypeError, match="value of m must be an int"):
+            f.substitute(m=bad)
+
+
+def test_evaluate_names_unbound_variables():
+    f = a * c * c + 3 * m * q - 7
+    with pytest.raises(ValueError, match=r"unbound variables \['a', 'c', 'q'\]"):
+        f.evaluate(m=2)
+    assert f.evaluate(a=1, c=2, m=3, q=4) == 4 + 36 - 7
+    # a variable that does not appear need not be bound
+    assert (m - 5).evaluate(m=5) == 0
 
 
 def test_divide_by_variable():

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from math import factorial
+from operator import add, mul, sub
 
 import pytest
 
-from acscp.cohomology import CohClass, exp_series
+from acscp.cohomology import CohClass, DimensionMismatch, exp_series
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            UnsupportedOperation, adams, adams_ko,
                            chern_character, complexify, conjugate,
@@ -46,6 +47,45 @@ def test_ko_mul_torsion():
     # (w^2 + 4w)^2 = w^4 + 8w^3 + 16w^2 -> 16 w^2
     psi2 = KO(5, 0, 4, 1)
     assert psi2 * psi2 == KO(5, 0, 0, 16, 0)
+
+
+@pytest.mark.parametrize("gen, x_repr, sample, sample_repr, twin", [
+    (CohClass.u, "3 + (2)*u + (-1)*u^2",
+     CohClass(4, [0, 1, Fraction(1, 2), 0, -1]), "u + (1/2)*u^2 + (-1)*u^4",
+     KClass(4, [1, 2])),
+    (KClass.L, "3 + 2*L + -1*L^2",
+     KClass(5, [-1, 0, 0, 0, 0, 1]), "-1 + L^5",
+     CohClass(4, [1, 2, 0, 0, 0])),
+    # the w^3 coefficient of KO(CP^5) is 2-torsion: 7 is stored as 1
+    (KOClass.omega, "3 + 2*w + -1*w^2",
+     KOClass(5, [0, 1, 4, 7]), "w + 4*w^2 + w^3",
+     KClass(2, [1, 2])),
+], ids=["CohClass", "KClass", "KOClass"])
+def test_shared_ring_behaviour(gen, x_repr, sample, sample_repr, twin):
+    g4, g6 = gen(4), gen(6)
+    cls = type(g6)
+    x = 3 + 2 * g6 - g6 * g6
+    assert repr(x) == x_repr
+    assert repr(sample) == sample_repr
+    assert repr(cls.zero(6)) == "0" and repr(cls.one(6)) == "1"
+    # int on either side of + and -
+    assert x + 1 == 1 + x == 4 + 2 * g6 - g6 ** 2
+    assert x - 3 == 2 * g6 - g6 ** 2
+    assert 3 - x == g6 ** 2 - 2 * g6 == -(x - 3)
+    for op in (add, sub, mul):
+        with pytest.raises(DimensionMismatch):
+            op(g4, g6)
+    if cls is CohClass:
+        assert (1 + g6) ** -2 * (1 + g6) ** 2 == cls.one(6)
+    else:
+        with pytest.raises(ValueError, match="negative powers"):
+            (1 + g6) ** -1
+    # equal values hash equal; equal coefficients in another ring are not equal
+    y = g6 * (2 - g6) + 3
+    assert y == x and hash(y) == hash(x) and len({x, y, x + 0}) == 1
+    z = 1 + 2 * g4
+    assert z.coeffs == twin.coeffs
+    assert z != twin and twin != z
 
 
 def test_ko_unsupported_dimension():
