@@ -6,10 +6,13 @@ Subcommands:
     acs --dim D --m M --n N [--q Q]  decide/enumerate almost complex structures
     verify SUITE [--seed S]          run a named verification suite
     table NAME [--csv]               emit a built-in table (mod31,
-                                     pontrjagin-omega, divisor-targets)
+                                     pontrjagin-omega, divisor-targets;
+                                     the last takes --m-max M >= 0)
 
 Output is deterministic pretty-printed JSON on stdout (integers beyond the
-53-bit safe range are serialized as decimal strings); timing goes to stderr.
+53-bit safe range are serialized as decimal strings), written by _dumps in
+the bytes json.dumps(sort_keys=True, indent=2) would give; timing goes to
+stderr.
 Exit codes: 0 ok, 1 failed internal checks, 2 constraint violations, 64
 usage errors.
 """
@@ -55,12 +58,40 @@ def _jsonable(value):
     return value
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, newline="\n"):
+    """json.dumps(value, sort_keys=True, indent=2) for a _jsonable result, in
+    one pass.  With indent set the standard library leaves its C encoder for
+    a pure-Python one; this writes the same bytes without it."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _dumps(value[k], inner) for k in sorted(value)])
+            + newline + "}")
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    # the rarer scalars (None, bool) in the standard encoder's spelling
+    return json.dumps(value)
+
+
 def _emit(status, payload, elapsed_ms, csv_text):
     if csv_text is not None:
         sys.stdout.write(csv_text)
     else:
         doc = {"status": status, "payload": _jsonable(payload)}
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_dumps(doc) + "\n")
     sys.stderr.write(f"elapsed_ms={elapsed_ms}\n")
     return _EXIT_CODES[status]
 
@@ -146,6 +177,8 @@ def _table_rows(args):
     if args.table == "divisor-targets":
         if args.dim != 4:
             raise _UsageError("divisor targets are defined for --dim 4")
+        if args.m_max < 0:
+            raise _UsageError(f"--m-max must be at least 0, got {args.m_max}")
         rows = [[m, divisor_target_cp4(m)]
                 for m in range(-args.m_max, args.m_max + 1)
                 if m % 14 in (0, 6)]

@@ -30,7 +30,8 @@ class _TruncatedRing:
 
     A subclass supplies __init__, which normalises the coefficients to
     exactly _width(d) of them, its scalar types, its generator name and the
-    format of a scaled monomial.
+    format of a scaled monomial.  Sums and products of two elements need the
+    same class (TypeError otherwise) and the same d (DimensionMismatch).
     """
 
     __slots__ = ("d", "coeffs")
@@ -58,6 +59,8 @@ class _TruncatedRing:
         return cls._monomial(d)
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.d != other.d:
             raise DimensionMismatch(f"dimension {self.d} vs {other.d}")
 

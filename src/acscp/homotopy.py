@@ -42,9 +42,13 @@ and one tail per c, c_4 = a c + h_4 and c_5 = num_5 / (2a).  Since
 
     num_5 = (K - c^2) + 2a c_2 c,   K = 14 + 2 c_2 h_4 + p_3,
 
-c_5 is integral exactly when 2a divides K - c^2.  The direct scan computes
-the head and K once per a and runs the tail, the Newton recursion and the
-decomposition only on the cells that pass this test.
+c_5 is integral exactly when 2a divides K - c^2.  The head and K depend
+on a^2 only and the test on |a| and |c| only, so the direct scan runs them
+once per sign class (|a|, |c|) and visits the four cells (+-a, +-c) of a
+class that passes.  The conjugate cells (a, c) and (-a, -c) share c_2, c_4
+and num_5, so v(-a, -c)_i = (-1)^i v(a, c)_i; s_i has weighted degree i, so
+s_i(-a, -c) = (-1)^i s_i(a, c) as well.  One Newton recursion serves both
+cells, and each cell is decomposed on its own.
 
 For d = 6 the congruence-and-divisor criterion is uniform in the
 parameters, and (a, c) = (1, 1) always satisfies it, so every admissible
@@ -395,22 +399,32 @@ def _criterion_set_cp6(X, a_max, c_max):
 
 
 def _direct_set_cp6(p, a_max, c_max):
-    """All odd (a, c) in the window whose completion exists and decomposes
-    integrally.  Pure integer arithmetic.  Only the cells with
-    2a | K - c^2, exactly those whose c_5 is integral (see the module
-    docstring), run the tail, the Newton recursion and the decomposition."""
-    squares = [(c, c * c) for c in _signed_odds(c_max)]
-    out = set()
-    for a in _signed_odds(a_max):
+    """{(a, c): ACSSolution} over the odd (a, c) in the window whose
+    completion exists and decomposes integrally.  Pure integer arithmetic.
+
+    The head, K and the test 2|a| | K - c^2 (see the module docstring) depend
+    on |a| and |c| only, so they run once per sign class; the four cells of
+    a passing class share one Newton recursion per conjugate pair, and each
+    cell is decomposed on its own."""
+    squares = [(c, c * c) for c in range(1, c_max + 1, 2)]
+    out = {}
+    for a in range(1, a_max + 1, 2):
         head = _complete_head(p, a)
         if head is None:
             continue
         K = 14 + 2 * head[0] * head[1] + p[2]
         two_a = 2 * a
-        for c, cc in squares:
-            if (K - cc) % two_a == 0 and _decompose(
-                    newton_power_sums(_complete_tail(p, a, head, c))) is not None:
-                out.add((a, c))
+        for c in [c for c, cc in squares if (K - cc) % two_a == 0]:
+            for c3 in (c, -c):
+                v = _complete_tail(p, a, head, c3)
+                sums = newton_power_sums(v)
+                dec = _decompose(sums)
+                if dec is not None:
+                    out[a, c3] = ACSSolution(6, a, c3, v, dec)
+                # the conjugate cell (-a, -c3) has v_i, hence s_i, times (-1)^i
+                dec = _decompose([-x if i % 2 else x for i, x in enumerate(sums, 1)])
+                if dec is not None:
+                    out[-a, -c3] = ACSSolution(6, -a, -c3, _complete_tail(p, -a, head, -c3), dec)
     return out
 
 
@@ -420,22 +434,19 @@ def acs_search_cp6(X, a_max=200, c_max=200):
 
     The criterion route applies the congruence conditions mod 16/8 and
     mod 3 plus the divisor condition; a direct completion & integrality scan
-    over the same window must agree with it exactly.
+    over the same window must agree with it exactly, and its solutions are
+    returned in (a, c) order.
     """
     if X.d != 6:
         raise UnsupportedDimension("acs_search_cp6 needs d = 6")
     _check_window("a_max", a_max)
     _check_window("c_max", c_max)
     crit = _criterion_set_cp6(X, a_max, c_max)
-    p = pontrjagin_of_X(X)
-    direct = _direct_set_cp6(p, a_max, c_max)
-    if crit != direct:
+    direct = _direct_set_cp6(pontrjagin_of_X(X), a_max, c_max)
+    if crit != direct.keys():
         raise ArithmeticError(
-            f"criterion and direct scan disagree on the window: {sorted(crit ^ direct)}")
-    sols = [_solution(6, p, a, c) for a, c in sorted(crit)]
-    if None in sols:
-        raise ArithmeticError("a pair passing the criterion does not decompose integrally")
-    return sols
+            f"criterion and direct scan disagree on the window: {sorted(crit ^ direct.keys())}")
+    return [direct[k] for k in sorted(crit)]
 
 
 def mod31_table():

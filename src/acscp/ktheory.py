@@ -255,14 +255,17 @@ def _r_table(d):
 
 
 def real_reduce(x):
-    """r(x) in KO(CP^d): additive extension of the generator table."""
+    """r(x) in KO(CP^d): additive extension of the generator table, summed
+    as one int list.  Over KO(CP^5) the constructor reduces the 2-torsion
+    w^3 coefficient of the sum, which is the sum of the reduced ones."""
     d = x.d
     table = _r_table(d)
-    out = KOClass.zero(d)
-    for i, coef in enumerate(x.coeffs):
+    out = [0] * len(table[0])
+    for coef, row in zip(x.coeffs, table):
         if coef:
-            out = out + KOClass(d, table[i]) * coef
-    return out
+            for j, y in enumerate(row):
+                out[j] += coef * y
+    return KOClass(d, out)
 
 
 def adams_ko(k, x):

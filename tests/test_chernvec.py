@@ -3,11 +3,13 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acscp.chernvec import (NotRealizable, chern_from_multiplicities,
                             closed_form_w, moment_vector, newton_power_sums,
                             power_sums_from_chern, q_matrix, q_vector,
-                            realizable, w_matrix)
+                            realizable, w_matrix, _decompose, _q_adjugate,
+                            _q_rows)
 from acscp.cohomology import exp_series
 from acscp.exactmath import MPolyZ, det_exact, poly_variables, solve_exact
 from acscp.ktheory import KClass, chern_character
@@ -165,6 +167,53 @@ def test_realizable_matches_bareiss_reference():
             got = exc.solution
             assert any(x.denominator != 1 for x in want)
         assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8))
+def test_newton_power_sums_commute_with_the_sign_flip(v):
+    # v_i -> (-1)^i v_i (roots negated) sends s_i -> (-1)^i s_i
+    flip = lambda xs: [-x if i % 2 else x for i, x in enumerate(xs, 1)]
+    assert newton_power_sums(flip(v)) == flip(newton_power_sums(v))
+
+
+def _decompose_unreduced(sums):
+    """adj(Q) s / det Q with the full determinant on every row, a reference."""
+    adj, det = _q_adjugate(len(sums))
+    out = []
+    for row in adj:
+        x, r = divmod(sum(a * s for a, s in zip(row, sums)), det)
+        if r:
+            return None
+        out.append(x)
+    return tuple(out)
+
+
+def test_q_rows_are_the_adjugate_rows_over_their_gcd():
+    for d in range(1, 9):
+        adj, det = _q_adjugate(d)
+        for (row, mod), full in zip(_q_rows(d), adj):
+            g = det // mod
+            assert mod * g == det and [x * g for x in row] == list(full)
+    assert [mod for _, mod in _q_rows(6)] == [120, 48, 36, 48, 120, 720]
+
+
+def test_decompose_matches_unreduced_adjugate_seeded():
+    rng = random.Random(20261018)
+    hits = misses = 0
+    for d in range(1, 9):
+        for _ in range(120):
+            mults = tuple(rng.randint(-10 ** 4, 10 ** 4) for _ in range(d))
+            v = list(chern_from_multiplicities(mults))
+            if rng.random() < 0.5:
+                # nudge one entry: usually not a Chern vector any more
+                v[rng.randrange(d)] += rng.randint(1, 6)
+            sums = newton_power_sums(v)
+            got = _decompose(sums)
+            assert got == _decompose_unreduced(sums)
+            hits += got is not None
+            misses += got is None
+    assert hits > 400 and misses > 300
 
 
 def test_forward_map_frozen():

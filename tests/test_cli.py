@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from acscp.cli import main, _jsonable
+from acscp.cli import main, _dumps, _jsonable
 
 
 def run(capsys, *argv):
@@ -87,6 +88,16 @@ def test_acs_empty_window_is_usage_error(capsys, argv):
     assert code == 64
     assert out == ""
     assert "must be at least 1" in err
+
+
+def test_table_negative_m_max_is_usage_error(capsys):
+    # it used to print "rows": [] and exit 0
+    code, out, err = run(capsys, "table", "divisor-targets", "--dim", "4", "--m-max", "-5")
+    assert code == 64
+    assert out == ""
+    assert "--m-max must be at least 0, got -5" in err
+    code, doc, _ = run_json(capsys, "table", "divisor-targets", "--dim", "4", "--m-max", "0")
+    assert code == 0 and doc["payload"]["rows"] == [[0, 25]]
 
 
 def test_acs_violation(capsys):
@@ -183,6 +194,32 @@ def test_jsonable_transform():
         {"x": str(2 ** 60), "y": [True, None, 3]}
     assert _jsonable(-(2 ** 53)) == str(-(2 ** 53))
     assert _jsonable(2 ** 53 - 1) == 2 ** 53 - 1
+
+
+_json_text = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t\x7f", "é☃𝄞", ""]))
+_json_leaves = st.one_of(
+    st.integers(),
+    st.sampled_from([2 ** 53, -(2 ** 53), 2 ** 53 - 1, -(2 ** 53) + 1, 2 ** 60, -(2 ** 60)]),
+    st.booleans(), st.none(), _json_text)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(_json_text, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_dumps_matches_indented_json_dumps(value):
+    doc = _jsonable(value)
+    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_dumps_on_empty_containers_and_edge_scalars():
+    doc = _jsonable({"": {}, "b": [], "a": [[], {}, [{}]], "z": [True, False, None, -0, 2 ** 60]})
+    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -19,7 +19,8 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP6_CONSTRAINT,
                             mod31_table, pontrjagin_of_X,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
                             tangent_ko_class, validate_params,
-                            _CP6_F_MULTIPLES, _criterion_set_cp6,
+                            _CP6_F_MULTIPLES, _complete_head,
+                            _complete_tail, _criterion_set_cp6,
                             _direct_set_cp4, _direct_set_cp6, _signed_odds,
                             _solution, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
@@ -310,7 +311,7 @@ def test_acs_search_cp6_cross_checks():
 @pytest.mark.parametrize("mnq", [(0, 0, 0), (16, 11, 23), (-48, 16, 2419)])
 def test_direct_scan_cp6_matches_public_ops(mnq):
     X = validate_params(6, *mnq)
-    fast = _direct_set_cp6(pontrjagin_of_X(X), 23, 11)
+    fast = set(_direct_set_cp6(pontrjagin_of_X(X), 23, 11))
     slow = set()
     for a in range(-23, 24, 2):
         for c in range(-11, 12, 2):
@@ -322,6 +323,43 @@ def test_direct_scan_cp6_matches_public_ops(mnq):
                 continue
     assert fast == slow
     assert (1, 1) in fast
+
+
+@pytest.mark.parametrize("mnq", [(0, 0, 0), (16, 11, 23), (-48, 16, 2419), (48, 12, -1747)])
+def test_complete_tail_of_the_conjugate_cell_is_the_sign_flip(mnq):
+    # (-a, -c) keeps c_2, c_4 and num_5 and negates c_1, c_3 and c_5
+    p = pontrjagin_of_X(validate_params(6, *mnq))
+    flip = lambda v: tuple(-x if i % 2 else x for i, x in enumerate(v, 1))
+    tails = 0
+    for a in range(1, 60, 2):
+        head = _complete_head(p, a)
+        assert head == _complete_head(p, -a)
+        if head is None:
+            continue
+        for c in _signed_odds(40):
+            v = _complete_tail(p, a, head, c)
+            w = _complete_tail(p, -a, head, -c)
+            assert (v is None) == (w is None)
+            if v is not None:
+                assert w == flip(v)
+                tails += 1
+    assert tails > 50
+
+
+@pytest.mark.parametrize("mnq, a_max, c_max", [
+    ((0, 0, 0), 45, 29), ((16, 11, 23), 61, 35), ((-48, 16, 2419), 33, 47),
+    ((32, 7, -442), 1, 1),
+])
+def test_direct_scan_cp6_returns_the_per_cell_solutions(mnq, a_max, c_max):
+    # every cell, both signs of a and c, against _solution with no symmetry
+    X = validate_params(6, *mnq)
+    p = pontrjagin_of_X(X)
+    per_cell = {(a, c): s for a in _signed_odds(a_max) for c in _signed_odds(c_max)
+                if (s := _solution(6, p, a, c)) is not None}
+    direct = _direct_set_cp6(p, a_max, c_max)
+    assert direct == per_cell
+    assert {(a, c) for a, c in direct if a < 0} and {(a, c) for a, c in direct if c < 0}
+    assert acs_search_cp6(X, a_max, c_max) == [per_cell[k] for k in sorted(per_cell)]
 
 
 _MOD31 = dict(mod31_table())
@@ -360,7 +398,7 @@ def test_cp6_criterion_set_equals_direct_set(k, j, a_max, c_max):
     lhs = cp6_q_free(m, n)
     X = validate_params(6, m, n, -lhs // 1488)
     p = pontrjagin_of_X(X)
-    direct = _direct_set_cp6(p, a_max, c_max)
+    direct = set(_direct_set_cp6(p, a_max, c_max))
     assert direct == _criterion_set_cp6(X, a_max, c_max)
     per_cell = {(a, c) for a in _signed_odds(a_max) for c in _signed_odds(c_max)
                 if _solution(6, p, a, c) is not None}

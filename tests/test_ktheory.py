@@ -75,6 +75,15 @@ def test_shared_ring_behaviour(gen, x_repr, sample, sample_repr, twin):
     for op in (add, sub, mul):
         with pytest.raises(DimensionMismatch):
             op(g4, g6)
+    # the other two rings are refused on either side, at any d
+    for other_gen in (CohClass.u, KClass.L, KOClass.omega):
+        other = other_gen(6)
+        if type(other) is cls:
+            continue
+        for op in (add, sub, mul):
+            for left, right in ((g6, other), (other, g6), (g4, other)):
+                with pytest.raises(TypeError, match="cannot combine"):
+                    op(left, right)
     if cls is CohClass:
         assert (1 + g6) ** -2 * (1 + g6) ** 2 == cls.one(6)
     else:
@@ -211,6 +220,30 @@ def test_real_reduce_table_d5():
             3: (0, 0, 3, 1), 4: (0, 0, 2, 0), 5: (0, 0, 0, 1)}
     for i, coeffs in want.items():
         assert real_reduce(KClass(5, [0] * i + [1])) == KOClass(5, coeffs)
+
+
+def _real_reduce_by_fold(x):
+    """r(x) as a fold of KOClass products and sums, a reference."""
+    table = _r_table(x.d)
+    out = KOClass.zero(x.d)
+    for i, coef in enumerate(x.coeffs):
+        if coef:
+            out = out + KOClass(x.d, table[i]) * coef
+    return out
+
+
+def test_real_reduce_matches_ring_fold_seeded():
+    rng = random.Random(20261018)
+    torsion = 0
+    for d in (4, 5, 6):
+        for _ in range(300):
+            x = KClass(d, [rng.randint(-10 ** 6, 10 ** 6) if rng.random() < 0.7 else 0
+                           for _ in range(d + 1)])
+            got = real_reduce(x)
+            assert got == _real_reduce_by_fold(x)
+            torsion += d == 5 and got.coeffs[3] == 1
+    # the 2-torsion w^3 coordinate of KO(CP^5) is hit
+    assert torsion > 50
 
 
 def test_real_reduce_tables_derived():
