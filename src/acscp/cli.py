@@ -6,13 +6,15 @@ Subcommands:
     acs --dim D --m M --n N [--q Q]  decide/enumerate almost complex structures
     verify SUITE [--seed S]          run a named verification suite
     table NAME [--csv]               emit a built-in table (mod31,
-                                     pontrjagin-omega, divisor-targets;
-                                     the last takes --m-max M >= 0)
+                                     pontrjagin-omega [--dim 4|6, default 6],
+                                     divisor-targets [--m-max M >= 0, --dim 4])
 
-Output is deterministic pretty-printed JSON on stdout (integers beyond the
-53-bit safe range are serialized as decimal strings), written by _dumps in
-the bytes json.dumps(sort_keys=True, indent=2) would give; timing goes to
-stderr.
+The parser is built once per process, so repeated in-process calls of main
+pay for it once.  Output is deterministic pretty-printed JSON on stdout,
+written from the raw payload in one walk by _dumps, in the bytes
+json.dumps(sort_keys=True, indent=2) would give after integers beyond the
+53-bit safe range become decimal strings and dict keys str(k); timing goes
+to stderr.
 Exit codes: 0 ok, 1 failed internal checks, 2 constraint violations, 64
 usage errors.
 """
@@ -23,6 +25,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .chernvec import NotRealizable, realizable
 from .homotopy import (ConstraintViolated, NoCompletion, ZeroFirstChern,
@@ -45,37 +48,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(value):
-    """Recursively convert a payload; big integers become decimal strings."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) >= _SAFE else value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
 _quote = json.encoder.encode_basestring_ascii
 
 
 def _dumps(value, newline="\n"):
-    """json.dumps(value, sort_keys=True, indent=2) for a _jsonable result, in
-    one pass.  With indent set the standard library leaves its C encoder for
-    a pure-Python one; this writes the same bytes without it."""
+    """json.dumps(value, sort_keys=True, indent=2) for a raw payload, in one
+    walk.  Integers beyond the 53-bit safe range are written as decimal
+    strings, dict keys as str(k), and tuples as lists.  With indent set the
+    standard library leaves its C encoder for a pure-Python one; this writes
+    the same bytes without it."""
     kind = type(value)
     if kind is int:
-        return int.__repr__(value)
+        text = int.__repr__(value)
+        return text if -_SAFE < value < _SAFE else '"' + text + '"'
     if kind is dict:
         if not value:
             return "{}"
         inner = newline + "  "
+        value = {str(k): v for k, v in value.items()}
         return ("{" + inner + ("," + inner).join(
             [_quote(k) + ": " + _dumps(value[k], inner) for k in sorted(value)])
             + newline + "}")
-    if kind is list:
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = newline + "  "
@@ -90,7 +84,7 @@ def _emit(status, payload, elapsed_ms, csv_text):
     if csv_text is not None:
         sys.stdout.write(csv_text)
     else:
-        doc = {"status": status, "payload": _jsonable(payload)}
+        doc = {"status": status, "payload": payload}
         sys.stdout.write(_dumps(doc) + "\n")
     sys.stderr.write(f"elapsed_ms={elapsed_ms}\n")
     return _EXIT_CODES[status]
@@ -162,20 +156,25 @@ def _cmd_verify(args):
     return ("ok" if payload["all_pass"] else "error"), payload
 
 
+# the --dim each table reads when none is given
+_TABLE_DIM = {"pontrjagin-omega": 6, "divisor-targets": 4}
+
+
 def _table_rows(args):
+    dim = _TABLE_DIM.get(args.table) if args.dim is None else args.dim
     if args.table == "mod31":
         return ["m", "n"], [list(r) for r in mod31_table()]
     if args.table == "pontrjagin-omega":
-        if args.dim not in (4, 6):
+        if dim not in (4, 6):
             raise _UsageError("pontrjagin-omega needs --dim 4 or 6")
         rows = []
-        for k in range(1, args.dim // 2 + 1):
-            p = pontrjagin_total(KOClass.omega(args.dim, k))
-            for i in range(1, args.dim // 2 + 1):
+        for k in range(1, dim // 2 + 1):
+            p = pontrjagin_total(KOClass.omega(dim, k))
+            for i in range(1, dim // 2 + 1):
                 rows.append([k, i, int(p.coeff(2 * i))])
         return ["power", "index", "coefficient"], rows
     if args.table == "divisor-targets":
-        if args.dim != 4:
+        if dim != 4:
             raise _UsageError("divisor targets are defined for --dim 4")
         if args.m_max < 0:
             raise _UsageError(f"--m-max must be at least 0, got {args.m_max}")
@@ -198,7 +197,10 @@ class _UsageError(Exception):
     pass
 
 
+@cache
 def _build_parser():
+    """The argument parser, built once per process: argparse looks up
+    sys.stdout and sys.stderr when it writes, not when it is built."""
     parser = _Parser(prog="acscp",
                      description="Almost complex structures on homotopy CP^4, CP^5, CP^6.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -221,7 +223,7 @@ def _build_parser():
 
     p = sub.add_parser("table", help="emit a built-in table")
     p.add_argument("table", metavar="name")
-    p.add_argument("--dim", type=int, default=6)
+    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--m-max", type=int, default=34)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--csv", action="store_true")

@@ -37,6 +37,12 @@ cross-checked against each other.  Each search computes the Pontrjagin
 classes of X once and passes them to the completion and decomposition of
 every candidate (a, c).
 
+For d = 4 the completion depends on a^2 except for c_3 = num_3 / (2a), so
+v(-a) = (-a, c_2, -c_3, 5) and the test 2|a| | num_3 depends on |a| only.
+The direct scan completes once per sign class |a|; the power sums of the
+conjugate cell -a are the flipped list (-1)^i s_i, so one Newton recursion
+serves both cells, and each is decomposed on its own.
+
 For d = 6 the completion is one head per a, c_2 and h_4 = (p_2 - c_2^2)/2,
 and one tail per c, c_4 = a c + h_4 and c_5 = num_5 / (2a).  Since
 
@@ -271,6 +277,12 @@ def _check_window(name, value):
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def _conjugate_sums(sums):
+    """The power sums of the conjugate cell: negating c_1 (and c_3) negates
+    every odd Chern class, so v_i, hence s_i, is multiplied by (-1)^i."""
+    return [-x if i % 2 else x for i, x in enumerate(sums, 1)]
+
+
 def _signed_odds(n):
     """The odd integers a with 1 <= |a| <= n."""
     odds = list(range(1, n + 1, 2))
@@ -292,8 +304,22 @@ def divisor_target_cp4(m):
 
 def _direct_set_cp4(p, window):
     """All odd a with |a| <= window whose completion exists and decomposes
-    integrally.  Pure integer arithmetic."""
-    return {a for a in _signed_odds(window) if _solution(4, p, a) is not None}
+    integrally.  Pure integer arithmetic.
+
+    The completion and its test 2|a| | num_3 depend on |a| only, so they run
+    once per sign class; the cells a and -a share one Newton recursion, and
+    each is decomposed on its own."""
+    out = set()
+    for a in range(1, window + 1, 2):
+        v = _complete_ints(4, p, a, None)
+        if v is None:
+            continue
+        sums = newton_power_sums(v)
+        if _decompose(sums) is not None:
+            out.add(a)
+        if _decompose(_conjugate_sums(sums)) is not None:
+            out.add(-a)
+    return out
 
 
 def acs_search_cp4(X, cross_check_window=200):
@@ -421,8 +447,7 @@ def _direct_set_cp6(p, a_max, c_max):
                 dec = _decompose(sums)
                 if dec is not None:
                     out[a, c3] = ACSSolution(6, a, c3, v, dec)
-                # the conjugate cell (-a, -c3) has v_i, hence s_i, times (-1)^i
-                dec = _decompose([-x if i % 2 else x for i, x in enumerate(sums, 1)])
+                dec = _decompose(_conjugate_sums(sums))
                 if dec is not None:
                     out[-a, -c3] = ACSSolution(6, -a, -c3, _complete_tail(p, -a, head, -c3), dec)
     return out

@@ -20,7 +20,7 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP6_CONSTRAINT,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
                             tangent_ko_class, validate_params,
                             _CP6_F_MULTIPLES, _complete_head,
-                            _complete_tail, _criterion_set_cp6,
+                            _complete_ints, _complete_tail, _criterion_set_cp6,
                             _direct_set_cp4, _direct_set_cp6, _signed_odds,
                             _solution, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
@@ -207,12 +207,16 @@ def test_acs_search_cp4_every_valid_m_up_to_40():
         acs_search_cp4(HtpyCP(4, m, n), cross_check_window=window)
 
 
-def test_direct_scan_matches_public_ops():
-    X = HtpyCP(4, 6, 3)
-    p = pontrjagin_of_X(X)
-    fast = _direct_set_cp4(p, 100)
+@pytest.mark.parametrize("window", [1, 2, 99, 100])
+@pytest.mark.parametrize("mn", [(0, 0), (6, 3), (-8, 12), (14, 23)])
+def test_direct_scan_matches_public_ops(mn, window):
+    # every nonzero a with |a| <= window, either sign, one cell at a time
+    X = validate_params(4, *mn)
+    fast = _direct_set_cp4(pontrjagin_of_X(X), window)
     slow = set()
-    for a in range(-99, 100, 2):
+    for a in range(-window, window + 1):
+        if a == 0:
+            continue
         try:
             v = complete_chern_vector(X, a)
             realizable(v)
@@ -220,6 +224,25 @@ def test_direct_scan_matches_public_ops():
         except (NoCompletion, NotRealizable):
             continue
     assert fast == slow
+    assert {1, -1} <= fast
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 4, 10 ** 4), st.sampled_from([0, 6]), st.data())
+def test_cp4_conjugate_cell_has_the_flipped_power_sums(k, r, data):
+    # v(-a) = (-a, c_2, -c_3, 5), so s_i(-a) = (-1)^i s_i(a); a is drawn from
+    # the positive divisors of the target (cells that complete) or any odd a
+    m = 14 * k + r
+    p = pontrjagin_of_X(validate_params(4, m, (4 * m * m - 10 * m) // 28))
+    a = data.draw(st.one_of(
+        st.sampled_from([d for d in divisors_signed(divisor_target_cp4(m)) if d > 0]),
+        st.integers(0, 10 ** 4).map(lambda j: 2 * j + 1)))
+    v, w = _complete_ints(4, p, a, None), _complete_ints(4, p, -a, None)
+    assert (v is None) == (w is None)
+    if v is not None:
+        flip = lambda xs: [-x if i % 2 else x for i, x in enumerate(xs, 1)]
+        assert list(w) == flip(v)
+        assert newton_power_sums(w) == flip(newton_power_sums(v))
 
 
 @pytest.mark.parametrize("window, error", [
