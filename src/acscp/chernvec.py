@@ -95,8 +95,8 @@ def newton_power_sums(cs):
     """Power sums s_1..s_len(cs) from elementary-symmetric inputs.
 
     Generic over any commutative ring whose elements support +, -, and
-    multiplication by each other and by ints (ints, Fractions, MPolyZ,
-    symbolic fractions).
+    multiplication by each other and by ints: ints, Fractions, and the
+    integer MPolyZ of the symbolic CP^6 pipeline.
     """
     s = []
     for i in range(1, len(cs) + 1):
@@ -178,5 +178,12 @@ def realizable(chern):
 
 
 def chern_from_multiplicities(mults):
-    """Chern vector of sum_k a_k (H^k - 1): coefficients of prod (1+k*u)^(a_k)."""
+    """Chern vector of sum_k a_k (H^k - 1): coefficients of prod (1+k*u)^(a_k).
+
+    Raises TypeError unless every multiplicity is an int (a bool is refused
+    too).
+    """
+    mults = list(mults)
+    if not all(_is_int(k) for k in mults):
+        raise TypeError(f"multiplicities must be integers, got {mults!r}")
     return tuple(_line_product(mults, len(mults))[1:])

@@ -62,6 +62,16 @@ parameters, and (a, c) = (1, 1) always satisfies it, so every admissible
 sometimes quoted for this problem fails the exact cross-check; see
 divisor_target_cp6 and cp6_exists.)
 
+The symbolic d = 6 pipeline takes the same integer route as the numeric
+one.  With k = 1488 the q coefficient of the constraint, k p_3 is an
+integer polynomial in (m, n), and with T = 2ka every C_i = T^i c_i is one
+too: C_1 = 2k a^2, C_2 = 2k^2 a^2 t_2, C_3 = T^3 c, C_4 = 2k^4 a^4 t_4,
+C_5 = 2k^4 a^4 t_5 and C_6 = 7 T^6, where t_2 = 2 c_2, t_4 = 8 c_4 and
+t_5 = 16ka c_5.  The power sum s_i has weighted degree i, so
+s_i(c) = s_i(C) / T^i, and row i of Q^-1 s is sum_j adj_ij s_j(C) T^(6-j)
+over det T^6, with adj and det the cached adjugate of acscp.chernvec.
+Each row is brought to lowest terms once, at the end.
+
 For d = 5 real K-theory has 2-torsion and the Chern-vector correspondence is
 unavailable; instead an explicit K-theory class with the right real
 reduction and top Chern class 6u^5 is constructed, which settles existence
@@ -71,11 +81,11 @@ for every (m, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
-from .chernvec import _decompose, newton_power_sums, q_matrix
+from .chernvec import _decompose, _q_adjugate, newton_power_sums
 from .exactmath import (MPolyZ, NotDivisible, _is_int, divisors_signed,
-                        inverse_exact, poly_variables)
+                        poly_variables)
 from .ktheory import (KClass, KOClass, UnsupportedDimension, pontrjagin_total,
                       real_reduce, total_chern)
 
@@ -228,11 +238,15 @@ def complete_chern_vector(X, a, c=None):
 
     The even entries come from matching p_i against the Chern classes of
     E + conj(E); the top entry is pinned to d + 1 (the Euler number).
-    Raises NoCompletion when a solved entry is non-integral.
+    Raises NoCompletion when a solved entry is non-integral, and TypeError
+    when a or c is not an int (or is a bool).
     """
     d = X.d
     if d not in (4, 6):
         raise UnsupportedDimension("Chern-vector completion applies to d = 4 and 6")
+    for name, value in (("a", a), ("c", c)):
+        if value is not None and not _is_int(value):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     if a == 0:
         raise ZeroFirstChern("completion divides by c_1; a must be nonzero")
     if d == 6 and c is None:
@@ -295,7 +309,10 @@ def _signed_odds(n):
 
 def divisor_target_cp4(m):
     """The integer whose divisors are the admissible c_1 coefficients:
-    25 + (3/7)(576 m^2 + 240 m)."""
+    25 + (3/7)(576 m^2 + 240 m).  TypeError unless m is an int (not a
+    bool)."""
+    if not _is_int(m):
+        raise TypeError(f"m must be an integer, got {m!r}")
     num = 576 * m * m + 240 * m
     if num % 7:
         raise ArithmeticError(f"(576 m^2 + 240 m)/7 is not integral at m={m}")
@@ -573,81 +590,6 @@ def symbolic_verify_cp5():
 # d = 6 symbolic: the six numerators of Q^-1 C
 # ---------------------------------------------------------------------------
 
-class _SymFrac:
-    """num / (den * a^apow) with num an MPolyZ, den a positive integer.
-
-    Just enough fraction arithmetic to push polynomials through the Newton
-    recursion and the exact inverse of Q.  Kept in lowest terms: integer
-    content is cancelled against den, and powers of a are cancelled when
-    the numerator allows it.
-    """
-
-    __slots__ = ("num", "den", "apow")
-
-    def __init__(self, num, den=1, apow=0):
-        if isinstance(num, int):
-            num = MPolyZ.const(num)
-        if den == 0:
-            raise ZeroDivisionError("symbolic fraction with zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        if num.is_zero():
-            den, apow = 1, 0
-        else:
-            g = gcd(num.content(), den)
-            if g > 1:
-                num = num.divexact(g)
-                den //= g
-            while apow > 0 and num.divisible_by_variable("a"):
-                num = num.divide_by_variable("a")
-                apow -= 1
-        self.num = num
-        self.den = den
-        self.apow = apow
-
-    def __add__(self, other):
-        if isinstance(other, (int, MPolyZ)):
-            other = _SymFrac(other)
-        den = lcm(self.den, other.den)
-        apow = max(self.apow, other.apow)
-        a = MPolyZ.var("a")
-        n1 = self.num * (den // self.den) * a ** (apow - self.apow)
-        n2 = other.num * (den // other.den) * a ** (apow - other.apow)
-        return _SymFrac(n1 + n2, den, apow)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _SymFrac(-self.num, self.den, self.apow)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, MPolyZ)):
-            other = _SymFrac(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, MPolyZ)):
-            return _SymFrac(self.num * other, self.den, self.apow)
-        return _SymFrac(self.num * other.num, self.den * other.den,
-                        self.apow + other.apow)
-
-    __rmul__ = __mul__
-
-    def scale(self, fraction):
-        return _SymFrac(self.num * fraction.numerator,
-                        self.den * fraction.denominator, self.apow)
-
-    def divided_by(self, k, apow=0):
-        return _SymFrac(self.num, self.den * k, self.apow + apow)
-
-    def __repr__(self):
-        tail = "" if self.apow == 0 else ("*a" if self.apow == 1 else f"*a^{self.apow}")
-        return f"({self.num}) / ({self.den}{tail})"
-
-
 # the a-free part of numerator 1 recurs in every numerator with these weights
 _CP6_F_MULTIPLES = (1, -19, 3, -17, 1, -1)
 
@@ -685,12 +627,25 @@ class CP6Symbolic:
     denominators: tuple  # (integer, power of a) pairs
 
 
+def _lowest_terms(num, den, apow):
+    """num / (den * a^apow) in lowest terms: the gcd of the content of num
+    and den is cancelled, then powers of a while num is divisible by a.
+    The form is unique, so equal fractions give equal (num, den, apow)."""
+    g = gcd(num.content(), den)
+    if g > 1:
+        num, den = num.divexact(g), den // g
+    while apow and num.divisible_by_variable("a"):
+        num, apow = num.divide_by_variable("a"), apow - 1
+    return num, den, apow
+
+
 def _symbolic_cp6_rows(p2_m2_coefficient=288):
     """Push the d = 6 completion through Newton's identities and Q^-1 over
     Z[a, c, m, n], with q eliminated through the constraint.
 
-    Returns (numerators, denominators) with each column entry in lowest
-    terms f_i / (den * a^apow).  The m^2 coefficient of the degree-4
+    Works on the integer polynomials C_i = T^i c_i, T = 2ka (see the module
+    docstring), and returns (numerators, denominators) with each row in
+    lowest terms f_i / (den * a^apow).  The m^2 coefficient of the degree-4
     Pontrjagin input is parametrised so the regression tests can
     demonstrate how a transcribed 228 (for 288) propagates downstream.
     """
@@ -698,30 +653,28 @@ def _symbolic_cp6_rows(p2_m2_coefficient=288):
 
     p1, p2, p3_q = CP6_PONTRJAGIN
     p2 = p2 + (p2_m2_coefficient - p2.coefficient(m=2)) * m * m
-    # eliminate q, which appears linearly in the constraint
-    q_num = -CP6_CONSTRAINT.substitute(q=0)
-    q_free = p3_q.substitute(q=0)
-    q_coeff = (p3_q - q_free).divide_by_variable("q")
-    p3 = _SymFrac(q_free) + _SymFrac(q_coeff * q_num, CP6_CONSTRAINT.coefficient(q=1))
+    # eliminate q, which appears linearly in the constraint, as k p_3
+    k = CP6_CONSTRAINT.coefficient(q=1)
+    p3_free = p3_q.substitute(q=0)
+    kp3 = (k * p3_free
+           - (p3_q - p3_free).divide_by_variable("q") * CP6_CONSTRAINT.substitute(q=0))
 
-    a1 = _SymFrac(a)
-    a2 = _SymFrac(a * a - p1, 2)
-    a3 = _SymFrac(c)
-    a4 = a1 * a3 + (_SymFrac(p2) - a2 * a2).divided_by(2)
-    a5 = (14 + a2 * a4 * 2 - _SymFrac(c * c) + p3).divided_by(2, apow=1)
-    a6 = _SymFrac(7)
-
-    sums = newton_power_sums([a1, a2, a3, a4, a5, a6])
-    q_inv = inverse_exact(q_matrix(6))
-    numerators = []
-    denominators = []
-    for i in range(6):
-        v_i = _SymFrac(0)
-        for j in range(6):
-            v_i = v_i + sums[j].scale(q_inv.at(i, j))
-        numerators.append(v_i.num)
-        denominators.append((v_i.den, v_i.apow))
-    return tuple(numerators), tuple(denominators)
+    t2 = a * a - p1                                     # 2 c_2
+    t4 = 8 * a * c + 4 * p2 - t2 * t2                   # 8 c_4
+    t5 = 8 * k * (14 - c * c) + k * t2 * t4 + 8 * kp3   # 16 k a c_5
+    T = 2 * k * a
+    k4a4 = 2 * k ** 4 * a ** 4
+    sums = newton_power_sums([T * a, 2 * k * k * a * a * t2, T ** 3 * c,
+                              k4a4 * t4, k4a4 * t5, 7 * T ** 6])
+    # s_j(c) = s_j(C) / T^j, so row i of Q^-1 s(c) is (adj_i . S) / (det T^6)
+    # with S_j = s_j(C) T^(6-j)
+    scaled = [s * T ** (6 - j) for j, s in enumerate(sums, 1)]
+    adj, det = _q_adjugate(6)
+    rows = [_lowest_terms(sum((x * s for x, s in zip(row, scaled)), MPolyZ()),
+                          det * (2 * k) ** 6, 6)
+            for row in adj]
+    return (tuple(num for num, _, _ in rows),
+            tuple((den, apow) for _, den, apow in rows))
 
 
 def symbolic_cp6_numerators():

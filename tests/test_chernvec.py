@@ -146,6 +146,10 @@ def test_realizable_rejects_non_integer_entries():
     for bad in ((1.5, 2), (Fraction(5), 10, 10, 5), ("1", 0), (True, 2)):
         with pytest.raises(TypeError):
             realizable(bad)
+    # the inverse map computed with these: (1.5, 2) gave (5.0, 8.0)
+    for bad in ((1.5, 2), (Fraction(5), 0, 0, 0), (True, 2)):
+        with pytest.raises(TypeError):
+            chern_from_multiplicities(bad)
 
 
 def test_realizable_rejects_empty_vector():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 from types import SimpleNamespace
 
 import pytest
@@ -64,6 +64,15 @@ def test_validate_params_rejects_non_integers():
         validate_params(4, False, False)
     with pytest.raises(TypeError):
         divisors_signed(True)
+    # the completion and the CP^4 target used to compute with these:
+    # (X4, 5.0) gave (5.0, 10.0, 10.0, 5) and divisor_target_cp4(False) gave 25
+    X4, X6 = validate_params(4, 0, 0), validate_params(6, 0, 0, 0)
+    for args in ((X4, 5.0), (X4, True), (X6, 1.0, 1), (X6, 1, 1.0), (X6, 1, False)):
+        with pytest.raises(TypeError):
+            complete_chern_vector(*args)
+    for m in (7.0, False, Fraction(7)):
+        with pytest.raises(TypeError):
+            divisor_target_cp4(m)
 
 
 def test_cp4_m_residues():
@@ -465,14 +474,16 @@ def test_symbolic_f_is_a_free_part_and_multiples():
         assert (f_i - k * sym.f).divisible_by_variable("a")
 
 
-def test_symbolic_matches_numeric_oracle():
-    # independent route: plain Fractions through the same completion
-    sym = symbolic_cp6_numerators()
+@pytest.mark.parametrize("p2_m2", [288, 228])
+def test_symbolic_matches_numeric_oracle(p2_m2):
+    # independent route: plain Fractions through the same completion, with
+    # the m^2 coefficient of p_2 as a parameter so the slip path is checked too
+    nums, dens = _symbolic_cp6_rows(p2_m2_coefficient=p2_m2)
 
     def numeric_rows(a, c, m, n):
         q = Fraction(-cp6_q_free(m, n), 1488)
         p1 = 7 + 24 * m
-        p2 = 21 + 288 * m * m - 432 * m - 1440 * n
+        p2 = 21 + p2_m2 * m * m - 432 * m - 1440 * n
         p3 = (35 + 2304 * m ** 3 - 12384 * m * m + 11592 * m
               - 34560 * m * n + 40320 * n + 60480 * q)
         a1, a3, a6 = Fraction(a), Fraction(c), Fraction(7)
@@ -485,10 +496,37 @@ def test_symbolic_matches_numeric_oracle():
     for (a, c, m, n) in ((1, 1, 1, 0), (3, 5, 2, 1), (7, 5, -2, 4), (5, 3, 2, 3)):
         numeric = numeric_rows(a, c, m, n)
         for i in range(6):
-            den, apow = sym.denominators[i]
-            val = Fraction(sym.numerators[i].evaluate(a=a, c=c, m=m, n=n),
-                           den * a ** apow)
+            den, apow = dens[i]
+            val = Fraction(nums[i].evaluate(a=a, c=c, m=m, n=n), den * a ** apow)
             assert val == numeric[i]
+    # every row is in lowest terms
+    for num, (den, apow) in zip(nums, dens):
+        assert gcd(num.content(), den) == 1
+        assert apow == 0 or not num.divisible_by_variable("a")
+
+
+@pytest.mark.parametrize("m, n, q", [(0, 0, 0), (16, 11, 23), (48, 12, -1747),
+                                     (0, 31, -24), (32, 7, -442)])
+def test_symbolic_numerators_match_realizable(m, n, q):
+    # f_i(a, c, m, n) / (D_i a^apow) at integer points is the numeric
+    # decomposition: realizable's tuple, or NotRealizable.solution
+    sym = symbolic_cp6_numerators()
+    X = validate_params(6, m, n, q)
+    p = pontrjagin_of_X(X)
+    decomposed = 0
+    for a, c in product(_signed_odds(15), repeat=2):
+        v = _complete_ints(6, p, a, c)
+        if v is None:
+            continue
+        try:
+            numeric = list(realizable(v))
+            decomposed += 1
+        except NotRealizable as exc:
+            numeric = exc.solution
+        symbolic = [Fraction(f_i.evaluate(a=a, c=c, m=m, n=n), den * a ** apow)
+                    for f_i, (den, apow) in zip(sym.numerators, sym.denominators)]
+        assert symbolic == numeric
+    assert decomposed
 
 
 def test_mod3_analysis():
