@@ -1,8 +1,8 @@
 """Exact computation of almost complex structures on homotopy complex
 projective spaces CP^4, CP^5, and CP^6."""
 
-from .exactmath import (BigRational, MPolyZ, RatMatrix, divisors_signed,
-                        elem_sym, solve_exact, vandermonde_inverse)
+from .exactmath import (MPolyZ, RatMatrix, divisors_signed, elem_sym,
+                        solve_exact, vandermonde_inverse)
 from .cohomology import CohClass, exp_series
 from .ktheory import (KClass, KOClass, adams, adams_ko, chern_character,
                       complexify, conjugate, pontrjagin_total, real_reduce,

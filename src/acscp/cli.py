@@ -28,11 +28,10 @@ import time
 from functools import cache
 
 from .chernvec import NotRealizable, realizable
-from .homotopy import (ConstraintViolated, NoCompletion, ZeroFirstChern,
-                       acs_search_cp4, acs_search_cp6, cp5_structure,
-                       cp6_exists, divisor_target_cp4, mod31_table,
-                       validate_params)
-from .ktheory import KOClass, UnsupportedDimension, pontrjagin_total
+from .homotopy import (ConstraintViolated, ZeroFirstChern, acs_search_cp4,
+                       acs_search_cp6, cp5_structure, cp6_exists,
+                       divisor_target_cp4, mod31_table, validate_params)
+from .ktheory import KOClass, pontrjagin_total
 from .suites import SUITES, run_suite
 
 USAGE_ERROR = 64
@@ -253,8 +252,7 @@ def main(argv=None):
         return USAGE_ERROR
     except (ConstraintViolated, ZeroFirstChern) as exc:
         status, payload = "violation", {"violation": str(exc)}
-    except (NoCompletion, NotRealizable, UnsupportedDimension, ValueError,
-            ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         status, payload = "error", {"error": str(exc)}
     elapsed = int((time.perf_counter() - started) * 1000)
     return _emit(status, payload, elapsed, csv_text)

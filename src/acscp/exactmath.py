@@ -28,8 +28,6 @@ from itertools import count
 from math import gcd, isqrt, lcm
 from operator import mul
 
-BigRational = Fraction
-
 
 class SingularMatrix(ValueError):
     """The coefficient matrix has determinant zero."""

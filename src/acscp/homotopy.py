@@ -343,27 +343,25 @@ def acs_search_cp4(X, cross_check_window=200):
     """All almost complex structures on a homotopy CP^4.
 
     Enumerates a over the signed divisors of the target, completes each
-    Chern vector, and keeps the realizable ones.  When cross_check_window
-    is set, a brute-force integrality scan over |a| <= window is run and
-    must agree with the divisor criterion on that window; None turns the
-    cross-check off.
+    Chern vector, and keeps the realizable ones.  A brute-force integrality
+    scan over |a| <= cross_check_window must agree with the divisor
+    criterion on that window, or ArithmeticError is raised.
+
+    The target D = 25 + 3*48*m(12m + 5)/7 never vanishes: m(12m + 5) >= 0
+    for every integer m (both factors share a sign, or m = 0), so D >= 25.
     """
     if X.d != 4:
         raise UnsupportedDimension("acs_search_cp4 needs d = 4")
-    if cross_check_window is not None:
-        _check_window("cross_check_window", cross_check_window)
+    _check_window("cross_check_window", cross_check_window)
     D = divisor_target_cp4(X.m)
-    if D == 0:
-        raise ArithmeticError("divisor target vanished; cannot enumerate")
     p = pontrjagin_of_X(X)
     sols = [s for s in (_solution(4, p, a) for a in divisors_signed(D)) if s is not None]
-    if cross_check_window is not None:
-        direct = _direct_set_cp4(p, cross_check_window)
-        from_divisors = {s.a for s in sols if abs(s.a) <= cross_check_window}
-        if from_divisors != direct:
-            raise ArithmeticError(
-                f"divisor criterion and direct scan disagree on |a| <= {cross_check_window}: "
-                f"{sorted(from_divisors ^ direct)}")
+    direct = _direct_set_cp4(p, cross_check_window)
+    from_divisors = {s.a for s in sols if abs(s.a) <= cross_check_window}
+    if from_divisors != direct:
+        raise ArithmeticError(
+            f"divisor criterion and direct scan disagree on |a| <= {cross_check_window}: "
+            f"{sorted(from_divisors ^ direct)}")
     return sols
 
 

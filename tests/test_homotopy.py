@@ -153,10 +153,10 @@ def test_divisor_target_cp4():
     assert divisor_target_cp4(0) == 25
     assert divisor_target_cp4(6) == 9529
     assert divisor_target_cp4(34) == 288889
-    # nonzero for the whole tested parameter range
+    # D = 25 + 3*48*m(12m + 5)/7 and m(12m + 5) >= 0, so D >= 25
     for m in range(-48, 49):
         if m % 14 in (0, 6):
-            assert divisor_target_cp4(m) != 0
+            assert divisor_target_cp4(m) >= 25
 
 
 def test_acs_search_cp4_standard():
@@ -180,7 +180,7 @@ def test_acs_search_cp4_every_divisor_is_admissible():
     from acscp.exactmath import divisors_signed
     for (m, n) in ((-22, 77), (0, 0), (6, 3), (20, 50)):
         X = HtpyCP(4, m, n)
-        sols = acs_search_cp4(X, cross_check_window=None)
+        sols = acs_search_cp4(X)
         assert [s.a for s in sols] == divisors_signed(divisor_target_cp4(m))
 
 
@@ -255,7 +255,7 @@ def test_cp4_conjugate_cell_has_the_flipped_power_sums(k, r, data):
 
 
 @pytest.mark.parametrize("window, error", [
-    (2.5, TypeError), (True, TypeError), ("7", TypeError),
+    (2.5, TypeError), (True, TypeError), ("7", TypeError), (None, TypeError),
     (0, ValueError), (-7, ValueError),
 ])
 def test_search_windows_are_validated(window, error):
