@@ -1,14 +1,14 @@
-"""Tour of the exact-arithmetic kernel: rational linear algebra, the
+"""Tour of the exact-arithmetic kernel: linear algebra on integer rows, the
 closed-form Vandermonde inverse, signed divisors, and integer polynomials."""
 
 from fractions import Fraction
 
-from acscp.exactmath import (MPolyZ, RatMatrix, divisors_signed, elem_sym,
-                             inverse_exact, poly_variables, solve_exact,
-                             vandermonde_inverse, vandermonde_matrix)
+from acscp.exactmath import (MPolyZ, divisors_signed, elem_sym, inverse_exact,
+                             poly_variables, solve_exact, vandermonde_inverse,
+                             vandermonde_matrix)
 
 # Solving a small system exactly: no floats anywhere.
-M = RatMatrix.from_rows([[1, 1, 1], [0, 1, 2], [0, 1, 4]])
+M = [[1, 1, 1], [0, 1, 2], [0, 1, 4]]
 b = [1, 3, 9]
 x = solve_exact(M, b)
 print("solve", b, "->", x)
@@ -19,7 +19,7 @@ nodes = [0, 1, 2, 3]
 V = vandermonde_matrix(nodes)
 closed = vandermonde_inverse(nodes)
 assert closed == inverse_exact(V)
-print("V^-1 row 1:", closed.row(1))
+print("V^-1 row 1:", closed[1])
 print("sigma_2(1,2,3) =", elem_sym([1, 2, 3], 2))
 
 # Signed divisors drive the search for admissible first Chern classes.

@@ -1,7 +1,7 @@
 """Exact computation of almost complex structures on homotopy complex
 projective spaces CP^4, CP^5, and CP^6."""
 
-from .exactmath import (MPolyZ, RatMatrix, divisors_signed, elem_sym,
+from .exactmath import (MPolyZ, adjugate, divisors_signed, elem_sym,
                         solve_exact, vandermonde_inverse)
 from .cohomology import CohClass, exp_series
 from .ktheory import (KClass, KOClass, adams, adams_ko, chern_character,

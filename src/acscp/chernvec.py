@@ -13,7 +13,8 @@ from the c_k by Newton's identities
     s_i = c_1 s_(i-1) - c_2 s_(i-2) + ... + (-1)^(i-1) i c_i.
 
 The integrality test is done in integers, as adj(Q) C == 0 (mod det Q), with
-the adjugate and determinant computed once per d and cached.  Each row is
+the adjugate and determinant taken from one integer elimination of [Q | I]
+(exactmath.adjugate) once per d and cached.  Each row is
 tested with its gcd g with det Q divided out, as (row/g) C == 0 (mod det/g),
 which has the same quotient; for d = 6 the moduli drop from 24883200 to
 120, 48, 36, 48, 120, 720.  Every caller that decomposes a Chern vector
@@ -33,7 +34,7 @@ from math import comb, factorial, gcd
 from operator import mul
 
 from .cohomology import exp_series, _line_product
-from .exactmath import RatMatrix, _is_int, det_exact, inverse_exact
+from .exactmath import _is_int, adjugate
 
 
 class NotRealizable(ValueError):
@@ -51,21 +52,29 @@ def q_vector(m, d):
     return exp_series(m, d)
 
 
+def _check_degree(d):
+    if not _is_int(d):
+        raise TypeError(f"the degree d must be an int, got {d!r}")
+    if d < 1:
+        raise ValueError(f"the degree d must be at least 1, got {d}")
+
+
 def w_matrix(d):
-    """(d+1)x(d+1) matrix with a row of ones on top and rows j^i below.
+    """(d+1)x(d+1) int rows: a row of ones on top and rows j^i below.
 
     Column j holds the coefficient sequence of q_j against the basis
-    1, u, u^2/2, ..., u^d/d!.  det = 1! * 2! * ... * d!.
+    1, u, u^2/2, ..., u^d/d!.  det = 1! * 2! * ... * d!.  Raises TypeError
+    unless d is an int and ValueError for d < 1.
     """
-    rows = [[1] * (d + 1)]
-    for i in range(1, d + 1):
-        rows.append([j ** i for j in range(d + 1)])
-    return RatMatrix.from_rows(rows)
+    _check_degree(d)
+    return [[j ** i for j in range(d + 1)] for i in range(d + 1)]
 
 
 def q_matrix(d):
-    """d x d matrix Q[i][j] = j^i for i, j = 1..d (the reduced lattice)."""
-    return RatMatrix.from_rows([[j ** i for j in range(1, d + 1)] for i in range(1, d + 1)])
+    """d x d int rows Q[i][j] = j^i for i, j = 1..d (the reduced lattice);
+    d is checked as in w_matrix."""
+    _check_degree(d)
+    return [[j ** i for j in range(1, d + 1)] for i in range(1, d + 1)]
 
 
 def moment_vector(m, d):
@@ -78,8 +87,12 @@ def closed_form_w(m, d):
 
     Entry k (1-indexed, k = 1..d+1) is
         (-1)^(n-k)/(n-1)! * C(n-1, k-1) * prod_(j != k-1) (m - j)
-    with n = d + 1; every entry is an integer for every integer m.
+    with n = d + 1; every entry is an integer for every integer m.  Raises
+    TypeError unless m and d are ints, and ValueError for d < 1.
     """
+    if not _is_int(m):
+        raise TypeError(f"m must be an int, got {m!r}")
+    _check_degree(d)
     n = d + 1
     out = []
     for k in range(1, n + 1):
@@ -123,15 +136,8 @@ def power_sums_from_chern(chern):
 def _q_adjugate(d):
     """(adjugate rows, determinant) of the d x d exponential-lattice matrix,
     for fast integrality tests: Q^-1 s integral iff det | (adj @ s)."""
-    Q = q_matrix(d)
-    det = det_exact(Q)
-    inv = inverse_exact(Q)
-    rows = []
-    for i in range(d):
-        row = [x * det for x in inv.row(i)]
-        assert all(x.denominator == 1 for x in row)
-        rows.append(tuple(int(x) for x in row))
-    return tuple(rows), int(det)
+    adj, det = adjugate(q_matrix(d))
+    return tuple(map(tuple, adj)), det
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,16 @@
-"""Exact arithmetic kernel: rational linear algebra, divisor enumeration,
-and multivariate integer polynomials.
+"""Exact arithmetic kernel: linear algebra on integer rows, divisor
+enumeration, and multivariate integer polynomials.
 
-Everything here is exact.  Scalars are arbitrary-precision rationals
-(``fractions.Fraction``), matrices are small and dense, and linear systems
-are solved in integers: denominators are cleared row by row, fraction-free
-(Bareiss) elimination keeps every entry integral, and back-substitution is
-scaled by the last pivot D (which is +-det of the scaled system), so that by
-Cramer's rule every D*x_i is an integer and each step is an exact integer
-division.  Only the answers x_i = (D*x_i)/D are built as Fractions.
+Everything here is exact.  A matrix is a plain list of rows of ints (or
+Fractions, whose denominators are cleared row by row), and one private
+routine, _eliminate, does all of its linear algebra: fraction-free (Bareiss)
+elimination of [A | B] keeps every entry integral, and back-substitution is
+scaled by the last pivot D (which is +-det A), so that by Cramer's rule
+every D*x_i is an integer and each step is an exact integer division.
+solve_exact is one right-hand-side column of it, inverse_exact and adjugate
+one elimination of [M | I], and det_exact the elimination alone.  Only the
+answers x_i = (D*x_i)/D of solve_exact and inverse_exact are built as
+Fractions; adjugate builds none.
 
 Divisors are expanded from a prime factorization: small primes by trial
 division, larger ones split off by Brent-Pollard rho and certified by
@@ -68,97 +71,68 @@ def _is_int(x):
 
 
 # ---------------------------------------------------------------------------
-# Dense exact matrices
+# Exact linear algebra on lists of rows
 # ---------------------------------------------------------------------------
 
-class RatMatrix:
-    """A dense matrix of Fractions, stored row-major.
+def _square(matrix, fractions=True):
+    """A copy of the rows of a square matrix, checked at the boundary:
+    ValueError for empty, ragged or non-square rows, TypeError for an entry
+    that is not an int (a bool is refused too) or, where fractions is set,
+    a Fraction."""
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError(f"matrix must be a nonempty list of equal rows, got {matrix!r}")
+    for r in rows:
+        _check_entries(r, fractions)
+    return rows
 
-    Sizes here are tiny (at most 9x9), so no attempt is made at sparsity
-    or clever pivoting beyond "first nonzero".
-    """
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = [Fraction(x) for x in entries]
-        if rows <= 0 or cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(entries)
-
-    @classmethod
-    def from_rows(cls, rows):
-        nrows = len(rows)
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, [x for r in rows for x in r])
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    def at(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
-
-    def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def is_integral(self):
-        return all(x.denominator == 1 for x in self.entries)
-
-    def __mul__(self, other):
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("incompatible shapes for matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return RatMatrix(self.rows, other.cols, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-        return f"RatMatrix({self.rows}x{self.cols}: {body})"
+def _check_entries(values, fractions=True):
+    for x in values:
+        if not (_is_int(x) or fractions and type(x) is Fraction):
+            kinds = "int or Fraction" if fractions else "int"
+            raise TypeError(f"matrix entries must be {kinds}, got {x!r}")
 
 
 def _scaled_int_rows(rows):
     """Clear the denominators of int or Fraction rows row by row, returning
-    integer rows (and the scale factor applied to each row, needed for
-    determinants)."""
+    integer rows and the product of the row scales (by which the
+    determinant grew)."""
     out = []
-    scales = []
+    scale = 1
     for row in rows:
         ratios = [x.as_integer_ratio() for x in row]
-        scale = lcm(*[q for _, q in ratios])
-        out.append([p * (scale // q) for p, q in ratios])
-        scales.append(scale)
-    return out, scales
+        s = lcm(*[q for _, q in ratios])
+        out.append([p * (s // q) for p, q in ratios])
+        scale *= s
+    return out, scale
 
 
-def _bareiss(rows, width):
-    """Fraction-free elimination in place.  Returns the permutation sign,
-    or 0 if the left square block is singular."""
+def _with_identity(rows):
+    """The rows of [M | I]."""
     n = len(rows)
+    return [r + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+
+
+def _eliminate(rows):
+    """Bareiss elimination of the integer rows [A | B], A square, then
+    integer back-substitution on every column of B.  The rows are consumed.
+
+    Returns (sign, D, Y): sign is the permutation sign of the row swaps, D
+    the last pivot, so that det A = sign*D, and Y = D * A^-1 B.  By Cramer's
+    rule Y is integral, so every step of the back-substitution
+    y_i = (D*b_i - sum_(j>i) r_(i,j)*y_j) // r_(i,i) is an exact division.
+    Raises SingularMatrix if det A = 0.
+    """
+    n = len(rows)
+    width = len(rows[0])
     sign = 1
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if rows[r][k] != 0), None)
         if piv is None:
-            return 0
+            raise SingularMatrix("matrix has determinant zero")
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
@@ -171,58 +145,55 @@ def _bareiss(rows, width):
                 ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
             ri[k] = 0
         prev = pivot
-    return sign
+    D = prev
+    Y = [None] * n
+    for i in range(n - 1, -1, -1):
+        ri = rows[i]
+        acc = [D * x for x in ri[n:]]
+        for j in range(i + 1, n):
+            if ri[j]:
+                acc = [a - ri[j] * y for a, y in zip(acc, Y[j])]
+        Y[i] = [a // ri[i] for a in acc]
+    return sign, D, Y
 
 
 def solve_exact(matrix, b):
-    """Solve M x = b exactly for square M.  Raises SingularMatrix if det M = 0.
-
-    After Bareiss elimination the last pivot D is +-det of the scaled system,
-    so by Cramer's rule D*x is integral, and back-substitution runs in
-    integers: y_i = (D*r_(i,n) - sum_(j>i) r_(i,j)*y_j) // r_(i,i) is exact,
-    and x_i = y_i / D.
-    """
-    if matrix.rows != matrix.cols:
-        raise ValueError("matrix must be square")
-    n = matrix.rows
-    if len(b) != n:
+    """Solve M x = b exactly for square int or Fraction rows M, as one
+    right-hand-side column of _eliminate.  Raises SingularMatrix if det M = 0,
+    ValueError for a malformed M or b and TypeError for a bad entry."""
+    rows = _square(matrix)
+    b = list(b)
+    if len(b) != len(rows):
         raise ValueError("right-hand side length must equal matrix size")
-    rows, _ = _scaled_int_rows([matrix.row(i) + [b[i]] for i in range(n)])
-    if _bareiss(rows, n + 1) == 0:
-        raise SingularMatrix("matrix has determinant zero")
-    D = rows[n - 1][n - 1]
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        ri = rows[i]
-        acc = D * ri[n]
-        for j in range(i + 1, n):
-            acc -= ri[j] * y[j]
-        y[i] = acc // ri[i]
-    return [Fraction(v, D) for v in y]
+    _check_entries(b)
+    _, D, Y = _eliminate(_scaled_int_rows([r + [x] for r, x in zip(rows, b)])[0])
+    return [Fraction(row[0], D) for row in Y]
 
 
 def det_exact(matrix):
-    """Exact determinant via Bareiss elimination."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("matrix must be square")
-    rows, scales = _scaled_int_rows(matrix.to_rows())
-    sign = _bareiss(rows, matrix.rows)
-    if sign == 0:
+    """Exact determinant (a Fraction) of square int or Fraction rows."""
+    rows, scale = _scaled_int_rows(_square(matrix))
+    try:
+        sign, D, _ = _eliminate(rows)
+    except SingularMatrix:
         return Fraction(0)
-    det = Fraction(sign * rows[-1][-1])
-    for s in scales:
-        det /= s
-    return det
+    return Fraction(sign * D, scale)
 
 
 def inverse_exact(matrix):
-    """Exact inverse, column by column through solve_exact."""
-    n = matrix.rows
-    cols = []
-    for j in range(n):
-        e = [int(i == j) for i in range(n)]
-        cols.append(solve_exact(matrix, e))
-    return RatMatrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+    """Exact inverse of square int or Fraction rows, as Fraction rows, from
+    one elimination of [M | I]."""
+    _, D, Y = _eliminate(_scaled_int_rows(_with_identity(_square(matrix)))[0])
+    return [[Fraction(y, D) for y in row] for row in Y]
+
+
+def adjugate(matrix):
+    """(adj M, det M) of a square integer matrix, from one elimination of
+    [M | I] and with no Fraction built: adj M = sign*Y and det M = sign*D.
+    Raises SingularMatrix if det M = 0, and TypeError for any entry that is
+    not an int."""
+    sign, D, Y = _eliminate(_with_identity(_square(matrix, fractions=False)))
+    return [[sign * y for y in row] for row in Y], sign * D
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +212,8 @@ def elem_sym(values, q):
 
 
 def vandermonde_inverse(nodes):
-    """Closed-form inverse of the Vandermonde matrix V[i][j] = nodes[i]^j.
+    """Closed-form inverse, as Fraction rows, of the Vandermonde matrix
+    V[i][j] = nodes[i]^j.
 
     Entry (i, j) is (-1)^(n-1-i) sigma_{n-1-i}(nodes without nodes[j])
     divided by prod_{l != j} (nodes[j] - nodes[l]).
@@ -249,22 +221,23 @@ def vandermonde_inverse(nodes):
     n = len(nodes)
     if len(set(nodes)) != n:
         raise DuplicateNodes(f"nodes {nodes!r} are not pairwise distinct")
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            others = [x for l, x in enumerate(nodes) if l != j]
-            denom = 1
-            for x in others:
-                denom *= nodes[j] - x
+    rows = [[] for _ in range(n)]
+    for j in range(n):
+        others = [x for l, x in enumerate(nodes) if l != j]
+        denom = 1
+        for x in others:
+            denom *= nodes[j] - x
+        for i in range(n):
             num = (-1) ** (n - 1 - i) * elem_sym(others, n - 1 - i)
-            entries.append(Fraction(num, denom))
-    return RatMatrix(n, n, entries)
+            rows[i].append(Fraction(num, denom))
+    return rows
 
 
 def vandermonde_matrix(nodes):
-    """V[i][j] = nodes[i]^j, the matrix inverted by vandermonde_inverse."""
+    """V[i][j] = nodes[i]^j as int rows, the matrix inverted by
+    vandermonde_inverse."""
     n = len(nodes)
-    return RatMatrix(n, n, [Fraction(x ** j) for x in nodes for j in range(n)])
+    return [[x ** j for j in range(n)] for x in nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +403,21 @@ class MPolyZ:
 
     @classmethod
     def const(cls, k):
-        return cls({_ZERO_EXP: int(k)})
+        """The constant k; TypeError unless k is an int (a bool is refused)."""
+        if not _is_int(k):
+            raise TypeError(f"constant must be an int, got {k!r}")
+        return cls({_ZERO_EXP: k})
 
     @classmethod
     def var(cls, name, power=1, coeff=1):
+        """coeff * name^power; TypeError unless power and coeff are ints (a
+        bool is refused), ValueError for a negative power."""
         if name not in _VAR_INDEX:
             raise KeyError(f"unknown variable {name!r}; universe is {VARIABLES}")
+        if not (_is_int(power) and _is_int(coeff)):
+            raise TypeError(f"power and coefficient must be ints, got {power!r}, {coeff!r}")
+        if power < 0:
+            raise ValueError(f"negative power {power} of {name}")
         e = [0] * _NVARS
         e[_VAR_INDEX[name]] = power
         return cls({tuple(e): coeff})
@@ -490,7 +472,7 @@ class MPolyZ:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = MPolyZ.const(other)
+            other = MPolyZ({_ZERO_EXP: other})
         return isinstance(other, MPolyZ) and self.terms == other.terms
 
     def substitute(self, **values):

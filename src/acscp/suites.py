@@ -16,13 +16,13 @@ import csv
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 from .chernvec import (chern_from_multiplicities, closed_form_w,
                        power_sums_from_chern, realizable, w_matrix,
                        NotRealizable)
-from .exactmath import det_exact, inverse_exact
+from .exactmath import adjugate, det_exact
 from .homotopy import (HtpyCP, acs_search_cp4, acs_search_cp6, cp6_exists,
                        cp5_structure, mod31_table, pontrjagin_of_X,
                        symbolic_cp6_numerators, symbolic_verify_cp5,
@@ -160,18 +160,16 @@ def suite_chernvec(seed=0):
                 yield f"det W({d}) != {want}"
 
     # closed-form decomposition: integral and equal to the generic solve,
-    # W^-1 b(m) with W eliminated once per d and kept as den * W^-1 in integers
+    # W^-1 b(m) = adj(W) b(m) / det W with W eliminated once per d
     def decomposition_failures():
         for d in range(1, 9):
-            inv = inverse_exact(w_matrix(d))
-            den = lcm(*(x.denominator for x in inv.entries))
-            inv_rows = [[int(x * den) for x in inv.row(i)] for i in range(d + 1)]
+            adj, det = adjugate(w_matrix(d))
             for m in range(-30, 31):
                 closed = closed_form_w(m, d)
                 if any(x.denominator != 1 for x in closed):
                     yield f"non-integral decomposition at m={m}, d={d}"
                 b = [m ** i for i in range(d + 1)]
-                solved = [Fraction(sum(r * x for r, x in zip(row, b)), den) for row in inv_rows]
+                solved = [Fraction(sum(r * x for r, x in zip(row, b)), det) for row in adj]
                 if closed != solved:
                     yield f"closed form != solve at m={m}, d={d}"
 

@@ -23,7 +23,7 @@ def test_q_vector_is_exponential():
 
 def test_w_matrix_shape_and_determinant():
     W = w_matrix(2)
-    assert W.to_rows() == [[1, 1, 1], [0, 1, 2], [0, 1, 4]]
+    assert W == [[1, 1, 1], [0, 1, 2], [0, 1, 4]]
     assert det_exact(W) == 2  # 1! * 2!
     for d in range(1, 8):
         want = 1
@@ -33,9 +33,26 @@ def test_w_matrix_shape_and_determinant():
 
 
 def test_q_matrix_display():
-    assert q_matrix(4).to_rows() == [[1, 2, 3, 4], [1, 4, 9, 16],
-                                     [1, 8, 27, 64], [1, 16, 81, 256]]
-    assert q_matrix(1).to_rows() == [[1]]
+    assert q_matrix(4) == [[1, 2, 3, 4], [1, 4, 9, 16],
+                           [1, 8, 27, 64], [1, 16, 81, 256]]
+    assert q_matrix(1) == [[1]]
+
+
+def test_lattice_inputs_are_checked():
+    # each bad input is refused at the boundary with a typed error, not
+    # answered with [] (d < 0) or left to fail inside Fraction (float m)
+    for call, error in ((lambda: closed_form_w(2, -1), ValueError),
+                        (lambda: closed_form_w(2, 0), ValueError),
+                        (lambda: closed_form_w(2.5, 3), TypeError),
+                        (lambda: closed_form_w(True, 3), TypeError),
+                        (lambda: closed_form_w(2, 3.0), TypeError),
+                        (lambda: w_matrix(0), ValueError),
+                        (lambda: w_matrix(2.0), TypeError),
+                        (lambda: q_matrix(-3), ValueError),
+                        (lambda: q_matrix(True), TypeError),
+                        (lambda: q_matrix("4"), TypeError)):
+        with pytest.raises(error, match="must be"):
+            call()
 
 
 def test_closed_form_unit_vectors():

@@ -6,9 +6,11 @@ from math import isqrt, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acscp import exactmath
+from acscp.chernvec import _q_adjugate, q_matrix
 from acscp.exactmath import (DuplicateNodes, IndexOutOfRange, MPolyZ,
-                             NotDivisible, RatMatrix, SingularMatrix,
-                             UnprovenPrime, ZeroArgument, det_exact,
+                             NotDivisible, SingularMatrix, UnprovenPrime,
+                             ZeroArgument, adjugate, det_exact,
                              divisors_signed, elem_sym, inverse_exact,
                              poly_variables, solve_exact, vandermonde_inverse,
                              vandermonde_matrix)
@@ -45,7 +47,23 @@ def cramer_solve(rows, b):
     return out
 
 
-W2 = RatMatrix.from_rows([[1, 1, 1], [0, 1, 2], [0, 1, 4]])
+def cofactor_adjugate(rows):
+    """adj[i][j] = (-1)^(i+j) det(M without row j and column i)."""
+    n = len(rows)
+    return [[(-1) ** (i + j) * det_by_permutations(
+                [[x for k, x in enumerate(r) if k != i] for l, r in enumerate(rows) if l != j])
+             for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+W2 = [[1, 1, 1], [0, 1, 2], [0, 1, 4]]
 
 
 def test_solve_selects_first_basis_vector():
@@ -54,12 +72,12 @@ def test_solve_selects_first_basis_vector():
 
 def test_solve_frozen_example():
     # oracle: cramer_solve(W2, (1,3,9)) == (1, -3, 3)
-    assert cramer_solve(W2.to_rows(), [1, 3, 9]) == [1, -3, 3]
+    assert cramer_solve(W2, [1, 3, 9]) == [1, -3, 3]
     assert solve_exact(W2, [1, 3, 9]) == [1, -3, 3]
 
 
 def test_solve_singular():
-    ones = RatMatrix.from_rows([[1, 1], [1, 1]])
+    ones = [[1, 1], [1, 1]]
     with pytest.raises(SingularMatrix):
         solve_exact(ones, [1, 2])
 
@@ -74,7 +92,7 @@ def test_solve_matches_cramer_on_random_systems():
         b = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
         if det_by_permutations(rows) == 0:
             continue
-        assert solve_exact(RatMatrix.from_rows(rows), b) == cramer_solve(rows, b)
+        assert solve_exact(rows, b) == cramer_solve(rows, b)
         done += 1
 
 
@@ -110,7 +128,7 @@ def test_solve_matches_gauss_jordan_seeded():
         want = gauss_jordan_solve(rows, b)
         if want is None:
             continue
-        assert solve_exact(RatMatrix.from_rows(rows), b) == want
+        assert solve_exact(rows, b) == want
         done += 1
     # singular: the last row is a rational combination of the others
     for _ in range(30):
@@ -121,9 +139,9 @@ def test_solve_matches_gauss_jordan_seeded():
                      for j in range(n)])
         assert gauss_jordan_solve(rows, [1] * n) is None
         with pytest.raises(SingularMatrix):
-            solve_exact(RatMatrix.from_rows(rows), [frac() for _ in range(n)])
+            solve_exact(rows, [frac() for _ in range(n)])
         with pytest.raises(SingularMatrix):
-            inverse_exact(RatMatrix.from_rows(rows))
+            inverse_exact(rows)
 
 
 def test_inverse_roundtrip_up_to_8():
@@ -132,10 +150,9 @@ def test_inverse_roundtrip_up_to_8():
     while done < 25:
         n = rng.randint(1, 8)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        M = RatMatrix.from_rows(rows)
-        if det_exact(M) == 0:
+        if det_exact(rows) == 0:
             continue
-        assert M * inverse_exact(M) == RatMatrix.identity(n)
+        assert matmul(rows, inverse_exact(rows)) == identity(n)
         done += 1
 
 
@@ -144,7 +161,93 @@ def test_det_exact_matches_oracle():
     for _ in range(40):
         n = rng.randint(1, 4)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert det_exact(RatMatrix.from_rows(rows)) == det_by_permutations(rows)
+        assert det_exact(rows) == det_by_permutations(rows)
+
+
+def test_adjugate_matches_cofactors_seeded():
+    # mostly-zero entries, so the first pivot is often zero and rows swap:
+    # a dropped permutation sign would flip adj and det on those draws
+    rng = random.Random(23)
+    swapped = singular = done = 0
+    while done < 90:
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 0, rng.randint(-6, 6))) for _ in range(n)]
+                for _ in range(n)]
+        det = det_by_permutations(rows)
+        if det == 0:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                adjugate(rows)
+            continue
+        adj, got_det = adjugate(rows)
+        assert (adj, got_det) == (cofactor_adjugate(rows), det)
+        assert all(type(x) is int for row in adj for x in row) and type(got_det) is int
+        swapped += rows[0][0] == 0
+        done += 1
+    assert swapped >= 10 and singular >= 10
+
+
+def test_q_adjugate_matches_cofactors():
+    for d in range(1, 8):
+        adj, det = _q_adjugate(d)
+        Q = q_matrix(d)
+        assert det == det_by_permutations(Q)
+        assert [list(row) for row in adj] == cofactor_adjugate(Q)
+
+
+def test_one_elimination_per_matrix(monkeypatch):
+    shapes = []
+    eliminate = exactmath._eliminate
+
+    def counted(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return eliminate(rows)
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(exactmath, "_eliminate", counted)
+    M = [[0, 1, 2], [3, 0, 1], [1, 1, 0]]
+    assert matmul(M, inverse_exact(M)) == identity(3)
+    assert shapes == [(3, 6)]
+    monkeypatch.setattr(exactmath, "Fraction", no_fraction)
+    adjugate(M)
+    _q_adjugate.cache_clear()
+    _q_adjugate(6)
+    assert shapes == [(3, 6), (3, 6), (6, 12)]
+
+
+def _solve_zero_rhs(rows):
+    return solve_exact(rows, [0] * len(rows))
+
+
+MATRIX_ROUTINES = [_solve_zero_rhs, inverse_exact, det_exact, adjugate]
+
+
+@pytest.mark.parametrize("routine", MATRIX_ROUTINES,
+                         ids=["solve_exact", "inverse_exact", "det_exact", "adjugate"])
+def test_matrix_boundary_errors(routine):
+    # malformed rows fail at the boundary, and no entry is parsed or rounded
+    # into a Fraction: "1/2" and 1.5 are refused, not read as 1/2 and 3/2
+    for rows in ([], [[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1], [2]]):
+        with pytest.raises(ValueError, match="nonempty list of equal rows"):
+            routine(rows)
+    for bad in (True, 1.5, "1/2", None):
+        with pytest.raises(TypeError, match="matrix entries must be int"):
+            routine([[1, 0], [bad, 1]])
+
+
+def test_matrix_boundary_errors_per_routine():
+    with pytest.raises(ValueError, match="right-hand side length"):
+        solve_exact([[1, 0], [0, 1]], [1])
+    for bad in ("1", 2.0, False):
+        with pytest.raises(TypeError, match="matrix entries must be int or Fraction"):
+            solve_exact([[1, 0], [0, 1]], [1, bad])
+    with pytest.raises(TypeError, match="matrix entries must be int, got Fraction"):
+        adjugate([[Fraction(1, 2)]])
+    assert inverse_exact([[Fraction(1, 2)]]) == [[2]]
+    assert det_exact([[Fraction(1, 2)]]) == Fraction(1, 2)
+    assert adjugate([[0, 2], [3, 0]]) == ([[0, -2], [-3, 0]], -6)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +256,7 @@ def test_det_exact_matches_oracle():
 
 def test_vandermonde_inverse_two_nodes():
     # V[i][j] = nodes[i]^j for nodes (0, 1) is [[1,0],[1,1]]
-    assert vandermonde_inverse([0, 1]).to_rows() == [[1, 0], [-1, 1]]
+    assert vandermonde_inverse([0, 1]) == [[1, 0], [-1, 1]]
 
 
 def test_vandermonde_inverse_three_nodes():
@@ -161,7 +264,7 @@ def test_vandermonde_inverse_three_nodes():
     want = [[1, 0, 0],
             [Fraction(-3, 2), 2, Fraction(-1, 2)],
             [Fraction(1, 2), -1, Fraction(1, 2)]]
-    assert vandermonde_inverse([0, 1, 2]).to_rows() == want
+    assert vandermonde_inverse([0, 1, 2]) == want
     assert vandermonde_inverse([0, 1, 2]) == inverse_exact(vandermonde_matrix([0, 1, 2]))
 
 
@@ -176,7 +279,7 @@ def test_vandermonde_identity_product():
         n = rng.randint(1, 8)
         nodes = rng.sample(range(-5, 11), n)
         V = vandermonde_matrix(nodes)
-        assert vandermonde_inverse(nodes) * V == RatMatrix.identity(n)
+        assert matmul(vandermonde_inverse(nodes), V) == identity(n)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +430,25 @@ def test_evaluate_and_substitute_refuse_non_integers():
             f.evaluate(m=bad, n=0)
         with pytest.raises(TypeError, match="value of m must be an int"):
             f.substitute(m=bad)
+
+
+def test_constructors_refuse_non_integers():
+    # no silent truncation: const(2.7) is not const(2), and var("m", -1)
+    # is not a polynomial
+    for bad in (2.7, True, Fraction(1, 2), "2"):
+        with pytest.raises(TypeError, match="constant must be an int"):
+            MPolyZ.const(bad)
+        with pytest.raises(TypeError, match="power and coefficient must be ints"):
+            MPolyZ.var("m", bad)
+        with pytest.raises(TypeError, match="power and coefficient must be ints"):
+            MPolyZ.var("m", 1, bad)
+    with pytest.raises(ValueError, match="negative power -1 of m"):
+        MPolyZ.var("m", -1)
+    assert MPolyZ.var("m", 0, 3) == MPolyZ.const(3)
+    # equality still answers, and is False against a non-integer
+    assert (MPolyZ.const(2) == 2.7) is False
+    assert (MPolyZ.const(2) == "2") is False
+    assert (MPolyZ.const(1) == True) is True  # noqa: E712
 
 
 def test_evaluate_names_unbound_variables():

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import pytest
 
 import acscp.suites
+from acscp import exactmath
+from acscp.chernvec import _q_adjugate
 from acscp.cli import main
 from acscp.suites import SUITES, Check, _every, _expect, run_suite
 
@@ -81,3 +83,22 @@ def test_failing_cp6_witness_fails_one_check(capsys, monkeypatch):
     assert [c["name"] for c in checks if not c["pass"]] == ["criterion-vs-direct"]
     assert "no witness on" in checks[-1]["detail"]
     assert "(m,n,q)=(16,11,23)" in checks[-1]["detail"]
+
+
+def test_basis_decomposition_eliminates_each_w_once(monkeypatch):
+    # W(d) for d = 1..8 is eliminated once as [W | I] for its adjugate, and
+    # once more on its own by the w-determinant check
+    for d in range(1, 9):
+        _q_adjugate(d)
+    shapes = []
+    eliminate = exactmath._eliminate
+
+    def counted(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return eliminate(rows)
+
+    monkeypatch.setattr(exactmath, "_eliminate", counted)
+    checks = acscp.suites.suite_chernvec()
+    assert all(c.passed for c in checks)
+    assert sorted(shapes) == sorted([(n, n) for n in range(2, 10)]
+                                    + [(n, 2 * n) for n in range(2, 10)])
