@@ -77,8 +77,16 @@ def q_matrix(d):
     return [[j ** i for j in range(1, d + 1)] for i in range(1, d + 1)]
 
 
+def _check_m(m):
+    if not _is_int(m):
+        raise TypeError(f"m must be an int, got {m!r}")
+
+
 def moment_vector(m, d):
-    """b(m) = (1, m, m^2, ..., m^d)."""
+    """b(m) = (1, m, m^2, ..., m^d), as Fractions.  d is checked as in
+    w_matrix, then TypeError unless m is an int (a bool is refused too)."""
+    _check_degree(d)
+    _check_m(m)
     return [Fraction(m ** i) for i in range(d + 1)]
 
 
@@ -87,20 +95,26 @@ def closed_form_w(m, d):
 
     Entry k (1-indexed, k = 1..d+1) is
         (-1)^(n-k)/(n-1)! * C(n-1, k-1) * prod_(j != k-1) (m - j)
-    with n = d + 1; every entry is an integer for every integer m.  Raises
-    TypeError unless m and d are ints, and ValueError for d < 1.
+    with n = d + 1; every entry is an integer for every integer m.  The
+    products leaving out one factor come from prefix and suffix products of
+    the m - j.  Raises TypeError unless m and d are ints, and ValueError for
+    d < 1.
     """
-    if not _is_int(m):
-        raise TypeError(f"m must be an int, got {m!r}")
+    _check_m(m)
     _check_degree(d)
     n = d + 1
+    fact = factorial(d)
+    # before[k] = prod_(j < k) (m - j), after[k] = prod_(j > k) (m - j)
+    before = [1] * n
+    after = [1] * n
+    for j in range(1, n):
+        before[j] = before[j - 1] * (m - j + 1)
+        after[n - 1 - j] = after[n - j] * (m - n + j)
     out = []
-    for k in range(1, n + 1):
-        prod = 1
-        for j in range(n):
-            if j != k - 1:
-                prod *= m - j
-        out.append(Fraction((-1) ** (n - k) * comb(n - 1, k - 1) * prod, factorial(n - 1)))
+    for k in range(n):
+        num = (-1) ** (d - k) * comb(d, k) * before[k] * after[k]
+        q, r = divmod(num, fact)
+        out.append(Fraction(num, fact) if r else Fraction(q))
     return out
 
 

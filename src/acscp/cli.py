@@ -170,7 +170,7 @@ def _table_rows(args):
         for k in range(1, dim // 2 + 1):
             p = pontrjagin_total(KOClass.omega(dim, k))
             for i in range(1, dim // 2 + 1):
-                rows.append([k, i, int(p.coeff(2 * i))])
+                rows.append([k, i, p.coeff(2 * i)])
         return ["power", "index", "coefficient"], rows
     if args.table == "divisor-targets":
         if dim != 4:

@@ -6,6 +6,16 @@ width, square-and-multiply powers, equality, hashing and the printed form.
 CohClass is the rational cohomology of complex projective d-space, with u
 the degree-2 generator; Chern, Pontrjagin and Euler classes all live there.
 acscp.ktheory builds KClass and KOClass on the same base.
+
+A CohClass keeps its coefficients in a normal form: an int when the value
+is integral and a Fraction otherwise.  Integral classes (Chern and
+Pontrjagin classes above all) are then plain int arithmetic, while
+equality, hashing and the printed form are those of the rational values.
+
+The raw helpers at the end work on plain int lists: _line_product is the
+product of line-bundle factors (1 + j*u)^k, and _elementary_from_power_sums
+is the inverse of chernvec.newton_power_sums, the integer recursion that
+takes the power sums k!*ch_k of a class to its Chern classes.
 """
 
 from __future__ import annotations
@@ -119,11 +129,15 @@ class CohClass(_TruncatedRing):
     _term = "({})*{}"
 
     def __init__(self, d, coeffs):
-        coeffs = [Fraction(x) for x in coeffs]
+        """Raises ValueError unless there are d + 1 coefficients, and
+        TypeError for one that is not an int or a Fraction (a bool too)."""
+        coeffs = tuple(coeffs)
         if len(coeffs) != d + 1:
             raise ValueError(f"need {d + 1} coefficients for dimension {d}")
+        if not all(type(x) is int for x in coeffs):
+            coeffs = tuple(map(_normal, coeffs))
         self.d = d
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
 
     @classmethod
     def u(cls, d, power=1):
@@ -133,8 +147,9 @@ class CohClass(_TruncatedRing):
         """Multiplicative inverse; requires a nonzero constant term."""
         if self.coeffs[0] == 0:
             raise NonUnit("constant term is zero")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * self.d
+        # from Fraction(1): 1 / c over int coefficients would be a float
+        inv0 = Fraction(1) / self.coeffs[0]
+        out = [inv0] + [0] * self.d
         for k in range(1, self.d + 1):
             out[k] = -inv0 * sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))
         return CohClass(self.d, out)
@@ -148,7 +163,17 @@ class CohClass(_TruncatedRing):
         return self.coeffs[i]
 
     def is_integral(self):
-        return all(x.denominator == 1 for x in self.coeffs)
+        return all(type(x) is int for x in self.coeffs)
+
+
+def _normal(x):
+    """A CohClass coefficient in normal form: an integral Fraction becomes
+    its int; TypeError unless x is an int or a Fraction (a bool too)."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"cohomology coefficients must be int or Fraction, got {x!r}")
 
 
 def exp_series(t, d):
@@ -170,7 +195,9 @@ def exp_series(t, d):
 # many thousands of them, so the K-theory layer works on plain int lists and
 # only wraps the final answer in a CohClass.  Each factor comes from its
 # binomial closed form (_line_pow), never from repeated products, so its cost
-# does not grow with |k|.
+# does not grow with |k|.  ktheory.total_chern takes the other route, from
+# the integer power sums through _elementary_from_power_sums, so the two
+# can be checked against each other.
 # ---------------------------------------------------------------------------
 
 def _mul(xs, ys, d):
@@ -211,3 +238,27 @@ def _line_product(mults, d):
         if k:
             series = _mul(series, _line_pow(j, k, d), d)
     return series
+
+
+def _elementary_from_power_sums(sums):
+    """Elementary symmetric e_1..e_d from integer power sums s_1..s_d: the
+    inverse of chernvec.newton_power_sums, by Newton's identities solved
+    for e_k,
+
+        k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i,    e_0 = 1.
+
+    With s_k = k!*ch_k(x) this takes a virtual class to its Chern classes in
+    O(d^2) integer steps.  Raises ArithmeticError if a division by k is not
+    exact, i.e. the power sums are not those of an integral class.
+    """
+    es = [1]
+    for k in range(1, len(sums) + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            term = es[k - i] * sums[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        e, r = divmod(acc, k)
+        if r:
+            raise ArithmeticError(f"power sums {sums!r} give a non-integral e_{k} = {acc}/{k}")
+        es.append(e)
+    return es[1:]

@@ -211,13 +211,28 @@ def elem_sym(values, q):
     return coeffs[q]
 
 
+def _check_nodes(nodes):
+    """The nodes as a list: ValueError if there are none, TypeError for a
+    node that is not an int or a Fraction (a bool is refused too)."""
+    nodes = list(nodes)
+    if not nodes:
+        raise ValueError("a Vandermonde matrix needs at least one node")
+    for x in nodes:
+        if not (_is_int(x) or type(x) is Fraction):
+            raise TypeError(f"Vandermonde nodes must be int or Fraction, got {x!r}")
+    return nodes
+
+
 def vandermonde_inverse(nodes):
     """Closed-form inverse, as Fraction rows, of the Vandermonde matrix
     V[i][j] = nodes[i]^j.
 
     Entry (i, j) is (-1)^(n-1-i) sigma_{n-1-i}(nodes without nodes[j])
-    divided by prod_{l != j} (nodes[j] - nodes[l]).
+    divided by prod_{l != j} (nodes[j] - nodes[l]).  Raises ValueError for
+    no nodes, TypeError for a node that is not an int or a Fraction (a bool
+    too) and DuplicateNodes for a repeated node.
     """
+    nodes = _check_nodes(nodes)
     n = len(nodes)
     if len(set(nodes)) != n:
         raise DuplicateNodes(f"nodes {nodes!r} are not pairwise distinct")
@@ -235,7 +250,8 @@ def vandermonde_inverse(nodes):
 
 def vandermonde_matrix(nodes):
     """V[i][j] = nodes[i]^j as int rows, the matrix inverted by
-    vandermonde_inverse."""
+    vandermonde_inverse; the nodes are checked as there."""
+    nodes = _check_nodes(nodes)
     n = len(nodes)
     return [[x ** j for j in range(n)] for x in nodes]
 

@@ -181,7 +181,7 @@ def pontrjagin_of_X(X):
     point = dict(zip("mnq", X.params()))
     formulas = tuple(p.evaluate(**point) for p in _PONTRJAGIN[X.d])
     total = pontrjagin_total(tangent_ko_class(X))
-    from_ko = tuple(int(total.coeff(2 * i)) for i in range(1, X.d // 2 + 1))
+    from_ko = tuple(total.coeff(2 * i) for i in range(1, X.d // 2 + 1))
     if from_ko != formulas:
         raise ArithmeticError(f"Pontrjagin mismatch: formulas {formulas}, K-theory {from_ko}")
     return formulas
@@ -548,7 +548,7 @@ def cp5_structure(X):
         e=e,
         reduction=real_reduce(e),
         tangent=tangent_ko_class(X),
-        euler_coefficient=int(total_chern(e).coeff(5)),
+        euler_coefficient=total_chern(e).coeff(5),
     )
 
 

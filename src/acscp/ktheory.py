@@ -19,6 +19,13 @@ Supported maps:
         on KO, psi^k(w) = r((L+1)^k - 1)
   * chern_character, total_chern, pontrjagin_total
 
+Total Chern classes come from the integer Chern character: the power sums
+s_k = k!*ch_k(x) are read off the cached Stirling table _ch_table(d), and
+the inverse Newton recursion cohomology._elementary_from_power_sums turns
+them into c_1..c_d in O(d^2) integer steps.  The product of binomial
+line-bundle factors stays the independent route, in
+chernvec.chern_from_multiplicities.
+
 KClass and KOClass take their arithmetic from cohomology._TruncatedRing;
 each only normalises its int coefficients.  The four ring maps t, c, psi^k
 and psi^k on KO are one routine, _compose, which replaces the generator of
@@ -34,8 +41,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .cohomology import (CohClass, exp_series, _line_product, _mul,
-                         _TruncatedRing)
+from .cohomology import (CohClass, exp_series, _elementary_from_power_sums,
+                         _mul, _TruncatedRing)
 
 
 class UnsupportedDimension(ValueError):
@@ -171,12 +178,20 @@ def _ch_table(d):
     return tuple(table)
 
 
+def _scaled_ch(x):
+    """k!*ch_k(x) for k = 0..d, as ints, from the rows of _ch_table."""
+    terms = [(c, row) for c, row in zip(x.coeffs, _ch_table(x.d)) if c]
+    return [sum(c * row[k] for c, row in terms) for k in range(x.d + 1)]
+
+
 def chern_character(x):
-    """ch(x) in Q[u]/(u^(d+1)): additive extension of ch(L^i) = (e^u - 1)^i."""
-    d = x.d
-    terms = [(c, row) for c, row in zip(x.coeffs, _ch_table(d)) if c]
-    return CohClass(d, [Fraction(sum(c * row[k] for c, row in terms), factorial(k))
-                        for k in range(d + 1)])
+    """ch(x) in Q[u]/(u^(d+1)): additive extension of ch(L^i) = (e^u - 1)^i.
+    A Fraction is built only for a coefficient that is not integral."""
+    coeffs = []
+    for k, s in enumerate(_scaled_ch(x)):
+        q, r = divmod(s, factorial(k))
+        coeffs.append(Fraction(s, factorial(k)) if r else q)
+    return CohClass(x.d, coeffs)
 
 
 def line_multiplicities(x):
@@ -197,13 +212,14 @@ def line_multiplicities(x):
 def total_chern(x):
     """Total Chern class of a virtual class, multiplicative over sums.
 
-    c(H^j) = 1 + j*u, so after expanding x over the H^j the answer is the
-    product of (1 + j*u)^(mult_j).  The rank part (j = 0) contributes
-    nothing.  Each factor is read off the binomial series, coefficient i
-    being C(mult_j, i) j^i, in O(d) integer steps however large |mult_j| is.
-    Coefficients are always integers.
+    Over the line bundles H^j, with c(H^j) = 1 + j*u, the power sums of the
+    Chern roots are s_k = sum_j mult_j j^k = k!*ch_k(x); the rank part
+    contributes nothing for k >= 1.  So c_1..c_d come from the integer
+    Chern character by the inverse Newton recursion, in O(d^2) integer steps
+    however large the coefficients of x are.  Coefficients are always
+    integers.
     """
-    return CohClass(x.d, _line_product(line_multiplicities(x)[1:], x.d))
+    return CohClass(x.d, [1] + _elementary_from_power_sums(_scaled_ch(x)[1:]))
 
 
 # ---------------------------------------------------------------------------

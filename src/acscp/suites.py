@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import mul
 from pathlib import Path
 
 from .chernvec import (chern_from_multiplicities, closed_form_w,
@@ -159,18 +160,19 @@ def suite_chernvec(seed=0):
             if det_exact(w_matrix(d)) != want:
                 yield f"det W({d}) != {want}"
 
-    # closed-form decomposition: integral and equal to the generic solve,
-    # W^-1 b(m) = adj(W) b(m) / det W with W eliminated once per d
+    # closed-form decomposition: integral and equal to the generic solve
+    # W^-1 b(m) = adj(W) b(m) / det W, compared in integers as
+    # det * closed == adj(W) b(m), with W eliminated once per d
     def decomposition_failures():
         for d in range(1, 9):
             adj, det = adjugate(w_matrix(d))
             for m in range(-30, 31):
                 closed = closed_form_w(m, d)
+                b = [m ** i for i in range(d + 1)]
                 if any(x.denominator != 1 for x in closed):
                     yield f"non-integral decomposition at m={m}, d={d}"
-                b = [m ** i for i in range(d + 1)]
-                solved = [Fraction(sum(r * x for r, x in zip(row, b)), det) for row in adj]
-                if closed != solved:
+                elif ([det * x.numerator for x in closed]
+                      != [sum(map(mul, row, b)) for row in adj]):
                     yield f"closed form != solve at m={m}, d={d}"
 
     # binomial form of the closed solution (m >= n case), unit vectors below

@@ -46,6 +46,11 @@ def test_lattice_inputs_are_checked():
                         (lambda: closed_form_w(2.5, 3), TypeError),
                         (lambda: closed_form_w(True, 3), TypeError),
                         (lambda: closed_form_w(2, 3.0), TypeError),
+                        (lambda: moment_vector(2, -1), ValueError),
+                        (lambda: moment_vector(2, 0), ValueError),
+                        (lambda: moment_vector(1.5, 2), TypeError),
+                        (lambda: moment_vector(True, 2), TypeError),
+                        (lambda: moment_vector(2, 2.0), TypeError),
                         (lambda: w_matrix(0), ValueError),
                         (lambda: w_matrix(2.0), TypeError),
                         (lambda: q_matrix(-3), ValueError),
@@ -53,6 +58,15 @@ def test_lattice_inputs_are_checked():
                         (lambda: q_matrix("4"), TypeError)):
         with pytest.raises(error, match="must be"):
             call()
+
+
+def test_moment_vector_checks_the_degree_first():
+    # a bad d is reported even when m is bad too, as in w_matrix
+    with pytest.raises(ValueError, match="degree d"):
+        moment_vector(1.5, -1)
+    with pytest.raises(TypeError, match="degree d"):
+        moment_vector("2", 2.0)
+    assert moment_vector(-3, 3) == [1, -3, 9, -27]
 
 
 def test_closed_form_unit_vectors():

@@ -5,8 +5,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acscp.chernvec import newton_power_sums
 from acscp.cohomology import (CohClass, DimensionMismatch, NonUnit, exp_series,
-                              _line_pow)
+                              _elementary_from_power_sums, _line_pow)
 
 
 def C(d, *coeffs):
@@ -31,6 +32,47 @@ def test_invert_unit():
     assert CohClass.one(3).invert_unit() == CohClass.one(3)
     with pytest.raises(NonUnit):
         CohClass.u(4).invert_unit()
+
+
+def test_invert_unit_of_int_coefficients_is_exact():
+    # 1/3 over int coefficients must be Fraction(1, 3), never 0.333...
+    inv = C(4, 3, 1, 2).invert_unit()
+    assert all(type(x) in (int, Fraction) for x in inv.coeffs)
+    assert inv.coeffs[:3] == (Fraction(1, 3), Fraction(-1, 9), Fraction(-5, 27))
+    assert inv * C(4, 3, 1, 2) == CohClass.one(4)
+    assert C(3, -1, 4).invert_unit().coeffs == (-1, -4, -16, -64)
+
+
+def test_coefficients_in_normal_form():
+    x = C(3, Fraction(4, 2), Fraction(1, 3), -7, Fraction(-9, 3))
+    assert [type(c) for c in x.coeffs] == [int, Fraction, int, int]
+    assert x.coeffs == (2, Fraction(1, 3), -7, -3)
+    assert [type(c) for c in exp_series(2, 4).coeffs] == [int, int, int, Fraction, Fraction]
+    assert x.is_integral() is False and (x * 3).is_integral()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.integers(-10 ** 12, 10 ** 12), min_size=d + 1, max_size=d + 1)))
+def test_int_built_class_equals_fraction_built(cs):
+    # an int-built class equals and hashes like the Fraction-built one, and
+    # prints the same
+    d = len(cs) - 1
+    x, y = CohClass(d, cs), CohClass(d, [Fraction(c) for c in cs])
+    assert all(type(c) is int for c in y.coeffs)
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    half = CohClass(d, [Fraction(c, 2) for c in cs])
+    assert all((type(c) is int) == (c.denominator == 1) for c in half.coeffs)
+    assert half * 2 == x and hash(half * 2) == hash(x)
+
+
+def test_coefficients_must_be_int_or_fraction():
+    # a float is refused, not read as its binary value; a bool is not 1
+    for bad in (0.1, True, False, "1", None, 1.0):
+        with pytest.raises(TypeError, match="cohomology coefficients must be int or Fraction"):
+            CohClass(1, [0, bad])
+    with pytest.raises(ValueError, match="need 3 coefficients"):
+        CohClass(2, [1, 2])
 
 
 def test_pow_line_bundle_series():
@@ -113,3 +155,21 @@ def test_line_pow_at_huge_exponents():
         assert _line_pow(j, -big, 8) == [(-1) ** i * comb(big + i - 1, i) * j ** i
                                          for i in range(9)]
     assert _line_pow(5, 3, 6) == [1, 15, 75, 125, 0, 0, 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=8))
+def test_inverse_recursion_undoes_newton_power_sums(cs):
+    assert _elementary_from_power_sums(newton_power_sums(cs)) == cs
+
+
+def test_inverse_recursion_on_line_bundles():
+    # roots 1, 2, 3: power sums 6, 14, 36 and e = (6, 11, 6)
+    assert _elementary_from_power_sums([6, 14, 36]) == [6, 11, 6]
+    assert _elementary_from_power_sums([]) == []
+
+
+def test_inverse_recursion_refuses_non_integral_classes():
+    # s = (1, 0): 2 e_2 = e_1 s_1 - s_2 = 1, so e_2 = 1/2
+    with pytest.raises(ArithmeticError, match="non-integral e_2"):
+        _elementary_from_power_sums([1, 0])

@@ -70,6 +70,73 @@ Pontrjagin classes of omega powers over CP^6:
 """
 
 
+# divisor targets, admissible a and one structure per homotopy CP^4
+DEMO_04_STDOUT = """\
+X(m=0, n=0):  p = (5, 10),  divisor target 25
+  admissible a: [-25, -5, -1, 1, 5, 25]
+  e.g. a=1: chern (1, -2, 2, 5), decomposition (1, -4, 4, -1)
+
+X(m=6, n=3):  p = (149, 3178),  divisor target 9529
+  admissible a: [-9529, -733, -13, -1, 1, 13, 733, 9529]
+  e.g. a=1: chern (1, -74, 1154, 5), decomposition (2245, -2704, 1312, -193)
+
+X(m=-8, n=12):  p = (-187, 5002),  divisor target 15001
+  admissible a: [-15001, -2143, -7, -1, 1, 7, 2143, 15001]
+  e.g. a=1: chern (1, 94, 1922, 5), decomposition (4881, -5620, 2676, -417)
+
+standard CP^4 structure: (5, 10, 10, 5) = binomials C(5,k)
+"""
+
+# the explicit CP^5 structures; c_5(E) is read off total_chern
+DEMO_05_STDOUT = """\
+X(m=0, n=0):
+  E = 6*L
+  r(E) = 6*w  == tangent: True
+  c_5(E) = 6 u^5  == Euler class: True
+
+X(m=2, n=0):
+  E = 6*L + 24*L^2 + 86*L^4 + -62*L^5
+  r(E) = 54*w + 196*w^2  == tangent: True
+  c_5(E) = 6 u^5  == Euler class: True
+
+X(m=-2, n=4):
+  E = 6*L + -24*L^2 + 320*L^3 + -86*L^4 + -706*L^5
+  r(E) = -42*w + 764*w^2  == tangent: True
+  c_5(E) = 6 u^5  == Euler class: True
+
+X(m=12, n=-7):
+  E = 6*L + 144*L^2 + -560*L^3 + 516*L^4 + -7672*L^5
+  r(E) = 294*w + -504*w^2  == tangent: True
+  c_5(E) = 6 u^5  == Euler class: True
+
+symbolic check that c_5(E) = 6 u^5 identically: True
+"""
+
+# the CP^6 constraint, the mod-31 residues, the symbolic numerators and the
+# structures found in a window
+DEMO_06_STDOUT = """\
+constraint: 32*m^3 - 252*m^2 - 672*m*n + 301*m + 1152*n + 1488*q = 0
+allowed (m, n) residues mod 31: [(0, 0), (1, 7), (2, 6), (3, 9), (4, 7), (5, 6), (6, 25), (7, 15), (8, 23), (9, 24), (10, 4), (11, 28), (12, 10), (13, 2), (14, 16), (16, 11), (17, 12), (18, 3), (19, 27), (20, 12), (21, 27), (22, 13), (23, 18), (24, 17), (25, 26), (26, 27), (27, 8), (28, 6), (29, 12), (30, 7)]
+
+decomposition denominators: ['2976*a^1', '23808*a^1', '2976*a^1', '23808*a^1', '3720*a^1', '23808*a^1']
+a-free part f of the first numerator:
+  f = -898560*m^3 - 1240*c^2 + 4397760*m^2 + 12441600*m*n + 1312920*m - 1814400*n + 22785
+(f_3 - 3f)/a reduced mod 3 with a^3 = a: 0
+same quantity under the 228 slip: m^2  <- the spurious obstruction
+
+X(m=0, n=0, q=0): exists=True, 14 structures with |a|,|c| <= 40
+  first few (a, c): [(-7, -35), (-1, -25), (-1, -17), (-1, -1), (-1, 7), (-1, 23)]
+
+X(m=48, n=12, q=-1747): exists=True, 20 structures with |a|,|c| <= 40
+  first few (a, c): [(-25, 19), (-23, -35), (-23, -11), (-7, -35), (-1, -25), (-1, -17)]
+
+X(m=16, n=11, q=23): exists=True, 14 structures with |a|,|c| <= 40
+  first few (a, c): [(-23, 37), (-1, -25), (-1, -17), (-1, -1), (-1, 7), (-1, 23)]
+
+standard CP^6 structure: (7, 21, 35, 35, 21, 7) decomposition (7, 0, 0, 0, 0, 0)
+"""
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
@@ -78,6 +145,9 @@ def test_demo_runs(demo):
     assert done.returncode == 0, done.stderr
     pinned = {"01_exact_arithmetic.py": DEMO_01_STDOUT,
               "02_chern_character_lattice.py": DEMO_02_STDOUT,
-              "03_ktheory_maps.py": DEMO_03_STDOUT}
-    if demo.name in pinned:
-        assert done.stdout == pinned[demo.name]
+              "03_ktheory_maps.py": DEMO_03_STDOUT,
+              "04_cp4_structures.py": DEMO_04_STDOUT,
+              "05_cp5_structures.py": DEMO_05_STDOUT,
+              "06_cp6_structures.py": DEMO_06_STDOUT}
+    assert set(pinned) == {d.name for d in DEMOS}
+    assert done.stdout == pinned[demo.name]

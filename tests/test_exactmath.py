@@ -273,6 +273,26 @@ def test_vandermonde_duplicate_nodes():
         vandermonde_inverse([0, 0, 1])
 
 
+def test_vandermonde_matrix_checks_its_nodes():
+    # a float node is refused, not turned into float rows
+    for bad in ([0.5, 1], [True, 2], ["1", 2], [None]):
+        with pytest.raises(TypeError, match="Vandermonde nodes must be int or Fraction"):
+            vandermonde_matrix(bad)
+    with pytest.raises(ValueError, match="at least one node"):
+        vandermonde_matrix([])
+    assert vandermonde_matrix([Fraction(1, 2), 1]) == [[1, Fraction(1, 2)], [1, 1]]
+
+
+def test_vandermonde_inverse_checks_its_nodes():
+    # a float node is refused at the boundary, not left to fail inside Fraction
+    for bad in ([0.5, 1], [1, False], ["1", 2], [None]):
+        with pytest.raises(TypeError, match="Vandermonde nodes must be int or Fraction"):
+            vandermonde_inverse(bad)
+    with pytest.raises(ValueError, match="at least one node"):
+        vandermonde_inverse([])
+    assert vandermonde_inverse([Fraction(1, 2)]) == [[1]]
+
+
 def test_vandermonde_identity_product():
     rng = random.Random(5)
     for _ in range(30):

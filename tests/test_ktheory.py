@@ -4,8 +4,10 @@ from math import factorial
 from operator import add, mul, sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from acscp.cohomology import CohClass, DimensionMismatch, exp_series
+from acscp.chernvec import chern_from_multiplicities
+from acscp.cohomology import CohClass, DimensionMismatch, exp_series, _line_product
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            UnsupportedOperation, adams, adams_ko,
                            chern_character, complexify, conjugate,
@@ -158,6 +160,51 @@ def test_total_chern_series():
 
 def test_total_chern_of_multiple():
     assert total_chern(6 * KClass.L(5)).coeffs == (1, 6, 15, 20, 15, 6)
+
+
+def line_product_route(x):
+    """c(x) as the product of binomial line-bundle factors (1 + j*u)^mult_j."""
+    return _line_product(line_multiplicities(x)[1:], x.d)
+
+
+BIG = st.integers(-10 ** 12, 10 ** 12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.one_of(st.just(0), BIG), min_size=d + 1, max_size=d + 1)))
+def test_total_chern_matches_the_line_product(cs):
+    # the power-sum route against the independent binomial product
+    x = KClass(len(cs) - 1, cs)
+    got = total_chern(x)
+    assert list(got.coeffs) == line_product_route(x)
+    assert all(type(c) is int for c in got.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((4, 5, 6)).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(BIG, min_size=4, max_size=4))))
+def test_total_chern_of_complexifications_matches_the_line_product(case):
+    # the classes that pontrjagin_total reads
+    d, cs = case
+    x = complexify(KOClass(d, cs[:3] if d == 4 else cs))
+    assert list(total_chern(x).coeffs) == line_product_route(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8))
+def test_total_chern_agrees_with_chern_from_multiplicities(mults):
+    # sum_k a_k (H^k - 1) through the two routes that no longer share code
+    d = len(mults)
+    H = KClass.H(d)
+    x = sum((a * (H ** k - 1) for k, a in enumerate(mults, start=1)), KClass.zero(d))
+    assert total_chern(x).coeffs[1:] == chern_from_multiplicities(mults)
+
+
+def test_chern_character_keeps_integral_coefficients_as_ints():
+    ch = chern_character(KClass(4, [3, 0, 2]))
+    assert ch.coeffs == (3, 0, 2, 2, Fraction(7, 6))
+    assert [type(c) for c in ch.coeffs] == [int, int, int, int, Fraction]
 
 
 def test_total_chern_is_exponential():
