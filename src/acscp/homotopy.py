@@ -53,8 +53,30 @@ on a^2 only and the test on |a| and |c| only, so the direct scan runs them
 once per sign class (|a|, |c|) and visits the four cells (+-a, +-c) of a
 class that passes.  The conjugate cells (a, c) and (-a, -c) share c_2, c_4
 and num_5, so v(-a, -c)_i = (-1)^i v(a, c)_i; s_i has weighted degree i, so
-s_i(-a, -c) = (-1)^i s_i(a, c) as well.  One Newton recursion serves both
-cells, and each cell is decomposed on its own.
+s_i(-a, -c) = (-1)^i s_i(a, c) as well.
+
+The scan does not run Newton's identities per cell.  Fix a, so that c_2
+and h_4 are fixed, and read v = (a, c_2, c, a c + h_4, c_5, 7) as a
+function of (c, c_5).  The power sum s_i is a sum of monomials
+e_(k_1) ... e_(k_r) with k_1 + ... + k_r = i <= 6, e_k of weight k.  Only
+e_3 = c and e_4 = a c + h_4 depend on c, and a monomial holds at most two
+of them, both e_3 (3 + 3 = 6, while 3 + 4 and 4 + 4 exceed 6), so s_i has
+degree at most 2 in c.  e_5 = c_5 enters only as 5 e_5 in s_5 and 6 e_1 e_5
+in s_6.  So for every reduced adjugate row (row, det) of acscp.chernvec,
+
+    row . s = alpha c^2 + beta c + gamma + delta c_5,
+
+with integers alpha, beta, gamma, delta that depend on a only.  Four
+Newton recursions, at (c, c_5) = (0, 0), (1, 0), (-1, 0) and (0, 1), give
+row values f with gamma = f(0, 0), beta = (f(1, 0) - f(-1, 0))/2,
+alpha = (f(1, 0) + f(-1, 0))/2 - gamma and delta = f(0, 1) - gamma, all
+exact.  The same samples with s_i multiplied by (-1)^i give the forms of
+the conjugate cells (-a, -c), evaluated at the same (c, c_5).  A cell is
+then decomposed by divmod(alpha c^2 + beta c + gamma + delta c_5, det) per
+row, with c_5 = (K - c^2)/(2a) + c_2 c; the quotients are the
+decomposition, and the Chern vector is built only for a cell that passes.
+So the scan costs four Newton recursions per |a| with a passing class,
+whatever the number of cells.
 
 For d = 6 the congruence-and-divisor criterion is uniform in the
 parameters, and (a, c) = (1, 1) always satisfies it, so every admissible
@@ -82,8 +104,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
-from .chernvec import _decompose, _q_adjugate, newton_power_sums
+from .chernvec import _decompose, _q_adjugate, _q_rows, newton_power_sums
 from .exactmath import (MPolyZ, NotDivisible, _is_int, divisors_signed,
                         poly_variables)
 from .ktheory import (KClass, KOClass, UnsupportedDimension, pontrjagin_total,
@@ -439,32 +462,81 @@ def _criterion_set_cp6(X, a_max, c_max):
     return out
 
 
+# the (c, c_5) points at which _row_forms samples the power sums
+_FORM_POINTS = ((0, 0), (1, 0), (-1, 0), (0, 1))
+
+
+def _row_forms(a, head):
+    """The reduced adjugate rows of Q as forms in (c, c_5) at c_1 = a.
+
+    With head = (c_2, h_4) and v = (a, c_2, c, a c + h_4, c_5, 7), returns
+    (forms, conjugate_forms), each one (alpha, beta, gamma, delta, det) per
+    pair (row, det) of _q_rows(6), with
+
+        row . newton_power_sums(v) = alpha c^2 + beta c + gamma + delta c_5
+
+    for the forms and the same with the conjugate power sums (-1)^i s_i for
+    the conjugate forms, i.e. row . s at the conjugate cell's vector
+    (-a, c_2, -c, a c + h_4, -c_5, 7).  Four Newton recursions, one per
+    point of _FORM_POINTS; the divisions by 2 are exact because the row
+    values are such forms (see the module docstring)."""
+    c2, h4 = head
+    samples = [newton_power_sums((a, c2, c, a * c + h4, c5, 7)) for c, c5 in _FORM_POINTS]
+    out = []
+    for sums in (samples, [_conjugate_sums(s) for s in samples]):
+        forms = []
+        for row, det in _q_rows(6):
+            f0, f1, fm1, f5 = (sum(map(mul, row, s)) for s in sums)
+            forms.append(((f1 + fm1) // 2 - f0, (f1 - fm1) // 2, f0, f5 - f0, det))
+        out.append(tuple(forms))
+    return tuple(out)
+
+
+def _form_quotients(forms, c, c5):
+    """The quotients (alpha c^2 + beta c + gamma + delta c_5) / det over the
+    forms, or None at the first one that is not exact: the decomposition
+    tuple of the cell, as _decompose gives it from its power sums."""
+    cc = c * c
+    out = []
+    for alpha, beta, gamma, delta, det in forms:
+        x, r = divmod(alpha * cc + beta * c + gamma + delta * c5, det)
+        if r:
+            return None
+        out.append(x)
+    return tuple(out)
+
+
 def _direct_set_cp6(p, a_max, c_max):
     """{(a, c): ACSSolution} over the odd (a, c) in the window whose
     completion exists and decomposes integrally.  Pure integer arithmetic.
 
     The head, K and the test 2|a| | K - c^2 (see the module docstring) depend
-    on |a| and |c| only, so they run once per sign class; the four cells of
-    a passing class share one Newton recursion per conjugate pair, and each
-    cell is decomposed on its own."""
+    on |a| and |c| only, so they run once per sign class.  Each |a| with a
+    passing class takes the row forms of a and -a from four Newton
+    recursions; a cell is then decomposed by evaluating them at its (c, c_5),
+    and its Chern vector is built only when it decomposes."""
     squares = [(c, c * c) for c in range(1, c_max + 1, 2)]
     out = {}
     for a in range(1, a_max + 1, 2):
         head = _complete_head(p, a)
         if head is None:
             continue
-        K = 14 + 2 * head[0] * head[1] + p[2]
+        c2, h4 = head
+        K = 14 + 2 * c2 * h4 + p[2]
         two_a = 2 * a
-        for c in [c for c, cc in squares if (K - cc) % two_a == 0]:
+        classes = [(c, (K - cc) // two_a) for c, cc in squares if (K - cc) % two_a == 0]
+        if not classes:
+            continue
+        forms, conjugate_forms = _row_forms(a, head)
+        for c, q5 in classes:
             for c3 in (c, -c):
-                v = _complete_tail(p, a, head, c3)
-                sums = newton_power_sums(v)
-                dec = _decompose(sums)
+                c5 = q5 + c2 * c3
+                dec = _form_quotients(forms, c3, c5)
                 if dec is not None:
-                    out[a, c3] = ACSSolution(6, a, c3, v, dec)
-                dec = _decompose(_conjugate_sums(sums))
+                    out[a, c3] = ACSSolution(6, a, c3, (a, c2, c3, a * c3 + h4, c5, 7), dec)
+                dec = _form_quotients(conjugate_forms, c3, c5)
                 if dec is not None:
-                    out[-a, -c3] = ACSSolution(6, -a, -c3, _complete_tail(p, -a, head, -c3), dec)
+                    out[-a, -c3] = ACSSolution(6, -a, -c3, (-a, c2, -c3, a * c3 + h4, -c5, 7), dec)
     return out
 
 

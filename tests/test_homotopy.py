@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from acscp import homotopy
 from acscp.chernvec import (NotRealizable, newton_power_sums, q_matrix,
-                            realizable, _q_adjugate)
+                            realizable, _q_adjugate, _q_rows)
 from acscp.exactmath import MPolyZ, divisors_signed, solve_exact
 from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP6_CONSTRAINT,
                             CP6_PONTRJAGIN, ConstraintViolated, HtpyCP,
@@ -21,8 +22,8 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP6_CONSTRAINT,
                             tangent_ko_class, validate_params,
                             _CP6_F_MULTIPLES, _complete_head,
                             _complete_ints, _complete_tail, _criterion_set_cp6,
-                            _direct_set_cp4, _direct_set_cp6, _signed_odds,
-                            _solution, _symbolic_cp6_rows)
+                            _direct_set_cp4, _direct_set_cp6, _row_forms,
+                            _signed_odds, _solution, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            pontrjagin_total)
 
@@ -381,6 +382,8 @@ def test_complete_tail_of_the_conjugate_cell_is_the_sign_flip(mnq):
 @pytest.mark.parametrize("mnq, a_max, c_max", [
     ((0, 0, 0), 45, 29), ((16, 11, 23), 61, 35), ((-48, 16, 2419), 33, 47),
     ((32, 7, -442), 1, 1),
+    # |m| = 1.6e9: n = 15 and q from the constraint
+    ((16 * 10 ** 8, 15, -88086021071827946474193560), 45, 45),
 ])
 def test_direct_scan_cp6_returns_the_per_cell_solutions(mnq, a_max, c_max):
     # every cell, both signs of a and c, against _solution with no symmetry
@@ -392,6 +395,48 @@ def test_direct_scan_cp6_returns_the_per_cell_solutions(mnq, a_max, c_max):
     assert direct == per_cell
     assert {(a, c) for a, c in direct if a < 0} and {(a, c) for a, c in direct if c < 0}
     assert acs_search_cp6(X, a_max, c_max) == [per_cell[k] for k in sorted(per_cell)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-5 * 10 ** 5, 5 * 10 ** 5 - 1).map(lambda j: 2 * j + 1),
+       *[st.integers(-10 ** 12, 10 ** 12)] * 4)
+def test_row_forms_equal_the_rows_at_every_point(a, c2, h4, c, c5):
+    # the forms in (c, c_5) against row . s at a point the forms were not
+    # sampled at, for the cell (a, c) and the conjugate cell (-a, -c)
+    assume((c, c5) not in ((0, 0), (1, 0), (-1, 0), (0, 1)))
+    v = (a, c2, c, a * c + h4, c5, 7)
+    w = (-a, c2, -c, a * c + h4, -c5, 7)
+    forms, conjugate_forms = _row_forms(a, (c2, h4))
+    for vec, fs in ((v, forms), (w, conjugate_forms)):
+        s = newton_power_sums(vec)
+        assert len(fs) == 6
+        for (row, det), (alpha, beta, gamma, delta, fdet) in zip(_q_rows(6), fs):
+            assert fdet == det
+            assert alpha * c * c + beta * c + gamma + delta * c5 == sum(
+                x * y for x, y in zip(row, s))
+
+
+def test_direct_scan_cp6_runs_four_newton_recursions_per_first_chern_class(monkeypatch):
+    # the Newton recursions follow the |a| that have a cell with integral
+    # c_5, not the cells
+    p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
+    calls = []
+
+    def counted(cs):
+        calls.append(tuple(cs))
+        return newton_power_sums(cs)
+
+    monkeypatch.setattr(homotopy, "newton_power_sums", counted)
+    direct = _direct_set_cp6(p, 200, 200)
+    classes = cells = 0
+    for a in range(1, 201, 2):
+        head = _complete_head(p, a)
+        tails = 0 if head is None else sum(
+            _complete_tail(p, a, head, c) is not None for c in range(1, 201, 2))
+        classes += tails > 0
+        cells += 4 * tails
+    assert classes and len(calls) <= 4 * classes
+    assert cells >= 5 * len(calls) and len(direct) > 0
 
 
 _MOD31 = dict(mod31_table())
