@@ -5,7 +5,7 @@ Subcommands:
     realizable --dim D C1 ... CD     decompose a Chern vector, or reject it
     acs --dim D --m M --n N [--q Q]  decide/enumerate almost complex structures
     verify SUITE [--seed S]          run a named verification suite
-    table NAME [--csv]               emit a built-in table (mod31,
+    table NAME [--csv]               emit a built-in table (mod31 [--dim 6],
                                      pontrjagin-omega [--dim 4|6, default 6],
                                      divisor-targets [--m-max M >= 0, --dim 4])
 
@@ -156,12 +156,14 @@ def _cmd_verify(args):
 
 
 # the --dim each table reads when none is given
-_TABLE_DIM = {"pontrjagin-omega": 6, "divisor-targets": 4}
+_TABLE_DIM = {"mod31": 6, "pontrjagin-omega": 6, "divisor-targets": 4}
 
 
 def _table_rows(args):
     dim = _TABLE_DIM.get(args.table) if args.dim is None else args.dim
     if args.table == "mod31":
+        if dim != 6:
+            raise _UsageError("the mod-31 table is defined for --dim 6")
         return ["m", "n"], [list(r) for r in mod31_table()]
     if args.table == "pontrjagin-omega":
         if dim not in (4, 6):

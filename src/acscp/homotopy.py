@@ -48,11 +48,16 @@ and one tail per c, c_4 = a c + h_4 and c_5 = num_5 / (2a).  Since
 
     num_5 = (K - c^2) + 2a c_2 c,   K = 14 + 2 c_2 h_4 + p_3,
 
-c_5 is integral exactly when 2a divides K - c^2.  The head and K depend
-on a^2 only and the test on |a| and |c| only, so the direct scan runs them
-once per sign class (|a|, |c|) and visits the four cells (+-a, +-c) of a
-class that passes.  The conjugate cells (a, c) and (-a, -c) share c_2, c_4
-and num_5, so v(-a, -c)_i = (-1)^i v(a, c)_i; s_i has weighted degree i, so
+c_5 is integral exactly when c^2 = K (mod 2a).  The head and K depend on
+a^2 only and the test on |a| and |c| only, so the direct scan runs them
+once per |a| and finds the classes |c| without visiting the rest: a cached
+table per even modulus 2|a| groups the odd c < 2|a| by c^2 mod 2|a|, and
+the classes are the progressions r, r + 2|a|, ... up to c_max over the
+roots r of K.  The tables depend on the modulus alone, so a process builds
+each once; a modulus above _ROOT_TABLE_MAX gets no table and its odd c are
+tested one by one, which bounds the cache whatever the window.  The
+conjugate cells (a, c) and (-a, -c) share c_2, c_4 and num_5, so
+v(-a, -c)_i = (-1)^i v(a, c)_i; s_i has weighted degree i, so
 s_i(-a, -c) = (-1)^i s_i(a, c) as well.
 
 The scan does not run Newton's identities per cell.  Fix a, so that c_2
@@ -62,21 +67,29 @@ e_(k_1) ... e_(k_r) with k_1 + ... + k_r = i <= 6, e_k of weight k.  Only
 e_3 = c and e_4 = a c + h_4 depend on c, and a monomial holds at most two
 of them, both e_3 (3 + 3 = 6, while 3 + 4 and 4 + 4 exceed 6), so s_i has
 degree at most 2 in c.  e_5 = c_5 enters only as 5 e_5 in s_5 and 6 e_1 e_5
-in s_6.  So for every reduced adjugate row (row, det) of acscp.chernvec,
+in s_6.  So s = A c^2 + B c + G + D c_5 entry by entry, with integer
+vectors A, B, G, D that depend on a only, and for every reduced adjugate
+row (row, det) of acscp.chernvec
 
     row . s = alpha c^2 + beta c + gamma + delta c_5,
 
-with integers alpha, beta, gamma, delta that depend on a only.  Four
-Newton recursions, at (c, c_5) = (0, 0), (1, 0), (-1, 0) and (0, 1), give
-row values f with gamma = f(0, 0), beta = (f(1, 0) - f(-1, 0))/2,
-alpha = (f(1, 0) + f(-1, 0))/2 - gamma and delta = f(0, 1) - gamma, all
-exact.  The same samples with s_i multiplied by (-1)^i give the forms of
-the conjugate cells (-a, -c), evaluated at the same (c, c_5).  A cell is
-then decomposed by divmod(alpha c^2 + beta c + gamma + delta c_5, det) per
-row, with c_5 = (K - c^2)/(2a) + c_2 c; the quotients are the
-decomposition, and the Chern vector is built only for a cell that passes.
-So the scan costs four Newton recursions per |a| with a passing class,
-whatever the number of cells.
+with alpha = row . A, beta = row . B, gamma = row . G, delta = row . D.
+Four Newton recursions, at (c, c_5) = (0, 0), (1, 0), (-1, 0) and (0, 1),
+give samples f with G = f(0, 0), B = (f(1, 0) - f(-1, 0))/2,
+A = (f(1, 0) + f(-1, 0))/2 - G and D = f(0, 1) - G, all exact.  At the
+conjugate cell (-a, -c) the power sums are (-1)^i s_i, evaluated at the
+same (c, c_5), so the same vectors serve with the rows whose entry i is
+multiplied by (-1)^i, cached once.
+
+The cells (a, +-c) of one |a| are then decomposed row by row, once with
+the rows and once with the sign-flipped rows: a row's form is four dot
+products, each cell left is tested by divmod(alpha c^2 + beta c + gamma
++ delta c_5, det) with c_5 = (K - c^2)/(2a) + c_2 c and keeps its
+quotient, and a side stops at the first row that no cell passes.  The
+quotients are the decomposition, and the Chern vector is built only for a
+cell that passes every row.  So the scan costs four Newton recursions per
+|a| with a class, one divmod per cell and row reached, and rows beyond
+the first only for the sides that still have a cell.
 
 For d = 6 the congruence-and-divisor criterion is uniform in the
 parameters, and (a, c) = (1, 1) always satisfies it, so every admissible
@@ -103,6 +116,7 @@ for every (m, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -462,60 +476,95 @@ def _criterion_set_cp6(X, a_max, c_max):
     return out
 
 
-# the (c, c_5) points at which _row_forms samples the power sums
+# the (c, c_5) points at which _power_sum_forms samples the power sums
 _FORM_POINTS = ((0, 0), (1, 0), (-1, 0), (0, 1))
 
+# the largest modulus 2|c_1| given a cached square-root table: whatever the
+# window, the tables hold 16384 roots in all, about 1 MB
+_ROOT_TABLE_MAX = 512
 
-def _row_forms(a, head):
-    """The reduced adjugate rows of Q as forms in (c, c_5) at c_1 = a.
 
-    With head = (c_2, h_4) and v = (a, c_2, c, a c + h_4, c_5, 7), returns
-    (forms, conjugate_forms), each one (alpha, beta, gamma, delta, det) per
-    pair (row, det) of _q_rows(6), with
+@lru_cache(maxsize=None)
+def _odd_square_roots(mod):
+    """{r: [the odd c < mod with c^2 = r (mod mod)]} for an even modulus."""
+    roots = {}
+    for c in range(1, mod, 2):
+        roots.setdefault(c * c % mod, []).append(c)
+    return roots
 
-        row . newton_power_sums(v) = alpha c^2 + beta c + gamma + delta c_5
 
-    for the forms and the same with the conjugate power sums (-1)^i s_i for
-    the conjugate forms, i.e. row . s at the conjugate cell's vector
-    (-a, c_2, -c, a c + h_4, -c_5, 7).  Four Newton recursions, one per
-    point of _FORM_POINTS; the divisions by 2 are exact because the row
-    values are such forms (see the module docstring)."""
+def _odd_classes(mod, K, c_max):
+    """The odd c in [1, c_max] with c^2 = K (mod mod), for an even modulus:
+    the progressions r, r + mod, ... over the square roots r of K in the
+    table, or the odd c tested one by one when mod has no table."""
+    if mod > _ROOT_TABLE_MAX:
+        return [c for c in range(1, c_max + 1, 2) if (K - c * c) % mod == 0]
+    return [c for r in _odd_square_roots(mod).get(K % mod, ())
+            for c in range(r, c_max + 1, mod)]
+
+
+def _power_sum_forms(a, head):
+    """The coefficient vectors (A, B, G, D) of the power sums as forms in
+    (c, c_5) at c_1 = a: with head = (c_2, h_4),
+
+        newton_power_sums((a, c_2, c, a c + h_4, c_5, 7))
+            = A c^2 + B c + G + D c_5
+
+    entry by entry.  Four Newton recursions, one per point of _FORM_POINTS;
+    the divisions by 2 are exact because every s_i is such a form with
+    integer coefficients (see the module docstring)."""
     c2, h4 = head
-    samples = [newton_power_sums((a, c2, c, a * c + h4, c5, 7)) for c, c5 in _FORM_POINTS]
-    out = []
-    for sums in (samples, [_conjugate_sums(s) for s in samples]):
-        forms = []
-        for row, det in _q_rows(6):
-            f0, f1, fm1, f5 = (sum(map(mul, row, s)) for s in sums)
-            forms.append(((f1 + fm1) // 2 - f0, (f1 - fm1) // 2, f0, f5 - f0, det))
-        out.append(tuple(forms))
-    return tuple(out)
+    s0, s1, sm1, s5 = (newton_power_sums((a, c2, c, a * c + h4, c5, 7))
+                       for c, c5 in _FORM_POINTS)
+    return ([(x + y) // 2 - z for x, y, z in zip(s1, sm1, s0)],
+            [(x - y) // 2 for x, y in zip(s1, sm1)],
+            s0,
+            [x - z for x, z in zip(s5, s0)])
 
 
-def _form_quotients(forms, c, c5):
-    """The quotients (alpha c^2 + beta c + gamma + delta c_5) / det over the
-    forms, or None at the first one that is not exact: the decomposition
-    tuple of the cell, as _decompose gives it from its power sums."""
-    cc = c * c
-    out = []
-    for alpha, beta, gamma, delta, det in forms:
-        x, r = divmod(alpha * cc + beta * c + gamma + delta * c5, det)
-        if r:
-            return None
-        out.append(x)
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _conjugate_q_rows(d):
+    """_q_rows(d) with entry i of every row multiplied by (-1)^i: row . s
+    taken at the power sums of the conjugate cell (see _conjugate_sums)."""
+    return tuple((tuple(_conjugate_sums(row)), det) for row, det in _q_rows(d))
+
+
+def _row_quotients(rows, vectors, cells):
+    """The cells (c, c^2, c_5) that decompose integrally over rows, each
+    paired with its quotient tuple, for the power sums
+    A c^2 + B c + G + D c_5 with vectors = (A, B, G, D).
+
+    Row by row: the row's form (alpha, beta, gamma, delta) is four dot
+    products, a cell stays while divmod(alpha c^2 + beta c + gamma
+    + delta c_5, det) is exact and carries its quotients, and no further row
+    is formed once no cell is left."""
+    live = [(cell, ()) for cell in cells]
+    for row, det in rows:
+        alpha, beta, gamma, delta = (sum(map(mul, row, v)) for v in vectors)
+        kept = []
+        for cell, dec in live:
+            c, cc, c5 = cell
+            x, r = divmod(alpha * cc + beta * c + gamma + delta * c5, det)
+            if not r:
+                kept.append((cell, dec + (x,)))
+        if not kept:
+            return []
+        live = kept
+    return live
 
 
 def _direct_set_cp6(p, a_max, c_max):
     """{(a, c): ACSSolution} over the odd (a, c) in the window whose
     completion exists and decomposes integrally.  Pure integer arithmetic.
 
-    The head, K and the test 2|a| | K - c^2 (see the module docstring) depend
-    on |a| and |c| only, so they run once per sign class.  Each |a| with a
-    passing class takes the row forms of a and -a from four Newton
-    recursions; a cell is then decomposed by evaluating them at its (c, c_5),
-    and its Chern vector is built only when it decomposes."""
-    squares = [(c, c * c) for c in range(1, c_max + 1, 2)]
+    Per |a|: the head and K (see the module docstring), then the classes
+    |c| with 2|a| | K - c^2 from the square-root table of the modulus 2|a|.
+    An |a| with a class takes the coefficient vectors of its power sums from
+    four Newton recursions, and its cells (a, +-c) go row by row through
+    _row_quotients, once with the reduced adjugate rows and once with the
+    sign-flipped rows for the conjugate cells (-a, -+c).  A Chern vector is
+    built only for a cell that passes every row."""
+    rows, conjugate_rows = _q_rows(6), _conjugate_q_rows(6)
     out = {}
     for a in range(1, a_max + 1, 2):
         head = _complete_head(p, a)
@@ -524,19 +573,19 @@ def _direct_set_cp6(p, a_max, c_max):
         c2, h4 = head
         K = 14 + 2 * c2 * h4 + p[2]
         two_a = 2 * a
-        classes = [(c, (K - cc) // two_a) for c, cc in squares if (K - cc) % two_a == 0]
+        classes = _odd_classes(two_a, K, c_max)
         if not classes:
             continue
-        forms, conjugate_forms = _row_forms(a, head)
-        for c, q5 in classes:
-            for c3 in (c, -c):
-                c5 = q5 + c2 * c3
-                dec = _form_quotients(forms, c3, c5)
-                if dec is not None:
-                    out[a, c3] = ACSSolution(6, a, c3, (a, c2, c3, a * c3 + h4, c5, 7), dec)
-                dec = _form_quotients(conjugate_forms, c3, c5)
-                if dec is not None:
-                    out[-a, -c3] = ACSSolution(6, -a, -c3, (-a, c2, -c3, a * c3 + h4, -c5, 7), dec)
+        cells = []
+        for c in classes:
+            cc = c * c
+            q5 = (K - cc) // two_a
+            cells += ((c, cc, q5 + c2 * c), (-c, cc, q5 - c2 * c))
+        vectors = _power_sum_forms(a, head)
+        for (c, _, c5), dec in _row_quotients(rows, vectors, cells):
+            out[a, c] = ACSSolution(6, a, c, (a, c2, c, a * c + h4, c5, 7), dec)
+        for (c, _, c5), dec in _row_quotients(conjugate_rows, vectors, cells):
+            out[-a, -c] = ACSSolution(6, -a, -c, (-a, c2, -c, a * c + h4, -c5, 7), dec)
     return out
 
 

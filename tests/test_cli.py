@@ -154,6 +154,18 @@ def test_table_mod31_csv(capsys):
     assert len(lines) == 31
 
 
+def test_table_mod31_refuses_a_dim_other_than_6(capsys):
+    # mod31 is the d = 6 table: --dim 6 changes no byte, any other is refused
+    for fmt in ((), ("--csv",), ("--json",)):
+        _, plain, _ = run(capsys, "table", "mod31", *fmt)
+        code, out, _ = run(capsys, "table", "mod31", "--dim", "6", *fmt)
+        assert code == 0 and out == plain
+        for dim in ("4", "5", "0"):
+            code, out, err = run(capsys, "table", "mod31", "--dim", dim, *fmt)
+            assert code == 64 and out == ""
+            assert "--dim 6" in err
+
+
 def test_table_pontrjagin(capsys):
     code, doc, _ = run_json(capsys, "table", "pontrjagin-omega", "--dim", "6")
     assert code == 0

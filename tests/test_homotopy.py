@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from acscp import homotopy
 from acscp.chernvec import (NotRealizable, newton_power_sums, q_matrix,
-                            realizable, _q_adjugate, _q_rows)
+                            realizable, _decompose, _q_adjugate, _q_rows)
 from acscp.exactmath import MPolyZ, divisors_signed, solve_exact
 from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP6_CONSTRAINT,
                             CP6_PONTRJAGIN, ConstraintViolated, HtpyCP,
@@ -22,8 +22,10 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP6_CONSTRAINT,
                             tangent_ko_class, validate_params,
                             _CP6_F_MULTIPLES, _complete_head,
                             _complete_ints, _complete_tail, _criterion_set_cp6,
-                            _direct_set_cp4, _direct_set_cp6, _row_forms,
-                            _signed_odds, _solution, _symbolic_cp6_rows)
+                            _conjugate_q_rows, _direct_set_cp4,
+                            _direct_set_cp6, _odd_classes, _odd_square_roots,
+                            _power_sum_forms, _row_quotients, _signed_odds,
+                            _solution, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            pontrjagin_total)
 
@@ -401,19 +403,50 @@ def test_direct_scan_cp6_returns_the_per_cell_solutions(mnq, a_max, c_max):
 @given(st.integers(-5 * 10 ** 5, 5 * 10 ** 5 - 1).map(lambda j: 2 * j + 1),
        *[st.integers(-10 ** 12, 10 ** 12)] * 4)
 def test_row_forms_equal_the_rows_at_every_point(a, c2, h4, c, c5):
-    # the forms in (c, c_5) against row . s at a point the forms were not
-    # sampled at, for the cell (a, c) and the conjugate cell (-a, -c)
+    # the coefficient vectors and each row's form in (c, c_5) against
+    # newton_power_sums and row . s at a point they were not sampled at, for
+    # the cell (a, c) with the rows and the conjugate cell (-a, -c) with the
+    # sign-flipped rows
     assume((c, c5) not in ((0, 0), (1, 0), (-1, 0), (0, 1)))
     v = (a, c2, c, a * c + h4, c5, 7)
     w = (-a, c2, -c, a * c + h4, -c5, 7)
-    forms, conjugate_forms = _row_forms(a, (c2, h4))
-    for vec, fs in ((v, forms), (w, conjugate_forms)):
+    vectors = _power_sum_forms(a, (c2, h4))
+    s_v = newton_power_sums(v)
+    assert [x * c * c + y * c + z + t * c5 for x, y, z, t in zip(*vectors)] == s_v
+    for vec, rows in ((v, _q_rows(6)), (w, _conjugate_q_rows(6))):
         s = newton_power_sums(vec)
-        assert len(fs) == 6
-        for (row, det), (alpha, beta, gamma, delta, fdet) in zip(_q_rows(6), fs):
-            assert fdet == det
+        assert len(rows) == 6
+        for (row, det), (ref, ref_det) in zip(rows, _q_rows(6)):
+            assert det == ref_det
+            alpha, beta, gamma, delta = (sum(x * y for x, y in zip(row, u)) for u in vectors)
             assert alpha * c * c + beta * c + gamma + delta * c5 == sum(
-                x * y for x, y in zip(row, s))
+                x * y for x, y in zip(ref, s))
+        dec = _decompose(s)
+        cell = (c, c * c, c5)
+        assert _row_quotients(rows, vectors, [cell]) == ([] if dec is None else [(cell, dec)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 299).map(lambda j: 2 * j + 1),
+       st.integers(-10 ** 30, 10 ** 30), st.integers(1, 3000))
+def test_square_root_table_cells_equal_the_plain_filter(a, K, c_max):
+    # c_max on both sides of 2a, moduli with and without a table
+    plain = [c for c in range(1, c_max + 1, 2) if (K - c * c) % (2 * a) == 0]
+    assert sorted(_odd_classes(2 * a, K, c_max)) == plain
+    roots = _odd_square_roots(2 * a) if 2 * a <= homotopy._ROOT_TABLE_MAX else {}
+    for r, cs in roots.items():
+        assert cs == [c for c in range(1, 2 * a, 2) if c * c % (2 * a) == r]
+
+
+def test_square_root_tables_are_one_per_first_chern_class():
+    p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
+    _odd_square_roots.cache_clear()
+    direct = _direct_set_cp6(p, 200, 200)
+    filled = _odd_square_roots.cache_info()
+    assert 0 < filled.currsize <= len(range(1, 201, 2))
+    # a second job reads the tables the first one filled
+    assert _direct_set_cp6(p, 200, 200) == direct
+    assert _odd_square_roots.cache_info().misses == filled.misses
 
 
 def test_direct_scan_cp6_runs_four_newton_recursions_per_first_chern_class(monkeypatch):
@@ -437,6 +470,38 @@ def test_direct_scan_cp6_runs_four_newton_recursions_per_first_chern_class(monke
         cells += 4 * tails
     assert classes and len(calls) <= 4 * classes
     assert cells >= 5 * len(calls) and len(direct) > 0
+
+
+def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch):
+    # a row after the first is formed only while some cell of the side has
+    # passed every row before it, checked on the power sums of each cell
+    p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
+    row_quotients = homotopy._row_quotients
+    formed = []
+
+    def counted(rows, vectors, cells):
+        rows = list(rows)
+        sums = [[x * cc + y * c + z + t * c5 for x, y, z, t in zip(*vectors)]
+                for c, cc, c5 in cells]
+
+        def pulled():
+            for k, (row, det) in enumerate(rows):
+                assert any(all(sum(x * y for x, y in zip(r, s)) % d == 0
+                               for r, d in rows[:k]) for s in sums)
+                formed.append(k)
+                yield row, det
+
+        return row_quotients(pulled(), vectors, cells)
+
+    monkeypatch.setattr(homotopy, "_row_quotients", counted)
+    direct = _direct_set_cp6(p, 200, 200)
+    classes = 0
+    for a in range(1, 201, 2):
+        head = _complete_head(p, a)
+        classes += head is not None and any(
+            _complete_tail(p, a, head, c) is not None for c in range(1, 201, 2))
+    assert formed.count(0) == 2 * classes and len(direct) > 0
+    assert len(formed) < 6 * classes
 
 
 _MOD31 = dict(mod31_table())
