@@ -7,14 +7,19 @@ Subcommands:
     verify SUITE [--seed S]          run a named verification suite
     table NAME [--csv]               emit a built-in table (mod31 [--dim 6],
                                      pontrjagin-omega [--dim 4|6, default 6],
-                                     divisor-targets [--m-max M >= 0, --dim 4])
+                                     divisor-targets [--m-max M >= 0, default
+                                     34, --dim 4]; only divisor-targets
+                                     takes --m-max)
 
 The parser is built once per process, so repeated in-process calls of main
 pay for it once.  Output is deterministic pretty-printed JSON on stdout,
-written from the raw payload in one walk by _dumps, in the bytes
+written from the raw payload by _dumps, in the bytes
 json.dumps(sort_keys=True, indent=2) would give after integers beyond the
 53-bit safe range become decimal strings and dict keys str(k); timing goes
-to stderr.
+to stderr.  An acs solution reaches _dumps as a _Json fragment, its text
+already written: one % format of a template cached per shape (has c_3,
+Chern length, decomposition length), and the template is _dumps itself
+applied to the solution dict with "%s" holes, so the layout has one writer.
 Exit codes: 0 ok, 1 failed internal checks, 2 constraint violations, 64
 usage errors.
 """
@@ -50,16 +55,26 @@ class _Parser(argparse.ArgumentParser):
 _quote = json.encoder.encode_basestring_ascii
 
 
+class _Json(str):
+    """A fragment of JSON text written at depth 0; _dumps indents its line
+    breaks to the depth it lands at."""
+
+    __slots__ = ()
+
+
 def _dumps(value, newline="\n"):
-    """json.dumps(value, sort_keys=True, indent=2) for a raw payload, in one
-    walk.  Integers beyond the 53-bit safe range are written as decimal
-    strings, dict keys as str(k), and tuples as lists.  With indent set the
-    standard library leaves its C encoder for a pure-Python one; this writes
-    the same bytes without it."""
+    """json.dumps(value, sort_keys=True, indent=2) for a raw payload.
+    Integers beyond the 53-bit safe range are written as decimal strings,
+    dict keys as str(k), and tuples as lists; a _Json fragment is copied
+    with its line breaks indented to the depth it lands at.  With indent set
+    the standard library leaves its C encoder for a pure-Python one; this
+    writes the same bytes without it."""
     kind = type(value)
     if kind is int:
         text = int.__repr__(value)
         return text if -_SAFE < value < _SAFE else '"' + text + '"'
+    if kind is _Json:
+        return value.replace("\n", newline)
     if kind is dict:
         if not value:
             return "{}"
@@ -104,12 +119,25 @@ def _cmd_realizable(args):
     return "ok", payload
 
 
-def _solution_dict(sol):
-    out = {"a": sol.a, "chern": list(sol.full_chern),
-           "decomposition": list(sol.decomposition)}
-    if sol.c is not None:
-        out["c"] = sol.c
-    return out
+@cache
+def _solution_template(has_c, n_chern, n_dec):
+    """The JSON text of a solution with "%s" for each int, filled in sorted
+    key order: a, [c,] the Chern vector, the decomposition."""
+    hole = _Json("%s")
+    sol = {"a": hole, "chern": [hole] * n_chern, "decomposition": [hole] * n_dec}
+    if has_c:
+        sol["c"] = hole
+    return _dumps(sol)
+
+
+def _solution_json(sol):
+    """The JSON text of one ACSSolution, as _dumps would write its dict."""
+    head = (sol.a,) if sol.c is None else (sol.a, sol.c)
+    values = (*head, *sol.full_chern, *sol.decomposition)
+    if not (-_SAFE < min(values) and max(values) < _SAFE):
+        values = tuple(map(_dumps, values))
+    template = _solution_template(len(head) == 2, len(sol.full_chern), len(sol.decomposition))
+    return _Json(template % values)
 
 
 def _cmd_acs(args):
@@ -124,12 +152,12 @@ def _cmd_acs(args):
         sols = acs_search_cp4(X, cross_check_window=args.a_max)
         payload["divisor_target"] = divisor_target_cp4(X.m)
         payload["a_values"] = [s.a for s in sols]
-        payload["solutions"] = [_solution_dict(s) for s in sols]
+        payload["solutions"] = [_solution_json(s) for s in sols]
     elif args.dim == 6:
         sols = acs_search_cp6(X, a_max=args.a_max, c_max=args.c_max)
         payload["exists"] = cp6_exists(X)
         payload["window"] = {"a_max": args.a_max, "c_max": args.c_max}
-        payload["solutions"] = [_solution_dict(s) for s in sols]
+        payload["solutions"] = [_solution_json(s) for s in sols]
     else:
         rep = cp5_structure(X)
         payload["e_coefficients"] = list(rep.e.coeffs[1:])
@@ -161,6 +189,8 @@ _TABLE_DIM = {"mod31": 6, "pontrjagin-omega": 6, "divisor-targets": 4}
 
 def _table_rows(args):
     dim = _TABLE_DIM.get(args.table) if args.dim is None else args.dim
+    if args.m_max is not None and args.table in ("mod31", "pontrjagin-omega"):
+        raise _UsageError(f"the {args.table} table takes no --m-max")
     if args.table == "mod31":
         if dim != 6:
             raise _UsageError("the mod-31 table is defined for --dim 6")
@@ -177,10 +207,11 @@ def _table_rows(args):
     if args.table == "divisor-targets":
         if dim != 4:
             raise _UsageError("divisor targets are defined for --dim 4")
-        if args.m_max < 0:
-            raise _UsageError(f"--m-max must be at least 0, got {args.m_max}")
+        m_max = 34 if args.m_max is None else args.m_max
+        if m_max < 0:
+            raise _UsageError(f"--m-max must be at least 0, got {m_max}")
         rows = [[m, divisor_target_cp4(m)]
-                for m in range(-args.m_max, args.m_max + 1)
+                for m in range(-m_max, m_max + 1)
                 if m % 14 in (0, 6)]
         return ["m", "target"], rows
     raise _UsageError(f"unknown table {args.table!r}")
@@ -225,7 +256,7 @@ def _build_parser():
     p = sub.add_parser("table", help="emit a built-in table")
     p.add_argument("table", metavar="name")
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=34)
+    p.add_argument("--m-max", type=int, default=None)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--csv", action="store_true")
     group.add_argument("--json", action="store_true")

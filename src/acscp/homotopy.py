@@ -464,12 +464,16 @@ def _criterion_set_cp6(X, a_max, c_max):
     for a in _signed_odds(a_max):
         if a % 3 and a % 16 in _CP6_PARITY:
             paired.setdefault(_CP6_PARITY[a % 16], []).append(a)
+    # the target is t0 + t2 c^2 in c (see divisor_target_cp6), read off once
     target_in_c = _target_cp6(X.m, X.n)
+    t0, t2 = target_in_c.coefficient(), target_in_c.coefficient(c=2)
+    if target_in_c != t0 + MPolyZ.var("c", 2, t2):
+        raise ArithmeticError(f"divisor target {target_in_c} is not of the form t0 + t2 c^2")
     out = set()
     for c in _signed_odds(c_max):
         if c % 3 == 0:
             continue
-        target = target_in_c.evaluate(c=c)
+        target = t0 + t2 * c * c
         if target == 0:
             raise ArithmeticError(f"divisor target vanished at c={c}")
         out.update((a, c) for a in paired.get(c % 8, ()) if target % a == 0)

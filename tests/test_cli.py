@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acscp.cli import main, _build_parser, _dumps
+from acscp.cli import main, _build_parser, _dumps, _solution_json
+from acscp.homotopy import ACSSolution
 
 
 def run(capsys, *argv):
@@ -99,6 +100,23 @@ def test_table_negative_m_max_is_usage_error(capsys):
     assert "--m-max must be at least 0, got -5" in err
     code, doc, _ = run_json(capsys, "table", "divisor-targets", "--dim", "4", "--m-max", "0")
     assert code == 0 and doc["payload"]["rows"] == [[0, 25]]
+
+
+@pytest.mark.parametrize("table", ["mod31", "pontrjagin-omega"])
+@pytest.mark.parametrize("m_max", ["-5", "0", "34"])
+def test_table_without_m_max_refuses_it(capsys, table, m_max):
+    # these tables used to accept any --m-max, print the table and exit 0
+    for fmt in ((), ("--csv",), ("--json",)):
+        code, out, err = run(capsys, "table", table, "--m-max", m_max, *fmt)
+        assert code == 64 and out == ""
+        assert f"the {table} table takes no --m-max" in err
+
+
+def test_divisor_targets_m_max_defaults_to_34(capsys):
+    _, plain, _ = run(capsys, "table", "divisor-targets")
+    code, out, _ = run(capsys, "table", "divisor-targets", "--m-max", "34")
+    assert code == 0 and out == plain
+    assert [34, 288889] in json.loads(out)["payload"]["rows"]
 
 
 def test_acs_violation(capsys):
@@ -308,6 +326,37 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_dumps_matches_indented_json_dumps(value):
     assert _dumps(value) == json.dumps(_jsonable(value), sort_keys=True, indent=2)
+
+
+def _solution_dict(sol):
+    """A solution as the dict the writer used to walk, the reference for
+    _solution_json."""
+    out = {"a": sol.a, "chern": list(sol.full_chern),
+           "decomposition": list(sol.decomposition)}
+    if sol.c is not None:
+        out["c"] = sol.c
+    return out
+
+
+_solution_ints = st.one_of(
+    st.integers(),
+    st.sampled_from([2 ** 53, -(2 ** 53), 2 ** 53 - 1, -(2 ** 53) + 1, 2 ** 60, -(2 ** 60)]))
+
+
+@st.composite
+def _solutions(draw):
+    d = draw(st.sampled_from([4, 6]))
+    return ACSSolution(d, draw(_solution_ints), draw(st.none() | _solution_ints),
+                       tuple(draw(st.lists(_solution_ints, min_size=d, max_size=d))),
+                       tuple(draw(st.lists(_solution_ints, min_size=d, max_size=d))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_solutions())
+def test_solution_json_matches_the_dict_it_replaces(sol):
+    # the fragment lands two levels deep, as a solution does in a payload
+    got = _dumps({"k": [[_solution_json(sol)]]})
+    assert got == json.dumps(_jsonable({"k": [[_solution_dict(sol)]]}), sort_keys=True, indent=2)
 
 
 def test_dumps_on_empty_containers_and_edge_scalars():

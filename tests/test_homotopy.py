@@ -547,6 +547,38 @@ def test_cp6_criterion_set_equals_direct_set(k, j, a_max, c_max):
     assert direct == per_cell
 
 
+_CP6_PINNED = ((0, 0, 0), (16, 11, 23), (48, 12, -1747), (32, 7, -442),
+               (-48, 16, 2419), (0, 31, -24))
+
+
+@pytest.mark.parametrize("mnq", _CP6_PINNED)
+def test_cp6_criterion_set_equals_the_polynomial_target_route(mnq):
+    # the reference evaluates the MPolyZ target at every c, as the criterion did
+    X = validate_params(6, *mnq)
+    target = homotopy._target_cp6(X.m, X.n)
+    reference = {(a, c) for c in _signed_odds(61) if c % 3
+                 for a in _signed_odds(61)
+                 if a % 3 and homotopy._CP6_PARITY.get(a % 16) == c % 8
+                 and target.evaluate(c=c) % a == 0}
+    assert _criterion_set_cp6(X, 61, 61) == reference
+    assert (1, 1) in reference
+
+
+def test_cp6_criterion_refuses_a_target_with_a_stray_term(monkeypatch):
+    X = validate_params(6, 0, 0, 0)
+    target = homotopy._target_cp6(0, 0)
+    for stray in (MPolyZ.var("c"), MPolyZ.var("c", 4), MPolyZ.var("m", 1, 3)):
+        monkeypatch.setattr(homotopy, "_target_cp6", lambda m, n: target + stray)
+        with pytest.raises(ArithmeticError, match="not of the form"):
+            _criterion_set_cp6(X, 9, 9)
+
+
+def test_cp6_criterion_refuses_a_vanishing_target(monkeypatch):
+    monkeypatch.setattr(homotopy, "_target_cp6", lambda m, n: 200 + MPolyZ.var("c", 2, -8))
+    with pytest.raises(ArithmeticError, match="vanished at c=-?5"):
+        _criterion_set_cp6(validate_params(6, 0, 0, 0), 9, 9)
+
+
 def test_cp6_exists_everywhere():
     # every valid triple carries a structure; (1, 1) is always a witness
     for (m, n, q) in ((0, 0, 0), (16, 11, 23), (48, 12, -1747), (-48, 16, 2419)):
