@@ -4,6 +4,9 @@ Subcommands:
 
     realizable --dim D C1 ... CD     decompose a Chern vector, or reject it
     acs --dim D --m M --n N [--q Q]  decide/enumerate almost complex structures
+                                     (--a-max A >= 1, default 200, with
+                                     --dim 4 and 6; --c-max C >= 1, default
+                                     200, with --dim 6 only)
     verify SUITE [--seed S]          run a named verification suite
     table NAME [--csv]               emit a built-in table (mod31 [--dim 6],
                                      pontrjagin-omega [--dim 4|6, default 6],
@@ -140,23 +143,41 @@ def _solution_json(sol):
     return _Json(template % values)
 
 
+# the window flags each --dim reads
+_ACS_WINDOW = {4: ("a_max",), 5: (), 6: ("a_max", "c_max")}
+
+
+def _acs_window(args):
+    """{name: value} over the window flags that --dim reads, 200 for one
+    not given; _UsageError for a flag that --dim does not read or a value
+    below 1."""
+    window = {}
+    for name in ("a_max", "c_max"):
+        flag, value = "--" + name.replace("_", "-"), getattr(args, name)
+        if name in _ACS_WINDOW[args.dim]:
+            window[name] = 200 if value is None else value
+            if window[name] < 1:
+                raise _UsageError(f"{flag} must be at least 1, got {value}")
+        elif value is not None:
+            raise _UsageError(f"acs --dim {args.dim} takes no {flag}")
+    return window
+
+
 def _cmd_acs(args):
-    for flag, value in (("--a-max", args.a_max), ("--c-max", args.c_max)):
-        if value < 1:
-            raise _UsageError(f"{flag} must be at least 1, got {value}")
+    window = _acs_window(args)
     X = validate_params(args.dim, args.m, args.n, args.q)
     payload = {"dim": args.dim, "params": {"m": X.m, "n": X.n}}
     if X.q is not None:
         payload["params"]["q"] = X.q
     if args.dim == 4:
-        sols = acs_search_cp4(X, cross_check_window=args.a_max)
+        sols = acs_search_cp4(X, cross_check_window=window["a_max"])
         payload["divisor_target"] = divisor_target_cp4(X.m)
         payload["a_values"] = [s.a for s in sols]
         payload["solutions"] = [_solution_json(s) for s in sols]
     elif args.dim == 6:
-        sols = acs_search_cp6(X, a_max=args.a_max, c_max=args.c_max)
+        sols = acs_search_cp6(X, **window)
         payload["exists"] = cp6_exists(X)
-        payload["window"] = {"a_max": args.a_max, "c_max": args.c_max}
+        payload["window"] = window
         payload["solutions"] = [_solution_json(s) for s in sols]
     else:
         rep = cp5_structure(X)
@@ -246,8 +267,8 @@ def _build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--a-max", type=int, default=200)
-    p.add_argument("--c-max", type=int, default=200)
+    p.add_argument("--a-max", type=int, default=None)
+    p.add_argument("--c-max", type=int, default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .exactmath import _power
+from .exactmath import _is_int, _power
 
 
 class DimensionMismatch(ValueError):
@@ -100,8 +100,6 @@ class _TruncatedRing:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError(f"negative powers are not defined for {type(self).__name__}")
         return _power(self, k, self.one(self.d), mul)
 
     def __eq__(self, other):
@@ -155,7 +153,7 @@ class CohClass(_TruncatedRing):
         return CohClass(self.d, out)
 
     def __pow__(self, k):
-        if k < 0:
+        if _is_int(k) and k < 0:
             return self.invert_unit() ** -k
         return super().__pow__(k)
 

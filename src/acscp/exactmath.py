@@ -53,7 +53,13 @@ class NotDivisible(ValueError):
 
 
 def _power(base, k, one, mul):
-    """base^k for k >= 0 by square-and-multiply, with unit one and product mul."""
+    """base^k for k >= 0 by square-and-multiply, with unit one and product
+    mul.  TypeError unless k is an int (a bool is refused too), ValueError
+    for k < 0."""
+    if not _is_int(k):
+        raise TypeError(f"exponents must be integers, got {k!r}")
+    if k < 0:
+        raise ValueError(f"negative powers are not defined for {type(base).__name__}")
     result = one
     while k:
         if k & 1:
@@ -482,8 +488,6 @@ class MPolyZ:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative polynomial powers are not defined")
         return _power(self, k, MPolyZ.const(1), mul)
 
     def __eq__(self, other):

@@ -68,27 +68,44 @@ e_3 = c and e_4 = a c + h_4 depend on c, and a monomial holds at most two
 of them, both e_3 (3 + 3 = 6, while 3 + 4 and 4 + 4 exceed 6), so s_i has
 degree at most 2 in c.  e_5 = c_5 enters only as 5 e_5 in s_5 and 6 e_1 e_5
 in s_6.  So s = A c^2 + B c + G + D c_5 entry by entry, with integer
-vectors A, B, G, D that depend on a only, and for every reduced adjugate
-row (row, det) of acscp.chernvec
+vectors that depend on a only, and Newton's identities
+s_i = e_1 s_(i-1) - e_2 s_(i-2) + ... + (-1)^(i-1) i e_i give all but G
+in closed form.  The only c-term below s_5 is 3c in s_3 (in s_4 the terms
+3ac from e_1 s_3, ac from e_3 s_1 and -4ac from -4 e_4 cancel).
+s_5 = ... - c_2 s_3 + c s_2 - e_4 s_1 + 5 c_5 adds -3c_2 c + c (a^2 - 2c_2)
+- a^2 c = -5c_2 c and 5 c_5.  s_6 collects 3c^2 from c s_3, the c-terms
+-5a c_2 c + c (a^3 - 3a c_2) - a c (a^2 - 2c_2) = -6a c_2 c from e_1 s_5,
+e_3 s_3 and -e_4 s_2, and 6a c_5 (5a c_5 from e_1 s_5, a c_5 from
+e_5 s_1).  So
+
+    A = (0, 0, 0, 0, 0, 3),      B = (0, 0, 3, 0, -5c_2, -6a c_2),
+    D = (0, 0, 0, 0, 5, 6a),     G = s at (c, c_5) = (0, 0),
+
+and for every reduced adjugate row (row, det) = ((r_1, ..., r_6), det) of
+acscp.chernvec
 
     row . s = alpha c^2 + beta c + gamma + delta c_5,
 
-with alpha = row . A, beta = row . B, gamma = row . G, delta = row . D.
-Four Newton recursions, at (c, c_5) = (0, 0), (1, 0), (-1, 0) and (0, 1),
-give samples f with G = f(0, 0), B = (f(1, 0) - f(-1, 0))/2,
-A = (f(1, 0) + f(-1, 0))/2 - G and D = f(0, 1) - G, all exact.  At the
-conjugate cell (-a, -c) the power sums are (-1)^i s_i, evaluated at the
-same (c, c_5), so the same vectors serve with the rows whose entry i is
-multiplied by (-1)^i, cached once.
+    alpha = 3 r_6,  delta = 5 r_5 + 6a r_6,  beta = 3 r_3 - c_2 delta,
+    gamma = row . G.
+
+G is one Newton recursion, at v = (a, c_2, 0, h_4, 0, 7), and each row's
+form is one dot product and a few products.  At the conjugate cell
+(-a, -c) the power sums are (-1)^i s_i, evaluated at the same (c, c_5), so
+the same G serves with the rows whose entry i is multiplied by (-1)^i,
+cached once.
 
 The cells (a, +-c) of one |a| are then decomposed row by row, once with
-the rows and once with the sign-flipped rows: a row's form is four dot
-products, each cell left is tested by divmod(alpha c^2 + beta c + gamma
-+ delta c_5, det) with c_5 = (K - c^2)/(2a) + c_2 c and keeps its
-quotient, and a side stops at the first row that no cell passes.  The
-quotients are the decomposition, and the Chern vector is built only for a
-cell that passes every row.  So the scan costs four Newton recursions per
-|a| with a class, one divmod per cell and row reached, and rows beyond
+the rows and once with the sign-flipped rows, in order of modulus, largest
+first: for d = 6 the 720 row comes first.  On seeded admissible triples
+it passes exactly the solutions, where the first row of _q_rows (mod 120)
+passes about half the cells, so most cells are tested once.  Each cell
+left is tested by (alpha c^2 + beta c + gamma + delta c_5) % det with
+c_5 = (K - c^2)/(2a) + c_2 c and keeps its quotient, and a side stops at
+the first row that no cell passes.  The quotients, put back in the order
+of _q_rows, are the decomposition, and the Chern vector is built only for
+a cell that passes every row.  So the scan costs one Newton recursion per
+|a| with a class, one remainder per cell and row reached, and rows beyond
 the first only for the sides that still have a cell.
 
 For d = 6 the congruence-and-divisor criterion is uniform in the
@@ -118,7 +135,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .chernvec import _decompose, _q_adjugate, _q_rows, newton_power_sums
 from .exactmath import (MPolyZ, NotDivisible, _is_int, divisors_signed,
@@ -480,9 +497,6 @@ def _criterion_set_cp6(X, a_max, c_max):
     return out
 
 
-# the (c, c_5) points at which _power_sum_forms samples the power sums
-_FORM_POINTS = ((0, 0), (1, 0), (-1, 0), (0, 1))
-
 # the largest modulus 2|c_1| given a cached square-root table: whatever the
 # window, the tables hold 16384 roots in all, about 1 MB
 _ROOT_TABLE_MAX = 512
@@ -507,23 +521,14 @@ def _odd_classes(mod, K, c_max):
             for c in range(r, c_max + 1, mod)]
 
 
-def _power_sum_forms(a, head):
-    """The coefficient vectors (A, B, G, D) of the power sums as forms in
-    (c, c_5) at c_1 = a: with head = (c_2, h_4),
-
-        newton_power_sums((a, c_2, c, a c + h_4, c_5, 7))
-            = A c^2 + B c + G + D c_5
-
-    entry by entry.  Four Newton recursions, one per point of _FORM_POINTS;
-    the divisions by 2 are exact because every s_i is such a form with
-    integer coefficients (see the module docstring)."""
-    c2, h4 = head
-    s0, s1, sm1, s5 = (newton_power_sums((a, c2, c, a * c + h4, c5, 7))
-                       for c, c5 in _FORM_POINTS)
-    return ([(x + y) // 2 - z for x, y, z in zip(s1, sm1, s0)],
-            [(x - y) // 2 for x, y in zip(s1, sm1)],
-            s0,
-            [x - z for x, z in zip(s5, s0)])
+@lru_cache(maxsize=None)
+def _row_order(d):
+    """(order, back): the indices of _q_rows(d) by modulus, largest first
+    (for d = 6 the 720 row, see the module docstring), and the place
+    back[i] of row i in order."""
+    rows = _q_rows(d)
+    order = sorted(range(d), key=lambda i: -rows[i][1])
+    return tuple(order), tuple(order.index(i) for i in range(d))
 
 
 @lru_cache(maxsize=None)
@@ -533,28 +538,32 @@ def _conjugate_q_rows(d):
     return tuple((tuple(_conjugate_sums(row)), det) for row, det in _q_rows(d))
 
 
-def _row_quotients(rows, vectors, cells):
+def _row_quotients(rows, a, c2, G, cells):
     """The cells (c, c^2, c_5) that decompose integrally over rows, each
     paired with its quotient tuple, for the power sums
-    A c^2 + B c + G + D c_5 with vectors = (A, B, G, D).
+    A c^2 + B c + G + D c_5 at c_1 = a and c_2 = c2 (see the module
+    docstring).
 
-    Row by row: the row's form (alpha, beta, gamma, delta) is four dot
-    products, a cell stays while divmod(alpha c^2 + beta c + gamma
-    + delta c_5, det) is exact and carries its quotients, and no further row
-    is formed once no cell is left."""
-    live = [(cell, ()) for cell in cells]
-    for row, det in rows:
-        alpha, beta, gamma, delta = (sum(map(mul, row, v)) for v in vectors)
-        kept = []
-        for cell, dec in live:
-            c, cc, c5 = cell
-            x, r = divmod(alpha * cc + beta * c + gamma + delta * c5, det)
-            if not r:
-                kept.append((cell, dec + (x,)))
-        if not kept:
+    Row by row in _row_order: the row's form is alpha = 3 r_6,
+    delta = 5 r_5 + 6a r_6, beta = 3 r_3 - c_2 delta and gamma = row . G,
+    a cell stays while det divides alpha c^2 + beta c + gamma + delta c_5
+    and carries the quotient as one more entry, and no further row is
+    formed once no cell is left.  The quotients are returned in the order
+    of rows."""
+    order, back = _row_order(6)
+    live = cells
+    for i in order:
+        row, det = rows[i]
+        alpha = 3 * row[5]
+        delta = 5 * row[4] + 6 * a * row[5]
+        beta = 3 * row[2] - c2 * delta
+        gamma = sum(map(mul, row, G))
+        live = [cell + (x // det,) for cell in live
+                if not (x := alpha * cell[1] + beta * cell[0] + gamma + delta * cell[2]) % det]
+        if not live:
             return []
-        live = kept
-    return live
+    quotients = itemgetter(*(3 + k for k in back))
+    return [(cell[:3], quotients(cell)) for cell in live]
 
 
 def _direct_set_cp6(p, a_max, c_max):
@@ -563,11 +572,11 @@ def _direct_set_cp6(p, a_max, c_max):
 
     Per |a|: the head and K (see the module docstring), then the classes
     |c| with 2|a| | K - c^2 from the square-root table of the modulus 2|a|.
-    An |a| with a class takes the coefficient vectors of its power sums from
-    four Newton recursions, and its cells (a, +-c) go row by row through
-    _row_quotients, once with the reduced adjugate rows and once with the
-    sign-flipped rows for the conjugate cells (-a, -+c).  A Chern vector is
-    built only for a cell that passes every row."""
+    An |a| with a class takes G from one Newton recursion, and its cells
+    (a, +-c) go row by row through _row_quotients, once with the reduced
+    adjugate rows and once with the sign-flipped rows for the conjugate
+    cells (-a, -+c).  A Chern vector is built only for a cell that passes
+    every row."""
     rows, conjugate_rows = _q_rows(6), _conjugate_q_rows(6)
     out = {}
     for a in range(1, a_max + 1, 2):
@@ -585,10 +594,10 @@ def _direct_set_cp6(p, a_max, c_max):
             cc = c * c
             q5 = (K - cc) // two_a
             cells += ((c, cc, q5 + c2 * c), (-c, cc, q5 - c2 * c))
-        vectors = _power_sum_forms(a, head)
-        for (c, _, c5), dec in _row_quotients(rows, vectors, cells):
+        G = newton_power_sums((a, c2, 0, h4, 0, 7))
+        for (c, _, c5), dec in _row_quotients(rows, a, c2, G, cells):
             out[a, c] = ACSSolution(6, a, c, (a, c2, c, a * c + h4, c5, 7), dec)
-        for (c, _, c5), dec in _row_quotients(conjugate_rows, vectors, cells):
+        for (c, _, c5), dec in _row_quotients(conjugate_rows, a, c2, G, cells):
             out[-a, -c] = ACSSolution(6, -a, -c, (-a, c2, -c, a * c + h4, -c5, 7), dec)
     return out
 

@@ -43,6 +43,7 @@ from math import comb, factorial
 
 from .cohomology import (CohClass, exp_series, _elementary_from_power_sums,
                          _mul, _TruncatedRing)
+from .exactmath import _is_int
 
 
 class UnsupportedDimension(ValueError):
@@ -131,7 +132,11 @@ def conjugate(x):
 
 
 def adams(k, x):
-    """psi^k(x) on K(CP^d): the ring map with psi^k(L) = (1+L)^k - 1."""
+    """psi^k(x) on K(CP^d): the ring map with psi^k(L) = (1+L)^k - 1.
+    TypeError unless k is an int (a bool is refused too), ValueError for
+    k < 1."""
+    if not _is_int(k):
+        raise TypeError(f"the Adams index k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("Adams operations need k >= 1")
     d = x.d
@@ -290,7 +295,10 @@ def adams_ko(k, x):
     Only k = 1, 2, 4 are provided (compose for other powers of two); the
     behaviour of odd k >= 3 on the torsion part of KO(CP^5) is not pinned
     down by the identities used here, so it is refused rather than guessed.
+    TypeError unless k is an int (a bool is refused too).
     """
+    if not _is_int(k):
+        raise TypeError(f"the Adams index k must be an integer, got {k!r}")
     if k == 1:
         return x
     if k not in (2, 4):

@@ -119,6 +119,37 @@ def test_divisor_targets_m_max_defaults_to_34(capsys):
     assert [34, 288889] in json.loads(out)["payload"]["rows"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--dim", "4", "--m", "0", "--n", "0", "--c-max", "5"), "--c-max"),
+    (("--dim", "4", "--m", "0", "--n", "0", "--c-max", "0"), "--c-max"),
+    (("--dim", "5", "--m", "0", "--n", "0", "--a-max", "5"), "--a-max"),
+    (("--dim", "5", "--m", "0", "--n", "0", "--c-max", "200"), "--c-max"),
+    (("--dim", "5", "--m", "1", "--n", "0", "--a-max", "-1"), "--a-max"),
+])
+def test_acs_window_flag_the_dimension_does_not_read_is_usage_error(capsys, argv, flag):
+    # these were accepted, ignored and answered with exit code 0
+    code, out, err = run(capsys, "acs", *argv)
+    assert code == 64 and out == ""
+    assert f"acs --dim {argv[1]} takes no {flag}" in err
+
+
+@pytest.mark.parametrize("argv, given", [
+    (("--dim", "4", "--m", "6", "--n", "3"), ("--a-max", "200")),
+    (("--dim", "6", "--m", "16", "--n", "11", "--q", "23"), ("--a-max", "200")),
+    (("--dim", "6", "--m", "16", "--n", "11", "--q", "23"), ("--c-max", "200")),
+    (("--dim", "6", "--m", "16", "--n", "11", "--q", "23"),
+     ("--a-max", "200", "--c-max", "200")),
+])
+def test_acs_window_flags_default_to_200(capsys, argv, given):
+    code, plain, _ = run(capsys, "acs", *argv)
+    assert code == 0
+    assert run(capsys, "acs", *argv, *given)[:2] == (0, plain)
+    if argv[1] == "6":
+        assert json.loads(plain)["payload"]["window"] == {"a_max": 200, "c_max": 200}
+    else:
+        assert "window" not in json.loads(plain)["payload"]
+
+
 def test_acs_violation(capsys):
     code, doc, _ = run_json(capsys, "acs", "--dim", "5", "--m", "1", "--n", "0")
     assert code == 2

@@ -24,7 +24,7 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP6_CONSTRAINT,
                             _complete_ints, _complete_tail, _criterion_set_cp6,
                             _conjugate_q_rows, _direct_set_cp4,
                             _direct_set_cp6, _odd_classes, _odd_square_roots,
-                            _power_sum_forms, _row_quotients, _signed_odds,
+                            _row_order, _row_quotients, _signed_odds,
                             _solution, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            pontrjagin_total)
@@ -386,6 +386,8 @@ def test_complete_tail_of_the_conjugate_cell_is_the_sign_flip(mnq):
     ((32, 7, -442), 1, 1),
     # |m| = 1.6e9: n = 15 and q from the constraint
     ((16 * 10 ** 8, 15, -88086021071827946474193560), 45, 45),
+    # moduli 2|a| above _ROOT_TABLE_MAX, whose classes are found without a table
+    ((16, 11, 23), 301, 41),
 ])
 def test_direct_scan_cp6_returns_the_per_cell_solutions(mnq, a_max, c_max):
     # every cell, both signs of a and c, against _solution with no symmetry
@@ -403,27 +405,32 @@ def test_direct_scan_cp6_returns_the_per_cell_solutions(mnq, a_max, c_max):
 @given(st.integers(-5 * 10 ** 5, 5 * 10 ** 5 - 1).map(lambda j: 2 * j + 1),
        *[st.integers(-10 ** 12, 10 ** 12)] * 4)
 def test_row_forms_equal_the_rows_at_every_point(a, c2, h4, c, c5):
-    # the coefficient vectors and each row's form in (c, c_5) against
-    # newton_power_sums and row . s at a point they were not sampled at, for
+    # the closed-form vectors A, B, D with G from one Newton recursion, and
+    # each row's form in (c, c_5), against newton_power_sums and row . s for
     # the cell (a, c) with the rows and the conjugate cell (-a, -c) with the
     # sign-flipped rows
-    assume((c, c5) not in ((0, 0), (1, 0), (-1, 0), (0, 1)))
     v = (a, c2, c, a * c + h4, c5, 7)
     w = (-a, c2, -c, a * c + h4, -c5, 7)
-    vectors = _power_sum_forms(a, (c2, h4))
-    s_v = newton_power_sums(v)
-    assert [x * c * c + y * c + z + t * c5 for x, y, z, t in zip(*vectors)] == s_v
+    A = (0, 0, 0, 0, 0, 3)
+    B = (0, 0, 3, 0, -5 * c2, -6 * a * c2)
+    D = (0, 0, 0, 0, 5, 6 * a)
+    G = newton_power_sums((a, c2, 0, h4, 0, 7))
+    assert [x * c * c + y * c + z + t * c5 for x, y, z, t in zip(A, B, G, D)] == \
+        newton_power_sums(v)
     for vec, rows in ((v, _q_rows(6)), (w, _conjugate_q_rows(6))):
         s = newton_power_sums(vec)
         assert len(rows) == 6
         for (row, det), (ref, ref_det) in zip(rows, _q_rows(6)):
             assert det == ref_det
-            alpha, beta, gamma, delta = (sum(x * y for x, y in zip(row, u)) for u in vectors)
+            alpha, beta, gamma, delta = (sum(x * y for x, y in zip(row, u))
+                                         for u in (A, B, G, D))
+            assert (alpha, delta) == (3 * row[5], 5 * row[4] + 6 * a * row[5])
+            assert beta == 3 * row[2] - c2 * delta
             assert alpha * c * c + beta * c + gamma + delta * c5 == sum(
                 x * y for x, y in zip(ref, s))
         dec = _decompose(s)
         cell = (c, c * c, c5)
-        assert _row_quotients(rows, vectors, [cell]) == ([] if dec is None else [(cell, dec)])
+        assert _row_quotients(rows, a, c2, G, [cell]) == ([] if dec is None else [(cell, dec)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -449,9 +456,9 @@ def test_square_root_tables_are_one_per_first_chern_class():
     assert _odd_square_roots.cache_info().misses == filled.misses
 
 
-def test_direct_scan_cp6_runs_four_newton_recursions_per_first_chern_class(monkeypatch):
+def test_direct_scan_cp6_runs_one_newton_recursion_per_first_chern_class(monkeypatch):
     # the Newton recursions follow the |a| that have a cell with integral
-    # c_5, not the cells
+    # c_5, not the cells: one each, at (c, c_5) = (0, 0)
     p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
     calls = []
 
@@ -461,37 +468,47 @@ def test_direct_scan_cp6_runs_four_newton_recursions_per_first_chern_class(monke
 
     monkeypatch.setattr(homotopy, "newton_power_sums", counted)
     direct = _direct_set_cp6(p, 200, 200)
-    classes = cells = 0
+    expected, cells = [], 0
     for a in range(1, 201, 2):
         head = _complete_head(p, a)
         tails = 0 if head is None else sum(
             _complete_tail(p, a, head, c) is not None for c in range(1, 201, 2))
-        classes += tails > 0
+        if tails:
+            expected.append((a, head[0], 0, head[1], 0, 7))
         cells += 4 * tails
-    assert classes and len(calls) <= 4 * classes
-    assert cells >= 5 * len(calls) and len(direct) > 0
+    assert expected and calls == expected
+    assert cells >= 20 * len(calls) and len(direct) > 0
 
 
 def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch):
-    # a row after the first is formed only while some cell of the side has
-    # passed every row before it, checked on the power sums of each cell
+    # the rows are formed largest modulus first, so the 720 row (the last
+    # of _q_rows) opens every side; a later row is formed only while some
+    # cell of the side has passed every row before it, checked on the power
+    # sums of each cell
     p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
     row_quotients = homotopy._row_quotients
-    formed = []
+    order = _row_order(6)[0]
+    assert _q_rows(6)[order[0]][1] == 720 == _q_rows(6)[-1][1]
+    assert [_q_rows(6)[i][1] for i in order] == sorted((d for _, d in _q_rows(6)), reverse=True)
+    sides = []
 
-    def counted(rows, vectors, cells):
-        rows = list(rows)
-        sums = [[x * cc + y * c + z + t * c5 for x, y, z, t in zip(*vectors)]
+    class Pulled:
+        def __init__(self, rows, sums):
+            self.rows, self.sums, self.formed = rows, sums, []
+            sides.append(self.formed)
+
+        def __getitem__(self, i):
+            before = [self.rows[j] for j in order[:order.index(i)]]
+            assert any(all(sum(x * y for x, y in zip(r, s)) % d == 0 for r, d in before)
+                       for s in self.sums)
+            self.formed.append(i)
+            return self.rows[i]
+
+    def counted(rows, a, c2, G, cells):
+        A, B, D = (0, 0, 0, 0, 0, 3), (0, 0, 3, 0, -5 * c2, -6 * a * c2), (0, 0, 0, 0, 5, 6 * a)
+        sums = [[x * cc + y * c + z + t * c5 for x, y, z, t in zip(A, B, G, D)]
                 for c, cc, c5 in cells]
-
-        def pulled():
-            for k, (row, det) in enumerate(rows):
-                assert any(all(sum(x * y for x, y in zip(r, s)) % d == 0
-                               for r, d in rows[:k]) for s in sums)
-                formed.append(k)
-                yield row, det
-
-        return row_quotients(pulled(), vectors, cells)
+        return row_quotients(Pulled(rows, sums), a, c2, G, cells)
 
     monkeypatch.setattr(homotopy, "_row_quotients", counted)
     direct = _direct_set_cp6(p, 200, 200)
@@ -500,8 +517,14 @@ def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch
         head = _complete_head(p, a)
         classes += head is not None and any(
             _complete_tail(p, a, head, c) is not None for c in range(1, 201, 2))
-    assert formed.count(0) == 2 * classes and len(direct) > 0
-    assert len(formed) < 6 * classes
+    assert len(sides) == 2 * classes and len(direct) > 0
+    assert all(formed[0] == 5 for formed in sides)
+    # a side (the cells of one signed a) runs every row when it has a
+    # solution; on this triple the 720 row passes the solutions only, so
+    # every other side stops at it
+    with_solution = len({a for a, _ in direct})
+    assert sum(len(formed) == 6 for formed in sides) == with_solution
+    assert sum(map(len, sides)) == 6 * with_solution + (len(sides) - with_solution)
 
 
 _MOD31 = dict(mod31_table())

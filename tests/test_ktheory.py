@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from acscp.chernvec import chern_from_multiplicities
 from acscp.cohomology import CohClass, DimensionMismatch, exp_series, _line_product
+from acscp.exactmath import MPolyZ
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            UnsupportedOperation, adams, adams_ko,
                            chern_character, complexify, conjugate,
@@ -26,6 +27,27 @@ def KO(d, *coeffs):
 # ---------------------------------------------------------------------------
 # ring structure
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: KClass.L(4) ** True,
+    lambda: KClass.L(4) ** 2.5,
+    lambda: KOClass.omega(4) ** Fraction(2),
+    lambda: CohClass.u(4) ** -1.5,
+    lambda: (1 + CohClass.u(4)) ** False,
+    lambda: MPolyZ.var("a") ** 2.0,
+    lambda: MPolyZ.var("a") ** "2",
+    lambda: adams(True, KClass.L(4)),
+    lambda: adams(2.0, KClass.L(4)),
+    lambda: adams_ko(1.0, KOClass.omega(4)),
+    lambda: adams_ko(True, KOClass.omega(4)),
+], ids=["K**True", "K**2.5", "KO**Fraction", "H**-1.5", "H**False", "MPolyZ**2.0",
+        "MPolyZ**str", "adams(True)", "adams(2.0)", "adams_ko(1.0)", "adams_ko(True)"])
+def test_exponents_that_are_not_ints_are_refused(call):
+    # each used to return an answer (True read as 1) or die inside the
+    # square-and-multiply loop with an unrelated message
+    with pytest.raises(TypeError, match="must be an integer|must be integers"):
+        call()
+
 
 def test_k_mul_truncation():
     L = KClass.L(5)
