@@ -95,10 +95,13 @@ def closed_form_w(m, d):
 
     Entry k (1-indexed, k = 1..d+1) is
         (-1)^(n-k)/(n-1)! * C(n-1, k-1) * prod_(j != k-1) (m - j)
-    with n = d + 1; every entry is an integer for every integer m.  The
-    products leaving out one factor come from prefix and suffix products of
-    the m - j.  Raises TypeError unless m and d are ints, and ValueError for
-    d < 1.
+    with n = d + 1; every entry is an integer for every integer m.  An entry
+    is returned as an int when the division by (n-1)! leaves no remainder
+    and as a Fraction otherwise, the normal form of CohClass, so a
+    non-integral entry (which the identity rules out) would still show.  The
+    signed binomials come from a table cached per d, and the products
+    leaving out one factor from prefix and suffix products of the m - j.
+    Raises TypeError unless m and d are ints, and ValueError for d < 1.
     """
     _check_m(m)
     _check_degree(d)
@@ -111,11 +114,17 @@ def closed_form_w(m, d):
         before[j] = before[j - 1] * (m - j + 1)
         after[n - 1 - j] = after[n - j] * (m - n + j)
     out = []
-    for k in range(n):
-        num = (-1) ** (d - k) * comb(d, k) * before[k] * after[k]
+    for sign_binom, b, a in zip(_signed_binomials(d), before, after):
+        num = sign_binom * b * a
         q, r = divmod(num, fact)
-        out.append(Fraction(num, fact) if r else Fraction(q))
+        out.append(Fraction(num, fact) if r else q)
     return out
+
+
+@lru_cache(maxsize=None)
+def _signed_binomials(d):
+    """(-1)^(d-k) C(d, k) for k = 0..d."""
+    return tuple((-1) ** (d - k) * comb(d, k) for k in range(d + 1))
 
 
 def newton_power_sums(cs):

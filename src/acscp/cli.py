@@ -4,9 +4,10 @@ Subcommands:
 
     realizable --dim D C1 ... CD     decompose a Chern vector, or reject it
     acs --dim D --m M --n N [--q Q]  decide/enumerate almost complex structures
-                                     (--a-max A >= 1, default 200, with
-                                     --dim 4 and 6; --c-max C >= 1, default
-                                     200, with --dim 6 only)
+                                     (--q with --dim 6 only; --a-max A >= 1,
+                                     default 200, with --dim 4 and 6;
+                                     --c-max C >= 1, default 200, with
+                                     --dim 6 only)
     verify SUITE [--seed S]          run a named verification suite
     table NAME [--csv]               emit a built-in table (mod31 [--dim 6],
                                      pontrjagin-omega [--dim 4|6, default 6],
@@ -164,6 +165,8 @@ def _acs_window(args):
 
 
 def _cmd_acs(args):
+    if args.q is not None and args.dim != 6:
+        raise _UsageError(f"acs --dim {args.dim} takes no --q")
     window = _acs_window(args)
     X = validate_params(args.dim, args.m, args.n, args.q)
     payload = {"dim": args.dim, "params": {"m": X.m, "n": X.n}}

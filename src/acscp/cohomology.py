@@ -3,6 +3,9 @@
 _TruncatedRing holds the arithmetic that the three rings of the package
 share: sums, negation, scalar and ring products truncated at the ring's
 width, square-and-multiply powers, equality, hashing and the printed form.
+Operands are checked once, at the operation; its result is built once from
+the computed coefficients, without checking them again (_build), and powers
+are squared as raw coefficient lists.
 CohClass is the rational cohomology of complex projective d-space, with u
 the degree-2 generator; Chern, Pontrjagin and Euler classes all live there.
 acscp.ktheory builds KClass and KOClass on the same base.
@@ -21,7 +24,7 @@ takes the power sums k!*ch_k of a class to its Chern classes.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, neg, sub
 
 from .exactmath import _is_int, _power
 
@@ -38,10 +41,18 @@ class _TruncatedRing:
     """coeffs[i] is the coefficient of gen^i for i below the ring's width;
     products drop every power from the width on.
 
-    A subclass supplies __init__, which normalises the coefficients to
-    exactly _width(d) of them, its scalar types, its generator name and the
-    format of a scaled monomial.  Sums and products of two elements need the
-    same class (TypeError otherwise) and the same d (DimensionMismatch).
+    A subclass supplies __init__, which checks and normalises the
+    coefficients at the boundary to exactly _width(d) of them, its scalar
+    types, its generator name and the format of a scaled monomial.  Sums and
+    products of two elements need the same class (TypeError otherwise) and
+    the same d (DimensionMismatch).  A scalar is one whose exact type is in
+    _scalars, so a bool is refused.
+
+    Each result of +, -, scalar and ring * and ** is built once, by _build,
+    from coefficients computed out of checked ones, so the checks of __init__
+    are not run again: ints in give ints out.  A subclass overrides _build
+    only for what a computed list still needs (the reduced 2-torsion
+    coefficient of KOClass, the int/Fraction normal form of CohClass).
     """
 
     __slots__ = ("d", "coeffs")
@@ -51,6 +62,15 @@ class _TruncatedRing:
     @staticmethod
     def _width(d):
         return d + 1
+
+    @classmethod
+    def _build(cls, d, coeffs):
+        """The element with these computed coefficients, _width(d) of them,
+        without the checks of __init__."""
+        self = object.__new__(cls)
+        self.d = d
+        self.coeffs = tuple(coeffs)
+        return self
 
     @classmethod
     def _monomial(cls, d, power=0, coeff=1):
@@ -75,32 +95,39 @@ class _TruncatedRing:
             raise DimensionMismatch(f"dimension {self.d} vs {other.d}")
 
     def __add__(self, other):
-        if isinstance(other, self._scalars):
-            other = self._monomial(self.d, 0, other)
+        if type(other) in self._scalars:
+            return self._build(self.d, (self.coeffs[0] + other,) + self.coeffs[1:])
         self._check(other)
-        return type(self)(self.d, [x + y for x, y in zip(self.coeffs, other.coeffs)])
+        return self._build(self.d, map(add, self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.d, [-x for x in self.coeffs])
+        return self._build(self.d, map(neg, self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        if type(other) in self._scalars:
+            return self._build(self.d, (self.coeffs[0] - other,) + self.coeffs[1:])
+        self._check(other)
+        return self._build(self.d, map(sub, self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, self._scalars):
-            return type(self)(self.d, [x * other for x in self.coeffs])
+        if type(other) in self._scalars:
+            return self._build(self.d, [x * other for x in self.coeffs])
         self._check(other)
-        return type(self)(self.d, _mul(self.coeffs, other.coeffs, len(self.coeffs) - 1))
+        return self._build(self.d, _mul(self.coeffs, other.coeffs, len(self.coeffs) - 1))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        return _power(self, k, self.one(self.d), mul)
+        """Square-and-multiply on the raw coefficient lists; only the answer
+        is built as an element."""
+        top = len(self.coeffs) - 1
+        one = (1,) + (0,) * top
+        return self._build(self.d, _power(self.coeffs, k, one, lambda x, y: _mul(x, y, top)))
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.d == other.d
@@ -132,10 +159,12 @@ class CohClass(_TruncatedRing):
         coeffs = tuple(coeffs)
         if len(coeffs) != d + 1:
             raise ValueError(f"need {d + 1} coefficients for dimension {d}")
-        if not all(type(x) is int for x in coeffs):
-            coeffs = tuple(map(_normal, coeffs))
         self.d = d
-        self.coeffs = coeffs
+        self.coeffs = _normal_form(coeffs)
+
+    @classmethod
+    def _build(cls, d, coeffs):
+        return super()._build(d, _normal_form(coeffs))
 
     @classmethod
     def u(cls, d, power=1):
@@ -150,7 +179,7 @@ class CohClass(_TruncatedRing):
         out = [inv0] + [0] * self.d
         for k in range(1, self.d + 1):
             out[k] = -inv0 * sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))
-        return CohClass(self.d, out)
+        return CohClass._build(self.d, out)
 
     def __pow__(self, k):
         if _is_int(k) and k < 0:
@@ -162,6 +191,14 @@ class CohClass(_TruncatedRing):
 
     def is_integral(self):
         return all(type(x) is int for x in self.coeffs)
+
+
+def _normal_form(coeffs):
+    """coeffs as a tuple of normal-form coefficients (see _normal)."""
+    coeffs = tuple(coeffs)
+    if all(type(x) is int for x in coeffs):
+        return coeffs
+    return tuple(map(_normal, coeffs))
 
 
 def _normal(x):
@@ -199,14 +236,13 @@ def exp_series(t, d):
 # ---------------------------------------------------------------------------
 
 def _mul(xs, ys, d):
+    """The product of two coefficient lists, truncated above degree d, as a
+    list of d + 1 entries; xs has at most d + 1 entries."""
     out = [0] * (d + 1)
     for i, x in enumerate(xs):
-        if x == 0:
-            continue
-        for j in range(min(d - i, len(ys) - 1) + 1):
-            y = ys[j]
-            if y:
-                out[i + j] += x * y
+        if x:
+            for j, y in enumerate(ys[:d + 1 - i], i):
+                out[j] += x * y
     return out
 
 

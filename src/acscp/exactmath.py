@@ -59,7 +59,7 @@ def _power(base, k, one, mul):
     if not _is_int(k):
         raise TypeError(f"exponents must be integers, got {k!r}")
     if k < 0:
-        raise ValueError(f"negative powers are not defined for {type(base).__name__}")
+        raise ValueError(f"negative powers are not defined in this ring, got exponent {k}")
     result = one
     while k:
         if k & 1:

@@ -27,9 +27,14 @@ line-bundle factors stays the independent route, in
 chernvec.chern_from_multiplicities.
 
 KClass and KOClass take their arithmetic from cohomology._TruncatedRing;
-each only normalises its int coefficients.  The four ring maps t, c, psi^k
-and psi^k on KO are one routine, _compose, which replaces the generator of
-a class with its image.
+each checks its int coefficients at the constructor, and a result of +, -,
+* or ** is built once without that check (KOClass still reduces its
+2-torsion coefficient).  The four ring maps t, c, psi^k and psi^k on KO
+are table-driven: each names the image of the generator, and _compose reads
+the powers of that image from one cached, bounded table (_power_table) and
+takes one integer-weighted row sum over it.  That row sum, _combine, is the
+one loop behind the maps, real reduction (over the generator table
+_r_table) and the Chern character (over _ch_table).
 
 The identities r(c(x)) = 2x and c(r(x)) = x + t(x) hold on the nose and are
 exercised heavily by the test suite.
@@ -58,8 +63,7 @@ def _int_coeffs(coeffs, width):
     """coeffs zero-padded to width; TypeError for a coefficient that is not
     an int (or is a bool), ValueError if there are more than width."""
     coeffs = list(coeffs)
-    # exactmath._is_int, inlined: this runs on every K-theory product
-    if not all(type(x) is int for x in coeffs):
+    if not all(map(_is_int, coeffs)):
         raise TypeError(f"K-theory coefficients must be integers, got {coeffs!r}")
     if len(coeffs) > width:
         raise ValueError(f"too many coefficients: {len(coeffs)} for width {width}")
@@ -110,25 +114,39 @@ class KOClass(_TruncatedRing):
     _width = staticmethod(_ko_width)
 
     def __init__(self, d, coeffs):
-        coeffs = _int_coeffs(coeffs, _ko_width(d))
-        if d == 5:
-            coeffs[3] %= 2
         self.d = d
-        self.coeffs = tuple(coeffs)
+        self.coeffs = _torsion_reduced(d, _int_coeffs(coeffs, _ko_width(d)))
+
+    @classmethod
+    def _build(cls, d, coeffs):
+        return super()._build(d, _torsion_reduced(d, coeffs))
 
     @classmethod
     def omega(cls, d, power=1):
         return cls._monomial(d, power)
 
 
+def _torsion_reduced(d, coeffs):
+    """KOClass coefficients as a tuple, with the 2-torsion w^3 coefficient
+    of KO(CP^5) reduced mod 2."""
+    coeffs = tuple(coeffs)
+    if d == 5:
+        coeffs = coeffs[:3] + (coeffs[3] % 2,)
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # Conjugation and Adams operations on K
 # ---------------------------------------------------------------------------
 
+def _t_of_L(d):
+    """t(L) = (1+L)^(-1) - 1 = -L + L^2 - ... in K(CP^d)."""
+    return KClass._build(d, [0] + [(-1) ** i for i in range(1, d + 1)])
+
+
 def conjugate(x):
     """t(x): the ring map with t(L) = (1+L)^(-1) - 1 = -L + L^2 - ..."""
-    d = x.d
-    return _compose(x, KClass(d, [0] + [(-1) ** i for i in range(1, d + 1)]))
+    return _compose(x, _t_of_L(x.d))
 
 
 def adams(k, x):
@@ -140,27 +158,44 @@ def adams(k, x):
     if k < 1:
         raise ValueError("Adams operations need k >= 1")
     d = x.d
-    return _compose(x, KClass(d, [comb(k, i) if i else 0 for i in range(min(k, d) + 1)]))
+    return _compose(x, KClass._build(d, [comb(k, i) if i else 0 for i in range(d + 1)]))
 
 
 def _compose(x, image):
     """sum_i x_i image^i: the KClass or KOClass x with its generator replaced
-    by image, a KClass or KOClass over the same d.
+    by image, a KClass or KOClass over the same d, as one row sum over the
+    cached powers of image.
 
-    The powers of image are summed as int lists and only the answer is built
-    as a ring element.  Over KO(CP^5) the constructor reduces the 2-torsion
-    w^3 coefficient; a product's w^3 coefficient is integer-linear in each
-    factor's, so reducing once, at the end, gives the same class.
+    Over KO(CP^5) the powers are taken in Z[w]/(w^4), with the 2-torsion w^3
+    coefficient unreduced, and _build reduces the sum once: KO(CP^5) is the
+    quotient of that ring by 2w^3, so the class is the same.
     """
+    return type(image)._build(x.d, _combine(x.coeffs, _power_table(image)))
+
+
+@lru_cache(maxsize=64)
+def _power_table(image):
+    """The coefficient tuples of image^0, image^1, ..., image^top, top the
+    highest power the ring of image stores.  The cache is bounded, so the
+    tables of adams(k, .) for ever new k do not pile up."""
     top = len(image.coeffs) - 1
-    out = [x.coeffs[0]] + [0] * top
-    power = [1] + [0] * top
-    for coef in x.coeffs[1:]:
-        power = _mul(power, image.coeffs, top)
-        if coef:
-            for j, y in enumerate(power):
-                out[j] += coef * y
-    return type(image)(x.d, out)
+    rows = [(1,) + (0,) * top]
+    for _ in range(top):
+        rows.append(tuple(_mul(rows[-1], image.coeffs, top)))
+    return tuple(rows)
+
+
+def _combine(coeffs, table):
+    """sum_i coeffs[i] * table[i] over the int rows of a table, as an int
+    list as long as a row: the one row sum behind the ring maps (rows from
+    _power_table), r (_r_table) and the Chern character (_ch_table).  Rows
+    past the last coefficient are not read."""
+    out = [0] * len(table[0])
+    for c, row in zip(coeffs, table):
+        if c:
+            for j, y in enumerate(row):
+                out[j] += c * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +220,7 @@ def _ch_table(d):
 
 def _scaled_ch(x):
     """k!*ch_k(x) for k = 0..d, as ints, from the rows of _ch_table."""
-    terms = [(c, row) for c, row in zip(x.coeffs, _ch_table(x.d)) if c]
-    return [sum(c * row[k] for c, row in terms) for k in range(x.d + 1)]
+    return _combine(x.coeffs, _ch_table(x.d))
 
 
 def chern_character(x):
@@ -237,7 +271,7 @@ def complexify(x):
     For d = 5 the torsion coefficient is handled by c(w^3) = c(w)^3, which
     vanishes in Z[L]/(L^6), so the map is well defined on residues.
     """
-    return _compose(x, KClass.L(x.d) + conjugate(KClass.L(x.d)))
+    return _compose(x, KClass.L(x.d) + _t_of_L(x.d))
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +290,7 @@ def _r_table(d):
     # torsion-free cases: c is injective, so solve c(y) = x + t(x) for y.
     # c(w^j) has leading term L^(2j), making the system triangular.
     width = _ko_width(d)
-    c_omega = KClass.L(d) + conjugate(KClass.L(d))
+    c_omega = KClass.L(d) + _t_of_L(d)
     c_powers = [KClass.one(d)]
     for _ in range(width - 1):
         c_powers.append(c_powers[-1] * c_omega)
@@ -277,16 +311,9 @@ def _r_table(d):
 
 def real_reduce(x):
     """r(x) in KO(CP^d): additive extension of the generator table, summed
-    as one int list.  Over KO(CP^5) the constructor reduces the 2-torsion
-    w^3 coefficient of the sum, which is the sum of the reduced ones."""
-    d = x.d
-    table = _r_table(d)
-    out = [0] * len(table[0])
-    for coef, row in zip(x.coeffs, table):
-        if coef:
-            for j, y in enumerate(row):
-                out[j] += coef * y
-    return KOClass(d, out)
+    as one int list.  Over KO(CP^5) _build reduces the 2-torsion w^3
+    coefficient of the sum, which is the sum of the reduced ones."""
+    return KOClass._build(x.d, _combine(x.coeffs, _r_table(x.d)))
 
 
 def adams_ko(k, x):

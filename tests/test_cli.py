@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acscp.cli import main, _build_parser, _dumps, _solution_json
-from acscp.homotopy import ACSSolution
+from acscp.homotopy import ACSSolution, ConstraintViolated, HtpyCP
 
 
 def run(capsys, *argv):
@@ -131,6 +131,23 @@ def test_acs_window_flag_the_dimension_does_not_read_is_usage_error(capsys, argv
     code, out, err = run(capsys, "acs", *argv)
     assert code == 64 and out == ""
     assert f"acs --dim {argv[1]} takes no {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--dim", "4", "--m", "0", "--n", "0", "--q", "5"),
+    ("--dim", "4", "--m", "6", "--n", "3", "--q", "0"),
+    ("--dim", "5", "--m", "2", "--n", "0", "--q", "0"),
+    ("--dim", "5", "--m", "2", "--n", "0", "--q", "-7", "--a-max", "5"),
+])
+def test_acs_q_off_dim_6_is_usage_error(capsys, argv):
+    # exited 2 with a "violation" payload on stdout; --q is a flag these
+    # dimensions do not read, as an unread window flag is
+    code, out, err = run(capsys, "acs", *argv)
+    assert code == 64 and out == ""
+    assert f"acs --dim {argv[1]} takes no --q" in err
+    # the library still reports the parameter as a constraint violation
+    with pytest.raises(ConstraintViolated, match=r"takes parameters \(m, n\) only"):
+        HtpyCP(int(argv[1]), int(argv[3]), int(argv[5]), int(argv[7]))
 
 
 @pytest.mark.parametrize("argv, given", [

@@ -24,7 +24,7 @@ value f(m=3) = -53661 = -53661
 DEMO_02_STDOUT = """\
 q_2 over CP^4: 1 + (2)*u + (2)*u^2 + (4/3)*u^3 + (2/3)*u^4
 W has determinant 288 = 1!2!3!4!
-q_7 = [Fraction(15, 1), Fraction(-70, 1), Fraction(126, 1), Fraction(-105, 1), Fraction(35, 1)] against (q_0..q_4)
+q_7 = [15, -70, 126, -105, 35] against (q_0..q_4)
 c(5L) = (5, 10, 10, 5)
 power sums: [5, 5, 5, 5]
 decomposition: (5, 0, 0, 0)

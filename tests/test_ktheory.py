@@ -13,7 +13,7 @@ from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            UnsupportedOperation, adams, adams_ko,
                            chern_character, complexify, conjugate,
                            line_multiplicities, pontrjagin_total, real_reduce,
-                           total_chern, _r_table)
+                           total_chern, _power_table, _r_table)
 
 
 def K(d, *coeffs):
@@ -22,6 +22,9 @@ def K(d, *coeffs):
 
 def KO(d, *coeffs):
     return KOClass(d, list(coeffs))
+
+
+BIG = st.integers(-10 ** 12, 10 ** 12)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +111,20 @@ def test_shared_ring_behaviour(gen, x_repr, sample, sample_repr, twin):
             for left, right in ((g6, other), (other, g6), (g4, other)):
                 with pytest.raises(TypeError, match="cannot combine"):
                     op(left, right)
+    # a scalar is taken by its exact type: a bool is refused on either side
+    # (L * True returned L and CohClass * False was accepted), and a
+    # Fraction is a scalar of CohClass only
+    for op in (add, sub, mul):
+        for left, right in ((g6, True), (False, g6), (g4, False)):
+            with pytest.raises(TypeError, match="cannot combine"):
+                op(left, right)
+    half = Fraction(1, 2)
+    if cls is CohClass:
+        assert g6 * half + half * g6 == g6 == (g6 - half) + half
+    else:
+        for op in (add, sub, mul):
+            with pytest.raises(TypeError, match="cannot combine"):
+                op(g6, half)
     if cls is CohClass:
         assert (1 + g6) ** -2 * (1 + g6) ** 2 == cls.one(6)
     else:
@@ -119,6 +136,34 @@ def test_shared_ring_behaviour(gen, x_repr, sample, sample_repr, twin):
     z = 1 + 2 * g4
     assert z.coeffs == twin.coeffs
     assert z != twin and twin != z
+
+
+RING_CASES = st.tuples(st.sampled_from((CohClass, KClass, KOClass)), st.sampled_from((4, 5, 6)),
+                       st.lists(st.one_of(st.just(0), BIG), min_size=14, max_size=14),
+                       st.integers(-10 ** 6, 10 ** 6), st.integers(0, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(RING_CASES)
+def test_results_are_built_in_the_checked_form(case):
+    # results skip the constructor's checks; they must still be what the
+    # checked constructor gives: ints from ints, the 2-torsion w^3
+    # coefficient of KO(CP^5) reduced mod 2, and CohClass in normal form
+    cls, d, cs, n, k = case
+    width = cls._width(d)
+    x, y = cls(d, cs[:width]), cls(d, cs[7:7 + width])
+    results = [x + y, x - y, x * y, x + n, n + x, x - n, n - x, x * n, n * x, -x, x ** k]
+    for r in results:
+        assert all(type(c) is int for c in r.coeffs)
+        assert cls(d, r.coeffs) == r
+        if cls is KOClass and d == 5:
+            assert r.coeffs[3] in (0, 1)
+    if cls is CohClass:
+        half = Fraction(1, 2)
+        for r in (x * half, x * half + y * half, (x * half) ** k, x * half - half):
+            assert r.coeffs == CohClass(d, r.coeffs).coeffs
+            assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
+                       for c in r.coeffs)
 
 
 def test_ko_unsupported_dimension():
@@ -187,9 +232,6 @@ def test_total_chern_of_multiple():
 def line_product_route(x):
     """c(x) as the product of binomial line-bundle factors (1 + j*u)^mult_j."""
     return _line_product(line_multiplicities(x)[1:], x.d)
-
-
-BIG = st.integers(-10 ** 12, 10 ** 12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -398,6 +440,55 @@ def test_adams_ko_other_dims():
     for d in (4, 6):
         w = KOClass.omega(d)
         assert adams_ko(2, w) == KOClass(d, [0, 4, 1])
+
+
+def times(x, k):
+    """x^k as k - 1 ring products (one for k = 0), a reference for **."""
+    out = type(x).one(x.d)
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+def compose_by_products(x, image):
+    """sum_i x_i image^i with each power multiplied out as a ring element."""
+    total, power = type(image).zero(x.d), type(image).one(x.d)
+    for coef in x.coeffs:
+        total = total + power * coef
+        power = power * image
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((4, 5, 6)), st.lists(st.one_of(st.just(0), BIG), min_size=7, max_size=7),
+       st.integers(1, 12), st.sampled_from((2, 4)))
+def test_ring_maps_equal_repeated_products(d, cs, k, k_ko):
+    # the table route of the four ring maps against images and powers built
+    # here from ring products alone
+    L, H = KClass.L(d), KClass.H(d)
+    x = KClass(d, cs[:d + 1])
+    y = KOClass(d, cs[:KOClass._width(d)])
+    t_L = KClass(d, [0] + [(-1) ** i for i in range(1, d + 1)])
+    assert H * (1 + t_L) == KClass.one(d)
+    assert conjugate(x) == compose_by_products(x, t_L)
+    assert adams(k, x) == compose_by_products(x, times(H, k) - 1)
+    assert complexify(y) == compose_by_products(y, L + t_L)
+    psi_w = _real_reduce_by_fold(times(H, k_ko) - 1)
+    assert adams_ko(k_ko, y) == compose_by_products(y, psi_w)
+    assert x ** k == times(x, k) and y ** k == times(y, k)
+
+
+def test_power_tables_stay_bounded():
+    # one table per image, so a table per Adams index; the cache must not
+    # grow with the indices a caller passes
+    _power_table.cache_clear()
+    x = KClass(6, [3, -1, 4, -1, 5, -9, 2])
+    H = KClass.H(6)
+    for k in range(1, 501):
+        got = adams(k, x)
+    info = _power_table.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 500
+    assert got == compose_by_products(x, H ** 500 - 1)
 
 
 # ---------------------------------------------------------------------------
