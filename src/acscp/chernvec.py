@@ -26,8 +26,6 @@ recursion gives "- 2c_2^3 + 3c_3^2"; the regression tests pin the recursion's
 version.)
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd

@@ -28,8 +28,6 @@ Exit codes: 0 ok, 1 failed internal checks, 2 constraint violations, 64
 usage errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

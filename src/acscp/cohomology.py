@@ -21,8 +21,6 @@ is the inverse of chernvec.newton_power_sums, the integer recursion that
 takes the power sums k!*ch_k of a class to its Chern classes.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from operator import add, neg, sub
 

@@ -24,8 +24,6 @@ variable universe ``a, c, m, n, q`` -- the handful of symbols needed by the
 divisibility analysis in :mod:`acscp.homotopy`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm

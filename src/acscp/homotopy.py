@@ -128,11 +128,13 @@ For d = 5 real K-theory has 2-torsion and the Chern-vector correspondence is
 unavailable; instead an explicit K-theory class with the right real
 reduction and top Chern class 6u^5 is constructed, which settles existence
 for every (m, n).
+
+The records HtpyCP, ACSSolution, CP5Report and CP6Symbolic are named tuples:
+they unpack, sort and equal the plain tuple of their fields.  HtpyCP checks
+its parameters in __new__, which _make, _replace, copy and pickle all reach.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 from operator import itemgetter, mul
@@ -176,17 +178,13 @@ _CONSTRAINTS = {4: CP4_CONSTRAINT, 6: CP6_CONSTRAINT}
 _PONTRJAGIN = {4: CP4_PONTRJAGIN, 6: CP6_PONTRJAGIN}
 
 
-@dataclass(frozen=True)
-class HtpyCP:
-    """A homotopy CP^d, identified by its classification parameters."""
+class HtpyCP(namedtuple("HtpyCP", "d m n q")):
+    """A homotopy CP^d, identified by its classification parameters, which
+    every construction checks: _replace, _make, copy and pickle too."""
 
-    d: int
-    m: int
-    n: int
-    q: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        d, m, n, q = self.d, self.m, self.n, self.q
+    def __new__(cls, d, m, n, q=None):
         for name, value in (("d", d), ("m", m), ("n", n), ("q", q)):
             if value is not None and not _is_int(value):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
@@ -198,10 +196,19 @@ class HtpyCP:
             raise ConstraintViolated(f"d={d} takes parameters (m, n) only")
         if d == 5 and m % 2 != 0:
             raise ConstraintViolated(f"m = {m} must be even")
+        self = super().__new__(cls, d, m, n, q)
         if d in _CONSTRAINTS:
             lhs = _CONSTRAINTS[d].evaluate(**dict(zip("mnq", self.params())))
             if lhs != 0:
                 raise ConstraintViolated(f"{_CONSTRAINTS[d]} = {lhs} != 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def params(self):
         return (self.m, self.n) if self.q is None else (self.m, self.n, self.q)
@@ -314,15 +321,10 @@ def complete_chern_vector(X, a, c=None):
     return v
 
 
-@dataclass(frozen=True)
-class ACSSolution:
+class ACSSolution(namedtuple("ACSSolution", "d a c full_chern decomposition")):
     """One almost complex structure: its Chern vector and decomposition."""
 
-    d: int
-    a: int
-    c: int | None
-    full_chern: tuple
-    decomposition: tuple
+    __slots__ = ()
 
 
 def _solution(d, p, a, c=None):
@@ -643,14 +645,10 @@ def mod31_table():
 # d = 5: explicit stable structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CP5Report:
+class CP5Report(namedtuple("CP5Report", "e reduction tangent euler_coefficient")):
     """The explicit stable structure on a homotopy CP^5 and its checks."""
 
-    e: KClass
-    reduction: KOClass
-    tangent: KOClass
-    euler_coefficient: int
+    __slots__ = ()
 
     @property
     def reduction_matches(self):
@@ -750,13 +748,11 @@ def _a_free_part(poly):
     return MPolyZ({e: coeff for e, coeff in poly.terms.items() if e[0] == 0})
 
 
-@dataclass(frozen=True)
-class CP6Symbolic:
-    """Numerators and denominators of the symbolic decomposition vector."""
+class CP6Symbolic(namedtuple("CP6Symbolic", "f numerators denominators")):
+    """Numerators and denominators, as (integer, power of a) pairs, of the
+    symbolic decomposition vector."""
 
-    f: MPolyZ
-    numerators: tuple
-    denominators: tuple  # (integer, power of a) pairs
+    __slots__ = ()
 
 
 def _lowest_terms(num, den, apow):

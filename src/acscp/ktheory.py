@@ -18,6 +18,7 @@ Supported maps:
   * adams / adams_ko: Adams operations; on K, psi^k(L) = (1+L)^k - 1, and
         on KO, psi^k(w) = r((L+1)^k - 1)
   * chern_character, total_chern, pontrjagin_total
+  Each raises TypeError for an argument from another ring.
 
 Total Chern classes come from the integer Chern character: the power sums
 s_k = k!*ch_k(x) are read off the cached Stirling table _ch_table(d), and
@@ -39,8 +40,6 @@ _r_table) and the Chern character (over _ch_table).
 The identities r(c(x)) = 2x and c(r(x)) = x + t(x) hold on the nose and are
 exercised heavily by the test suite.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
@@ -126,6 +125,12 @@ class KOClass(_TruncatedRing):
         return cls._monomial(d, power)
 
 
+def _require(ring, name, x):
+    """TypeError, naming the map and the class of x, unless x is a ring."""
+    if not isinstance(x, ring):
+        raise TypeError(f"{name} takes a {ring.__name__}, got {type(x).__name__}")
+
+
 def _torsion_reduced(d, coeffs):
     """KOClass coefficients as a tuple, with the 2-torsion w^3 coefficient
     of KO(CP^5) reduced mod 2."""
@@ -146,6 +151,7 @@ def _t_of_L(d):
 
 def conjugate(x):
     """t(x): the ring map with t(L) = (1+L)^(-1) - 1 = -L + L^2 - ..."""
+    _require(KClass, "conjugate", x)
     return _compose(x, _t_of_L(x.d))
 
 
@@ -153,6 +159,7 @@ def adams(k, x):
     """psi^k(x) on K(CP^d): the ring map with psi^k(L) = (1+L)^k - 1.
     TypeError unless k is an int (a bool is refused too), ValueError for
     k < 1."""
+    _require(KClass, "adams", x)
     if not _is_int(k):
         raise TypeError(f"the Adams index k must be an integer, got {k!r}")
     if k < 1:
@@ -226,6 +233,7 @@ def _scaled_ch(x):
 def chern_character(x):
     """ch(x) in Q[u]/(u^(d+1)): additive extension of ch(L^i) = (e^u - 1)^i.
     A Fraction is built only for a coefficient that is not integral."""
+    _require(KClass, "chern_character", x)
     coeffs = []
     for k, s in enumerate(_scaled_ch(x)):
         q, r = divmod(s, factorial(k))
@@ -258,6 +266,7 @@ def total_chern(x):
     however large the coefficients of x are.  Coefficients are always
     integers.
     """
+    _require(KClass, "total_chern", x)
     return CohClass(x.d, [1] + _elementary_from_power_sums(_scaled_ch(x)[1:]))
 
 
@@ -271,6 +280,7 @@ def complexify(x):
     For d = 5 the torsion coefficient is handled by c(w^3) = c(w)^3, which
     vanishes in Z[L]/(L^6), so the map is well defined on residues.
     """
+    _require(KOClass, "complexify", x)
     return _compose(x, KClass.L(x.d) + _t_of_L(x.d))
 
 
@@ -313,6 +323,7 @@ def real_reduce(x):
     """r(x) in KO(CP^d): additive extension of the generator table, summed
     as one int list.  Over KO(CP^5) _build reduces the 2-torsion w^3
     coefficient of the sum, which is the sum of the reduced ones."""
+    _require(KClass, "real_reduce", x)
     return KOClass._build(x.d, _combine(x.coeffs, _r_table(x.d)))
 
 
@@ -324,6 +335,7 @@ def adams_ko(k, x):
     down by the identities used here, so it is refused rather than guessed.
     TypeError unless k is an int (a bool is refused too).
     """
+    _require(KOClass, "adams_ko", x)
     if not _is_int(k):
         raise TypeError(f"the Adams index k must be an integer, got {k!r}")
     if k == 1:
@@ -340,6 +352,7 @@ def pontrjagin_total(x):
     p_2 u^4 + ...; odd-degree Chern coefficients of a complexification
     cancel identically and are checked to vanish.
     """
+    _require(KOClass, "pontrjagin_total", x)
     d = x.d
     if d not in (4, 6):
         raise UnsupportedDimension(f"Pontrjagin classes need torsion-free KO; d={d} is not supported")

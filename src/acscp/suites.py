@@ -2,7 +2,8 @@
 compares against golden data or an independent route.  The cli exposes these
 through the `verify` subcommand; the test suite reuses them.
 
-Every check is `_expect(name, got, want)`, which passes when got == want, or
+Every check is a Check, the named tuple (name, passed, detail), made by
+`_expect(name, got, want)`, which passes when got == want, or
 `_every(name, failures)`, which passes when a local generator of failure
 messages yields none.  Each checked value is computed once; the detail of a
 failing check is its first failing case, and no case after it is evaluated;
@@ -10,11 +11,8 @@ a suite draws all its seeded inputs before it tests any, so one failing check
 never changes another check's inputs.
 """
 
-from __future__ import annotations
-
-import csv
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import mul
@@ -35,11 +33,7 @@ from .ktheory import (KClass, KOClass, adams, adams_ko, chern_character,
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+Check = namedtuple("Check", "name passed detail", defaults=("",))
 
 
 def _expect(name, got, want):
@@ -57,6 +51,7 @@ def _every(name, failures):
 
 
 def read_golden(name):
+    import csv      # read by verify alone; importing the cli leaves it out
     with open(GOLDEN_DIR / f"{name}.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]

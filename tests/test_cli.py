@@ -419,3 +419,52 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["payload"]["all_pass"] is True
+
+
+_STARTUP = """
+import contextlib, io, json, sys
+loaded = set(sys.modules)
+import acscp.cli
+report = {"import": sorted(m for m in ("dataclasses", "inspect", "csv")
+                           if m in sys.modules and m not in loaded),
+          "suites": "acscp.suites" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    report["code"] = acscp.cli.main(["verify", "cp4"])
+report["all_pass"] = json.loads(out.getvalue())["payload"]["all_pass"]
+print(json.dumps(report))
+"""
+
+
+def test_import_leaves_dataclasses_inspect_and_csv_out():
+    # acscp.suites stays loaded with the cli: bench/spans.py's Tracer reads
+    # every layer, suites included, from sys.modules after an acs warm-up job
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", _STARTUP], cwd=root,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"import": [], "suites": True, "code": 0, "all_pass": True}
+
+
+def test_no_record_reaches_the_writer(capsys, monkeypatch):
+    # _dumps writes a tuple by its exact type; a named tuple would fall
+    # through to json.dumps and lose the indentation
+    from acscp import cli
+    seen, dumps = [], cli._dumps
+
+    def spy(value, newline="\n"):
+        seen.append(type(value))
+        return dumps(value, newline)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    cli._solution_template.cache_clear()
+    for argv in (["acs", "--dim", "4", "--m", "-8", "--n", "12"],
+                 ["acs", "--dim", "5", "--m", "2", "--n", "0"],
+                 ["acs", "--dim", "6", "--m", "16", "--n", "11", "--q", "23",
+                  "--a-max", "3", "--c-max", "3"],
+                 ["realizable", "--dim", "2", "1", "1"],
+                 ["table", "mod31"], ["verify", "cp5"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert {dict, list, int} <= set(seen)
+    assert not [t for t in seen if issubclass(t, tuple) and t is not tuple]

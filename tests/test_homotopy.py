@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -76,6 +78,55 @@ def test_validate_params_rejects_non_integers():
     for m in (7.0, False, Fraction(7)):
         with pytest.raises(TypeError):
             divisor_target_cp4(m)
+
+
+# each record's repr, pinned to the text it had as a frozen dataclass
+_RECORDS = [
+    (lambda: HtpyCP(6, 16, 11, 23), "HtpyCP(d=6, m=16, n=11, q=23)"),
+    (lambda: acs_search_cp4(validate_params(4, -8, 12))[2],
+     "ACSSolution(d=4, a=-7, c=None, full_chern=(-7, 118, -638, 5), "
+     "decomposition=(-3047, 4932, -3476, 901))"),
+    (lambda: cp5_structure(validate_params(5, 2, 0)),
+     "CP5Report(e=6*L + 24*L^2 + 86*L^4 + -62*L^5, reduction=54*w + 196*w^2, "
+     "tangent=54*w + 196*w^2, euler_coefficient=6)"),
+    (symbolic_cp6_numerators, None),
+]
+
+
+@pytest.mark.parametrize("build, text", _RECORDS,
+                         ids=["HtpyCP", "ACSSolution", "CP5Report", "CP6Symbolic"])
+def test_records_keep_their_repr_equality_hash_and_immutability(build, text):
+    record, again = build(), build()
+    if text is not None:
+        assert repr(record) == text
+        assert hash(record) == hash(again)
+    assert record == again and record is not again
+    assert record == tuple(record)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], 0)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+
+
+def test_every_route_to_a_manifold_checks_it():
+    X = HtpyCP(6, 16, 11, 23)
+    with pytest.raises(ConstraintViolated):
+        X._replace(q=24)
+    with pytest.raises(ConstraintViolated):
+        HtpyCP._make((6, 16, 11, 24))
+    with pytest.raises(TypeError):
+        X._replace(m=1.5)
+    assert X._replace(q=23) == X and HtpyCP._make(X) == X
+    # a tuple that skipped the checks is checked when copied or unpickled
+    forged = tuple.__new__(HtpyCP, (6, 16, 11, 24))
+    copies = [copy.copy, copy.deepcopy] + [
+        lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for make in copies:
+        Y = make(X)
+        assert Y == X and type(Y) is HtpyCP
+        with pytest.raises(ConstraintViolated):
+            make(forged)
 
 
 def test_cp4_m_residues():

@@ -185,6 +185,24 @@ def test_ko_class_rejects_non_integer_coefficients():
             KOClass(4, bad)
 
 
+@pytest.mark.parametrize("name, call, got", [
+    ("adams", lambda: adams(2, KOClass.omega(6)), "KOClass"),
+    ("conjugate", lambda: conjugate(CohClass.u(4)), "CohClass"),
+    ("conjugate", lambda: conjugate(KOClass.omega(6)), "KOClass"),
+    ("complexify", lambda: complexify(KClass.L(6)), "KClass"),
+    ("real_reduce", lambda: real_reduce(KOClass.omega(6)), "KOClass"),
+    ("adams_ko", lambda: adams_ko(2, KClass.L(6)), "KClass"),
+    ("adams_ko", lambda: adams_ko(1, KClass.L(6)), "KClass"),
+    ("chern_character", lambda: chern_character(KOClass.omega(4)), "KOClass"),
+    ("total_chern", lambda: total_chern(KOClass.omega(4)), "KOClass"),
+    ("pontrjagin_total", lambda: pontrjagin_total(KClass.L(6)), "KClass"),
+])
+def test_maps_refuse_an_argument_from_another_ring(name, call, got):
+    # each used to return a plausible class in the wrong ring
+    with pytest.raises(TypeError, match=f"^{name} takes a K(O)?Class, got {got}$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # conjugation
 # ---------------------------------------------------------------------------

@@ -49,6 +49,14 @@ def test_check_helpers():
     assert _every("y", iter(())) == Check("y", True)
 
 
+def test_check_keeps_its_repr_equality_hash_and_immutability():
+    check = Check("x", True)
+    assert repr(check) == "Check(name='x', passed=True, detail='')"
+    assert check == Check("x", True, "") and hash(check) == hash(Check("x", True, ""))
+    with pytest.raises(AttributeError):
+        check.passed = False
+
+
 def test_failing_cp5_points_fail_the_sweep_with_the_first(capsys, monkeypatch):
     real = acscp.suites.cp5_structure
     broken = {(-8, 3), (4, -1)}
