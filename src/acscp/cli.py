@@ -7,13 +7,14 @@ Subcommands:
                                      (--q with --dim 6 only; --a-max A >= 1,
                                      default 200, with --dim 4 and 6;
                                      --c-max C >= 1, default 200, with
-                                     --dim 6 only)
+                                     --dim 6 only; A <= 4000000 with --dim 4,
+                                     A*C <= 100000 with --dim 6)
     verify SUITE [--seed S]          run a named verification suite
     table NAME [--csv]               emit a built-in table (mod31 [--dim 6],
                                      pontrjagin-omega [--dim 4|6, default 6],
-                                     divisor-targets [--m-max M >= 0, default
-                                     34, --dim 4]; only divisor-targets
-                                     takes --m-max)
+                                     divisor-targets [--m-max M, 0 <= M <=
+                                     500000, default 34, --dim 4]; only
+                                     divisor-targets takes --m-max)
 
 The parser is built once per process, so repeated in-process calls of main
 pay for it once.  Output is deterministic pretty-printed JSON on stdout,
@@ -25,7 +26,7 @@ already written: one % format of a template cached per shape (has c_3,
 Chern length, decomposition length), and the template is _dumps itself
 applied to the solution dict with "%s" holes, so the layout has one writer.
 Exit codes: 0 ok, 1 failed internal checks, 2 constraint violations, 64
-usage errors.
+usage errors, a window or --m-max above its limit among them.
 """
 
 import argparse
@@ -35,14 +36,18 @@ import time
 from functools import cache
 
 from .chernvec import NotRealizable, realizable
-from .homotopy import (ConstraintViolated, ZeroFirstChern, acs_search_cp4,
-                       acs_search_cp6, cp5_structure, cp6_exists,
-                       divisor_target_cp4, mod31_table, validate_params)
+from .homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, ConstraintViolated,
+                       ZeroFirstChern, acs_search_cp4, acs_search_cp6,
+                       cp5_structure, cp6_exists, divisor_target_cp4,
+                       mod31_table, validate_params)
 from .ktheory import KOClass, pontrjagin_total
 from .suites import SUITES, run_suite
 
 USAGE_ERROR = 64
 _SAFE = 1 << 53
+
+# the largest --m-max of table divisor-targets: 142857 rows, about a second
+DIVISOR_TARGETS_M_MAX = 500_000
 
 
 _EXIT_CODES = {"ok": 0, "violation": 2, "error": 1}
@@ -148,8 +153,10 @@ _ACS_WINDOW = {4: ("a_max",), 5: (), 6: ("a_max", "c_max")}
 
 def _acs_window(args):
     """{name: value} over the window flags that --dim reads, 200 for one
-    not given; _UsageError for a flag that --dim does not read or a value
-    below 1."""
+    not given; _UsageError for a flag that --dim does not read, a value
+    below 1, or a window above the limit of its search: --a-max above
+    CP4_WINDOW_MAX with --dim 4, --a-max times --c-max above
+    CP6_WINDOW_AREA_MAX with --dim 6."""
     window = {}
     for name in ("a_max", "c_max"):
         flag, value = "--" + name.replace("_", "-"), getattr(args, name)
@@ -159,6 +166,14 @@ def _acs_window(args):
                 raise _UsageError(f"{flag} must be at least 1, got {value}")
         elif value is not None:
             raise _UsageError(f"acs --dim {args.dim} takes no {flag}")
+    if args.dim == 4 and window["a_max"] > CP4_WINDOW_MAX:
+        raise _UsageError(f"--a-max must be at most {CP4_WINDOW_MAX} with --dim 4, "
+                          f"got {window['a_max']}")
+    if args.dim == 6:
+        area = window["a_max"] * window["c_max"]
+        if area > CP6_WINDOW_AREA_MAX:
+            raise _UsageError(f"--a-max times --c-max must be at most {CP6_WINDOW_AREA_MAX}, "
+                              f"got {area}")
     return window
 
 
@@ -232,6 +247,8 @@ def _table_rows(args):
         m_max = 34 if args.m_max is None else args.m_max
         if m_max < 0:
             raise _UsageError(f"--m-max must be at least 0, got {m_max}")
+        if m_max > DIVISOR_TARGETS_M_MAX:
+            raise _UsageError(f"--m-max must be at most {DIVISOR_TARGETS_M_MAX}, got {m_max}")
         rows = [[m, divisor_target_cp4(m)]
                 for m in range(-m_max, m_max + 1)
                 if m % 14 in (0, 6)]

@@ -228,7 +228,10 @@ def exp_series(t, d):
 # many thousands of them, so the K-theory layer works on plain int lists and
 # only wraps the final answer in a CohClass.  Each factor comes from its
 # binomial closed form (_line_pow), never from repeated products, so its cost
-# does not grow with |k|.  ktheory.total_chern takes the other route, from
+# does not grow with |k|.  _line_product starts from its first factor, so n
+# factors take n - 1 products, and passes each later factor as the outer
+# operand of _mul, which skips its zero entries: (1 + j*u)^k with 0 < k < d
+# is zero above u^k.  ktheory.total_chern takes the other route, from
 # the integer power sums through _elementary_from_power_sums, so the two
 # can be checked against each other.
 # ---------------------------------------------------------------------------
@@ -264,12 +267,15 @@ def _line_pow(j, k, d):
 
 def _line_product(mults, d):
     """prod_j (1 + j*u)^(mults[j-1]) over j = 1, 2, ..., truncated above u^d,
-    as an int list: one _line_pow factor per nonzero multiplicity."""
-    series = [1] + [0] * d
+    as an int list: one _line_pow factor per nonzero multiplicity, the
+    first taken as it is and each later one multiplied in as the outer
+    operand of _mul, so n factors cost n - 1 calls of _mul."""
+    series = None
     for j, k in enumerate(mults, start=1):
         if k:
-            series = _mul(series, _line_pow(j, k, d), d)
-    return series
+            factor = _line_pow(j, k, d)
+            series = factor if series is None else _mul(factor, series, d)
+    return [1] + [0] * d if series is None else series
 
 
 def _elementary_from_power_sums(sums):

@@ -17,7 +17,9 @@ division, larger ones split off by Brent-Pollard rho and certified by
 deterministic Miller-Rabin on the bases 2..41, which is proven correct below
 3 317 044 064 679 887 385 961 981 (Sorenson-Webster 2015).  A cofactor beyond
 that bound that tests prime raises ``UnprovenPrime`` instead of returning a
-divisor list that might be incomplete.
+divisor list that might be incomplete.  Rho runs on a fixed budget of steps
+per factorization; a cofactor it cannot split within the budget raises
+``FactoringBudgetExceeded``, so factoring never hangs.
 
 ``MPolyZ`` is a polynomial ring with integer coefficients over the fixed
 variable universe ``a, c, m, n, q`` -- the handful of symbols needed by the
@@ -27,7 +29,7 @@ divisibility analysis in :mod:`acscp.homotopy`.
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 
 class SingularMatrix(ValueError):
@@ -288,9 +290,19 @@ _SMALL_PRIMES = _primes_below(_TRIAL)
 
 _RHO_BATCH = 128    # rho steps whose differences share one gcd
 
+# Rho steps (squarings of y) allowed in one factorization.  A balanced
+# semiprime near 10^22 splits in about 4*10^5 steps, and took under 2*10^6 in
+# each of 40 seeded cases; spending all 2^23 steps on a 40-digit cofactor
+# takes about 5 s on a 2-vCPU VM.
+_RHO_BUDGET = 1 << 23
+
 
 class UnprovenPrime(ValueError):
     """A cofactor passes Miller-Rabin but lies beyond its proven bound."""
+
+
+class FactoringBudgetExceeded(ValueError):
+    """Rho did not split a composite cofactor within _RHO_BUDGET steps."""
 
 
 def _is_prime(n):
@@ -319,12 +331,23 @@ def _is_prime(n):
     return True
 
 
-def _rho(n):
-    """A proper factor of the odd composite n: Pollard rho with Brent's cycle
-    finding and one gcd per _RHO_BATCH steps (Brent 1980)."""
+def _rho(n, budget):
+    """(a proper factor of the odd composite n, the steps taken): Pollard rho
+    with Brent's cycle finding and one gcd per _RHO_BATCH steps (Brent 1980).
+
+    A round of Brent's loop takes at most 2r steps, and it starts only while
+    the steps so far, its own 2r included, stay within budget; the replay of
+    an overshot batch adds at most _RHO_BATCH more.  Past the budget,
+    FactoringBudgetExceeded names n."""
+    steps = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > budget:
+                raise FactoringBudgetExceeded(
+                    f"rho did not split the cofactor {n} within {_RHO_BUDGET} steps; "
+                    f"its divisor list cannot be computed")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -344,11 +367,12 @@ def _rho(n):
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
         if g != n:
-            return g
+            return g, steps
 
 
 def _factor(n):
-    """Prime factorization {p: e} of n >= 1, every prime certified."""
+    """Prime factorization {p: e} of n >= 1, every prime certified, with at
+    most _RHO_BUDGET rho steps in all (see _rho)."""
     factors = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
@@ -357,12 +381,14 @@ def _factor(n):
             factors[p] = factors.get(p, 0) + 1
             n //= p
     pending = [n] if n > 1 else []
+    budget = _RHO_BUDGET
     while pending:
         n = pending.pop()
         if n < _TRIAL * _TRIAL or _is_prime(n):
             factors[n] = factors.get(n, 0) + 1
         else:
-            g = _rho(n)
+            g, steps = _rho(n, budget)
+            budget -= steps
             pending += (g, n // g)
     return factors
 
@@ -375,8 +401,10 @@ def divisors_signed(n):
     prime certified by deterministic Miller-Rabin on the bases 2..41.  That
     test is proven below 3 317 044 064 679 887 385 961 981; a cofactor at or
     above this bound that tests prime raises UnprovenPrime, so a returned
-    list is always complete.  Raises TypeError unless n is an int (a bool is
-    refused too), and ZeroArgument for 0.
+    list is always complete.  A composite cofactor that rho cannot split
+    within its budget of steps raises FactoringBudgetExceeded.  Raises
+    TypeError unless n is an int (a bool is refused too), and ZeroArgument
+    for 0.
     """
     if not _is_int(n):
         raise TypeError(f"divisors need an integer, got {n!r}")
@@ -410,12 +438,24 @@ class MPolyZ:
     Terms are a dict mapping exponent 5-tuples to nonzero integers.  Unused
     variables simply carry exponent zero, so every polynomial lives in the
     same ring and arithmetic never needs variable reconciliation.
+
+    __init__ drops zero coefficients.  A result that cannot hold one
+    (negation, a nonzero scalar multiple, divexact, divide_by_variable) is
+    built by _build, without that filter.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def _build(cls, terms):
+        """The polynomial with this dict of terms, taken as it is: every
+        coefficient must already be nonzero."""
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls):
@@ -461,7 +501,7 @@ class MPolyZ:
     __radd__ = __add__
 
     def __neg__(self):
-        return MPolyZ({e: -c for e, c in self.terms.items()})
+        return MPolyZ._build({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -473,13 +513,15 @@ class MPolyZ:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MPolyZ({e: c * other for e, c in self.terms.items()})
+            if not other:
+                return MPolyZ()
+            return MPolyZ._build({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MPolyZ):
             return NotImplemented
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return MPolyZ(out)
 
@@ -538,7 +580,7 @@ class MPolyZ:
             if e[idx] < 1:
                 raise NotDivisible(f"term with exponents {e} lacks a factor of {name}")
             out[e[:idx] + (e[idx] - 1,) + e[idx + 1:]] = c
-        return MPolyZ(out)
+        return MPolyZ._build(out)
 
     def reduce_mod(self, p, fermat_vars=()):
         """Coefficients reduced into [0, p).
@@ -567,7 +609,7 @@ class MPolyZ:
         """Exact scalar division; every coefficient must be divisible by k."""
         if any(c % k for c in self.terms.values()):
             raise NotDivisible(f"coefficients are not all divisible by {k}")
-        return MPolyZ({e: c // k for e, c in self.terms.items()})
+        return MPolyZ._build({e: c // k for e, c in self.terms.items()})
 
     def coefficient(self, **exps):
         """Coefficient of the monomial with the given exponents (others zero)."""

@@ -338,13 +338,24 @@ def _solution(d, p, a, c=None):
     return None if dec is None else ACSSolution(d, a, c, v, dec)
 
 
-def _check_window(name, value):
+# The largest search windows accepted: the cross-check window |a| <= w of
+# acs_search_cp4, and the area a_max * c_max of acs_search_cp6.  At either
+# limit `acscp acs` runs about a second on a 2-vCPU VM; for d = 6 the worst
+# shape is a_max = 1, where every odd c is a class and about a sixth of the
+# cells are solutions, and a square window costs far less.
+CP4_WINDOW_MAX = 4_000_000
+CP6_WINDOW_AREA_MAX = 100_000
+
+
+def _check_window(name, value, limit):
     """Refuse a search window that is not an int (or is a bool) with
-    TypeError, and one below 1 with ValueError."""
+    TypeError, and one below 1 or above limit with ValueError."""
     if not _is_int(value):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
+    if value > limit:
+        raise ValueError(f"{name} must be at most {limit}, got {value}")
 
 
 def _conjugate_sums(sums):
@@ -380,14 +391,22 @@ def _direct_set_cp4(p, window):
     integrally.  Pure integer arithmetic.
 
     The completion and its test 2|a| | num_3 depend on |a| only, so they run
-    once per sign class; the cells a and -a share one Newton recursion, and
+    once per sign class, inline: c_2 = (a^2 - p_1)/2, then the test
+    2a | 10 + c_2^2 - p_2, the step of _complete_ints at d = 4 without its
+    call and dispatch.  The cells a and -a share one Newton recursion, and
     each is decomposed on its own."""
+    p1, p2 = p
     out = set()
     for a in range(1, window + 1, 2):
-        v = _complete_ints(4, p, a, None)
-        if v is None:
+        t = a * a - p1
+        if t % 2:
             continue
-        sums = newton_power_sums(v)
+        c2 = t // 2
+        two_a = 2 * a
+        num3 = 10 + c2 * c2 - p2
+        if num3 % two_a:
+            continue
+        sums = newton_power_sums((a, c2, num3 // two_a, 5))
         if _decompose(sums) is not None:
             out.add(a)
         if _decompose(_conjugate_sums(sums)) is not None:
@@ -408,7 +427,7 @@ def acs_search_cp4(X, cross_check_window=200):
     """
     if X.d != 4:
         raise UnsupportedDimension("acs_search_cp4 needs d = 4")
-    _check_window("cross_check_window", cross_check_window)
+    _check_window("cross_check_window", cross_check_window, CP4_WINDOW_MAX)
     D = divisor_target_cp4(X.m)
     p = pontrjagin_of_X(X)
     sols = [s for s in (_solution(4, p, a) for a in divisors_signed(D)) if s is not None]
@@ -615,8 +634,9 @@ def acs_search_cp6(X, a_max=200, c_max=200):
     """
     if X.d != 6:
         raise UnsupportedDimension("acs_search_cp6 needs d = 6")
-    _check_window("a_max", a_max)
-    _check_window("c_max", c_max)
+    _check_window("a_max", a_max, CP6_WINDOW_AREA_MAX)
+    _check_window("c_max", c_max, CP6_WINDOW_AREA_MAX)
+    _check_window("a_max * c_max", a_max * c_max, CP6_WINDOW_AREA_MAX)
     crit = _criterion_set_cp6(X, a_max, c_max)
     direct = _direct_set_cp6(pontrjagin_of_X(X), a_max, c_max)
     if crit != direct.keys():
@@ -757,14 +777,16 @@ class CP6Symbolic(namedtuple("CP6Symbolic", "f numerators denominators")):
 
 def _lowest_terms(num, den, apow):
     """num / (den * a^apow) in lowest terms: the gcd of the content of num
-    and den is cancelled, then powers of a while num is divisible by a.
-    The form is unique, so equal fractions give equal (num, den, apow)."""
+    and den is cancelled, then, in one pass over the terms, the largest
+    power of a, at most a^apow, that divides num.  The form is unique, so
+    equal fractions give equal (num, den, apow)."""
     g = gcd(num.content(), den)
     if g > 1:
         num, den = num.divexact(g), den // g
-    while apow and num.divisible_by_variable("a"):
-        num, apow = num.divide_by_variable("a"), apow - 1
-    return num, den, apow
+    k = min(apow, *(e[0] for e in num.terms))
+    if k:
+        num = MPolyZ({(e[0] - k,) + e[1:]: coeff for e, coeff in num.terms.items()})
+    return num, den, apow - k
 
 
 def _symbolic_cp6_rows(p2_m2_coefficient=288):

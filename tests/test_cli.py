@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acscp.cli import main, _build_parser, _dumps, _solution_json
-from acscp.homotopy import ACSSolution, ConstraintViolated, HtpyCP
+from acscp import cli, exactmath
+from acscp.cli import (DIVISOR_TARGETS_M_MAX, main, _build_parser, _dumps,
+                       _solution_json)
+from acscp.homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, ACSSolution,
+                            ConstraintViolated, HtpyCP)
 
 
 def run(capsys, *argv):
@@ -110,6 +113,60 @@ def test_table_without_m_max_refuses_it(capsys, table, m_max):
         code, out, err = run(capsys, "table", table, "--m-max", m_max, *fmt)
         assert code == 64 and out == ""
         assert f"the {table} table takes no --m-max" in err
+
+
+def test_acs_window_limits_at_and_one_above(capsys, monkeypatch):
+    # the searches are stubbed: only the window the cli lets through matters
+    windows = []
+    monkeypatch.setattr(cli, "acs_search_cp4",
+                        lambda X, cross_check_window: windows.append(cross_check_window) or [])
+    monkeypatch.setattr(cli, "acs_search_cp6",
+                        lambda X, a_max, c_max: windows.append((a_max, c_max)) or [])
+    cp4 = ("acs", "--dim", "4", "--m", "0", "--n", "0")
+    cp6 = ("acs", "--dim", "6", "--m", "0", "--n", "0", "--q", "0")
+    area = CP6_WINDOW_AREA_MAX
+    for argv in ((*cp4, "--a-max", str(CP4_WINDOW_MAX)),
+                 (*cp6, "--a-max", "1", "--c-max", str(area)),
+                 (*cp6, "--a-max", str(area), "--c-max", "1"),
+                 (*cp6, "--a-max", "2", "--c-max", str(area // 2))):
+        assert run(capsys, *argv)[0] == 0
+    assert windows == [CP4_WINDOW_MAX, (1, area), (area, 1), (2, area // 2)]
+    for argv, message in (
+            ((*cp4, "--a-max", str(CP4_WINDOW_MAX + 1)),
+             f"--a-max must be at most {CP4_WINDOW_MAX} with --dim 4, got {CP4_WINDOW_MAX + 1}"),
+            ((*cp6, "--a-max", "1", "--c-max", str(area + 1)),
+             f"--a-max times --c-max must be at most {area}, got {area + 1}"),
+            ((*cp6, "--a-max", str(area + 1)),
+             f"--a-max times --c-max must be at most {area}, got {200 * (area + 1)}"),
+            ((*cp6, "--a-max", "2", "--c-max", str(area // 2 + 1)),
+             f"--a-max times --c-max must be at most {area}, got {area + 2}")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert message in err
+    assert len(windows) == 4
+
+
+def test_divisor_targets_m_max_limit_at_and_one_above(capsys):
+    code, out, _ = run(capsys, "table", "divisor-targets", "--csv",
+                       "--m-max", str(DIVISOR_TARGETS_M_MAX))
+    rows = out.splitlines()
+    assert code == 0 and rows[0] == "m,target"
+    assert rows[1].startswith("-499996,")     # the first m = 0, 6 (mod 14)
+    assert len(rows) - 1 == sum(1 for m in range(-DIVISOR_TARGETS_M_MAX, DIVISOR_TARGETS_M_MAX + 1)
+                                if m % 14 in (0, 6))
+    code, out, err = run(capsys, "table", "divisor-targets",
+                         "--m-max", str(DIVISOR_TARGETS_M_MAX + 1))
+    assert (code, out) == (64, "")
+    assert f"--m-max must be at most {DIVISOR_TARGETS_M_MAX}, got {DIVISOR_TARGETS_M_MAX + 1}" in err
+
+
+def test_acs_factoring_past_its_budget_is_an_error(capsys, monkeypatch):
+    # the target of m = 132 is 4314841 = 1033 * 4177, which only rho splits
+    assert run_json(capsys, "acs", "--dim", "4", "--m", "132", "--n", "2442")[0] == 0
+    monkeypatch.setattr(exactmath, "_RHO_BUDGET", 1)
+    code, doc, _ = run_json(capsys, "acs", "--dim", "4", "--m", "132", "--n", "2442")
+    assert code == 1 and doc["status"] == "error"
+    assert "cofactor 4314841 within 1 steps" in doc["payload"]["error"]
 
 
 def test_divisor_targets_m_max_defaults_to_34(capsys):

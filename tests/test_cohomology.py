@@ -5,9 +5,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acscp.chernvec import newton_power_sums
+from acscp import cohomology
+from acscp.chernvec import chern_from_multiplicities, newton_power_sums
 from acscp.cohomology import (CohClass, DimensionMismatch, NonUnit, exp_series,
-                              _elementary_from_power_sums, _line_pow)
+                              _elementary_from_power_sums, _line_pow,
+                              _line_product)
 
 
 def C(d, *coeffs):
@@ -155,6 +157,42 @@ def test_line_pow_at_huge_exponents():
         assert _line_pow(j, -big, 8) == [(-1) ** i * comb(big + i - 1, i) * j ** i
                                          for i in range(9)]
     assert _line_pow(5, 3, 6) == [1, 15, 75, 125, 0, 0, 0]
+
+
+def line_product_by_classes(mults, d):
+    """prod_j (1 + j u)^k_j as a product of CohClass powers, the reference."""
+    out = CohClass.one(d)
+    for j, k in enumerate(mults, start=1):
+        out = out * CohClass(d, [1, j] + [0] * (d - 1)) ** k
+    return list(out.coeffs)
+
+
+@pytest.mark.parametrize("mults, d", [
+    ((), 3), ((0,), 1), ((0, 0, 0, 0), 4),                  # all zero: the unit
+    ((3,), 1), ((0, 0, 2), 5), ((0, -4, 0), 3),             # a single factor
+    ((-1, 2), 2), ((-3, 0, 1, 5), 4), ((0, -2, -1, 3), 6),  # negative first factor
+])
+def test_line_product_edge_multiplicities(mults, d):
+    got = _line_product(mults, d)
+    assert got == line_product_by_classes(mults, d)
+    assert len(got) == d + 1 and all(type(x) is int for x in got)
+    if not any(mults):
+        assert got == [1] + [0] * d
+
+
+@pytest.mark.parametrize("mults", [(0, 0, 0), (5, 0, 0, 0), (1, 1), (-3, 0, 2, 0, -1),
+                                   (1, -2, 3, -4, 5, -6)])
+def test_chern_from_multiplicities_makes_one_mul_per_factor_after_the_first(monkeypatch, mults):
+    calls = []
+    mul = cohomology._mul
+
+    def counted(xs, ys, d):
+        calls.append(d)
+        return mul(xs, ys, d)
+
+    monkeypatch.setattr(cohomology, "_mul", counted)
+    chern_from_multiplicities(mults)
+    assert len(calls) == max(sum(1 for k in mults if k) - 1, 0)
 
 
 @settings(max_examples=150, deadline=None)

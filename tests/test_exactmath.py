@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from acscp import exactmath
 from acscp.chernvec import _q_adjugate, q_matrix
-from acscp.exactmath import (DuplicateNodes, IndexOutOfRange, MPolyZ,
-                             NotDivisible, SingularMatrix, UnprovenPrime,
+from acscp.exactmath import (DuplicateNodes, FactoringBudgetExceeded,
+                             IndexOutOfRange, MPolyZ, NotDivisible,
+                             SingularMatrix, UnprovenPrime,
                              ZeroArgument, adjugate, det_exact,
                              divisors_signed, elem_sym, inverse_exact,
                              poly_variables, solve_exact, vandermonde_inverse,
@@ -393,6 +394,33 @@ def test_divisors_refuse_unproven_prime():
         divisors_signed(-6 * (2 ** 89 - 1))
 
 
+def test_balanced_semiprime_near_1e22_factors_within_the_budget():
+    # rho takes about 2.6*10^5 steps on it, far below the budget
+    p, q = 99331229839, 100624488421
+    assert divisors_signed(p * q) == [-p * q, -q, -p, -1, 1, p, q, p * q]
+    _, steps = exactmath._rho(p * q, exactmath._RHO_BUDGET)
+    assert steps * 8 < exactmath._RHO_BUDGET
+
+
+def test_rho_past_its_budget_names_the_cofactor(monkeypatch):
+    # three primes near 2^31 and 2^40 that trial division leaves together:
+    # rho splits their product, then the composite part left
+    n = 2147483647 * 2147483659 * 1099511627689
+    g, first = exactmath._rho(n, exactmath._RHO_BUDGET)
+    rest = max(g, n // g)
+    _, second = exactmath._rho(rest, exactmath._RHO_BUDGET)
+    want = divisors_signed(n)
+    # the budget covers the whole factorization, not each cofactor
+    monkeypatch.setattr(exactmath, "_RHO_BUDGET", first + second)
+    assert divisors_signed(n) == want
+    for budget, cofactor in ((first + second - 1, rest), (first - 1, n), (0, n)):
+        monkeypatch.setattr(exactmath, "_RHO_BUDGET", budget)
+        with pytest.raises(FactoringBudgetExceeded,
+                           match=f"cofactor {cofactor} within {budget} steps"):
+            divisors_signed(-6 * n)
+    assert issubclass(FactoringBudgetExceeded, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials
 # ---------------------------------------------------------------------------
@@ -500,6 +528,18 @@ def test_divexact_and_content():
     assert p.divexact(3) == 2 * a + 3 * m
     with pytest.raises(NotDivisible):
         p.divexact(4)
+
+
+def test_results_built_without_the_zero_filter_hold_no_zero():
+    # negation, a nonzero scalar, divexact and divide_by_variable skip the
+    # zero filter of __init__; each result equals the filtered construction
+    p = 6 * a * m - 9 * m + 3 * a * a
+    for got in (-p, p * -2, 5 * p, p.divexact(-3), (a * p).divide_by_variable("a"),
+                p * MPolyZ.const(7)):
+        assert 0 not in got.terms.values()
+    assert (p * 0).is_zero() and (0 * p).is_zero() and (p * False).is_zero()
+    assert (a * m).divide_by_variable("a") == m
+    assert str(-p) == "-3*a^2 - 6*a*m + 9*m"
 
 
 def test_string_form_graded_lex():

@@ -13,8 +13,9 @@ from acscp import homotopy
 from acscp.chernvec import (NotRealizable, newton_power_sums, q_matrix,
                             realizable, _decompose, _q_adjugate, _q_rows)
 from acscp.exactmath import MPolyZ, divisors_signed, solve_exact
-from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP6_CONSTRAINT,
-                            CP6_PONTRJAGIN, ConstraintViolated, HtpyCP,
+from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP4_WINDOW_MAX,
+                            CP6_CONSTRAINT, CP6_PONTRJAGIN,
+                            CP6_WINDOW_AREA_MAX, ConstraintViolated, HtpyCP,
                             NoCompletion, ZeroFirstChern, acs_search_cp4,
                             acs_search_cp6, complete_chern_vector,
                             cp5_structure, cp6_exists,
@@ -22,7 +23,7 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP6_CONSTRAINT,
                             mod31_table, pontrjagin_of_X,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
                             tangent_ko_class, validate_params,
-                            _CP6_F_MULTIPLES, _complete_head,
+                            _CP6_F_MULTIPLES, _check_window, _complete_head,
                             _complete_ints, _complete_tail, _criterion_set_cp6,
                             _conjugate_q_rows, _direct_set_cp4,
                             _direct_set_cp6, _odd_classes, _odd_square_roots,
@@ -290,6 +291,25 @@ def test_direct_scan_matches_public_ops(mn, window):
     assert {1, -1} <= fast
 
 
+@pytest.mark.parametrize("mn, window", [((-8, 12), 2000), ((14, 23), 2000), ((6, 3), 9529)])
+def test_direct_scan_matches_public_ops_on_the_verify_windows(mn, window):
+    # the windows of verify cp4's criterion-vs-direct check; 9529 is the
+    # whole divisor target of X(6, 3)
+    X = validate_params(4, *mn)
+    slow = set()
+    for a in range(-window, window + 1):
+        if a == 0:
+            continue
+        try:
+            realizable(complete_chern_vector(X, a))
+        except (NoCompletion, NotRealizable):
+            continue
+        slow.add(a)
+    assert _direct_set_cp4(pontrjagin_of_X(X), window) == slow
+    if mn == (6, 3):
+        assert slow == set(divisors_signed(9529))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-10 ** 4, 10 ** 4), st.sampled_from([0, 6]), st.data())
 def test_cp4_conjugate_cell_has_the_flipped_power_sums(k, r, data):
@@ -320,6 +340,23 @@ def test_search_windows_are_validated(window, error):
         acs_search_cp6(X6, a_max=window, c_max=5)
     with pytest.raises(error, match="c_max"):
         acs_search_cp6(X6, a_max=5, c_max=window)
+
+
+def test_windows_are_refused_above_their_limits():
+    for limit in (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX):
+        assert _check_window("w", limit, limit) is None
+        with pytest.raises(ValueError, match=f"w must be at most {limit}, got {limit + 1}"):
+            _check_window("w", limit + 1, limit)
+    X4, X6 = HtpyCP(4, 0, 0), HtpyCP(6, 0, 0, 0)
+    with pytest.raises(ValueError, match="cross_check_window must be at most"):
+        acs_search_cp4(X4, cross_check_window=CP4_WINDOW_MAX + 1)
+    # the area at the limit is accepted, in its cheap shape c_max = 1
+    assert [(s.a, s.c) for s in acs_search_cp6(X6, a_max=CP6_WINDOW_AREA_MAX, c_max=1)] == \
+        [(-1, -1), (1, 1)]
+    for a_max, c_max in ((1, CP6_WINDOW_AREA_MAX + 1), (CP6_WINDOW_AREA_MAX + 1, 1),
+                         (2, CP6_WINDOW_AREA_MAX // 2 + 1)):
+        with pytest.raises(ValueError, match="must be at most"):
+            acs_search_cp6(X6, a_max=a_max, c_max=c_max)
 
 
 def test_q_adjugate_consistency():
