@@ -32,7 +32,7 @@ from math import comb, factorial, gcd
 from operator import mul
 
 from .cohomology import exp_series, _line_product
-from .exactmath import _is_int, adjugate
+from .exactmath import _check_degree, _is_int, adjugate
 
 
 class NotRealizable(ValueError):
@@ -48,13 +48,6 @@ class NotRealizable(ValueError):
 def q_vector(m, d):
     """The exponential vector q_m, i.e. ch of a line bundle with c_1 = m*u."""
     return exp_series(m, d)
-
-
-def _check_degree(d):
-    if not _is_int(d):
-        raise TypeError(f"the degree d must be an int, got {d!r}")
-    if d < 1:
-        raise ValueError(f"the degree d must be at least 1, got {d}")
 
 
 def w_matrix(d):

@@ -24,7 +24,7 @@ takes the power sums k!*ch_k of a class to its Chern classes.
 from fractions import Fraction
 from operator import add, neg, sub
 
-from .exactmath import _is_int, _power
+from .exactmath import _check_degree, _is_int, _power
 
 
 class DimensionMismatch(ValueError):
@@ -152,8 +152,11 @@ class CohClass(_TruncatedRing):
     _term = "({})*{}"
 
     def __init__(self, d, coeffs):
-        """Raises ValueError unless there are d + 1 coefficients, and
-        TypeError for one that is not an int or a Fraction (a bool too)."""
+        """Raises TypeError unless d is an int, ValueError for d < 1 or
+        unless there are d + 1 coefficients, and TypeError for one that is
+        not an int or a Fraction (a bool is refused for d and coefficients
+        alike)."""
+        _check_degree(d)
         coeffs = tuple(coeffs)
         if len(coeffs) != d + 1:
             raise ValueError(f"need {d + 1} coefficients for dimension {d}")
@@ -210,7 +213,9 @@ def _normal(x):
 
 
 def exp_series(t, d):
-    """sum_{i<=d} t^i u^i / i! -- the exponential of t*u, truncated."""
+    """sum_{i<=d} t^i u^i / i! -- the exponential of t*u, truncated.  d is
+    checked as in CohClass."""
+    _check_degree(d)
     coeffs = []
     fact = 1
     for i in range(d + 1):

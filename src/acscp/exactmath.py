@@ -76,6 +76,15 @@ def _is_int(x):
     return type(x) is int
 
 
+def _check_degree(d):
+    """The ring-dimension test at the package's boundaries: TypeError unless
+    d is an int (a bool is refused too), ValueError for d < 1."""
+    if not _is_int(d):
+        raise TypeError(f"the degree d must be an int, got {d!r}")
+    if d < 1:
+        raise ValueError(f"the degree d must be at least 1, got {d}")
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra on lists of rows
 # ---------------------------------------------------------------------------
@@ -207,7 +216,10 @@ def adjugate(matrix):
 # ---------------------------------------------------------------------------
 
 def elem_sym(values, q):
-    """q-th elementary symmetric polynomial of the values; sigma_0 = 1."""
+    """q-th elementary symmetric polynomial of the values; sigma_0 = 1.
+    TypeError unless q is an int (a bool is refused too)."""
+    if not _is_int(q):
+        raise TypeError(f"the index q must be an int, got {q!r}")
     if q < 0 or q > len(values):
         raise IndexOutOfRange(f"index {q} outside 0..{len(values)}")
     coeffs = [1] + [0] * q

@@ -17,7 +17,9 @@ The d = 4 and 6 models live once, as the MPolyZ constants CP4_CONSTRAINT,
 CP6_CONSTRAINT and CP4_PONTRJAGIN, CP6_PONTRJAGIN (p_1, ..., p_(d/2) of T
 with n and q free), read by HtpyCP, pontrjagin_of_X (which still checks
 them against the K-theory route), mod31_table and the symbolic pipeline.
-The d = 6 divisor target is F / 155, F the pinned _CP6_F_PIN.
+The d = 6 divisor target is F / 155 with F derived from that model: the
+a-free part of the first row of the symbolic pipeline, computed once per
+process (_cp6_f).  The d = 5 model lives once too, as _cp5_e.
 
 For d = 4 and 6 an almost complex structure is the same thing as an integer
 Chern vector (c_1, ..., c_d) with c_d = d + 1 whose even combinations match
@@ -135,7 +137,7 @@ its parameters in __new__, which _make, _replace, copy and pickle all reach.
 """
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 from operator import itemgetter, mul
 
@@ -248,6 +250,13 @@ def pontrjagin_of_X(X):
     return formulas
 
 
+@lru_cache(maxsize=256, typed=True)
+def _pontrjagin_cached(X):
+    """pontrjagin_of_X(X), kept for the callers that complete one cell at a
+    time; typed, so a plain tuple never reads the entry of an equal HtpyCP."""
+    return pontrjagin_of_X(X)
+
+
 # ---------------------------------------------------------------------------
 # Chern-vector completion (d = 4, 6)
 # ---------------------------------------------------------------------------
@@ -314,8 +323,7 @@ def complete_chern_vector(X, a, c=None):
         raise ValueError("d = 6 needs the c_3 coefficient c")
     if d == 4 and c is not None:
         raise ValueError("d = 4 determines c_3; do not pass c")
-    p = pontrjagin_of_X(X)
-    v = _complete_ints(d, p, a, c)
+    v = _complete_ints(d, _pontrjagin_cached(X), a, c)
     if v is None:
         raise NoCompletion(f"no integral completion for a={a}" + (f", c={c}" if d == 6 else ""))
     return v
@@ -470,16 +478,19 @@ def cp6_exists(X):
 
 def _target_cp6(m, n):
     """The d = 6 divisor target at fixed (m, n) as an MPolyZ in c: F / 155,
-    F the pinned a-free part _CP6_F_PIN of the first symbolic numerator.
-    ArithmeticError unless (m, n) meets the constraint mod 31."""
+    F = _cp6_f() the a-free part of the first symbolic numerator, derived
+    from CP6_CONSTRAINT and CP6_PONTRJAGIN.  ArithmeticError unless (m, n)
+    meets the constraint mod 31."""
     try:
-        return MPolyZ(_CP6_F_PIN).substitute(m=m, n=n).divexact(155)
+        return _cp6_f().substitute(m=m, n=n).divexact(155)
     except NotDivisible:
         raise ArithmeticError(f"target is not integral at (m, n) = ({m}, {n})") from None
 
 
 def divisor_target_cp6(c, m, n):
-    """The integer that c_1 must divide when d = 6:
+    """The integer that c_1 must divide when d = 6, F / 155 with F derived
+    from the model (see _cp6_f); under the current CP6_CONSTRAINT and
+    CP6_PONTRJAGIN it is
 
         F / 155 = 147 - 8c^2 + (1/31)(-179712 m^3 + 879552 m^2 + 2488320 mn
                                       + 262584 m - 362880 n),
@@ -502,7 +513,8 @@ def _criterion_set_cp6(X, a_max, c_max):
     for a in _signed_odds(a_max):
         if a % 3 and a % 16 in _CP6_PARITY:
             paired.setdefault(_CP6_PARITY[a % 16], []).append(a)
-    # the target is t0 + t2 c^2 in c (see divisor_target_cp6), read off once
+    # the target, derived from the model, must be t0 + t2 c^2 in c (see
+    # divisor_target_cp6); read off once
     target_in_c = _target_cp6(X.m, X.n)
     t0, t2 = target_in_c.coefficient(), target_in_c.coefficient(c=2)
     if target_in_c != t0 + MPolyZ.var("c", 2, t2):
@@ -683,6 +695,20 @@ class CP5Report(namedtuple("CP5Report", "e reduction tangent euler_coefficient")
         return self.reduction_matches and self.euler_matches
 
 
+def _cp5_e(m, n):
+    """The L^i coefficients of E (see cp5_structure), for ints or for the
+    MPolyZ variables of the symbolic check alike."""
+    return [0, 6, 12 * m, 80 * n, 43 * m,
+            -19 * m - 20 * n - 6 * m * m + 80 * m * n]
+
+
+def _cp5_euler(m, k3, k4, k5):
+    """K with 6 + 6K the u^5 coefficient of the total Chern class of
+    6L + 12m L^2 + k_3 L^3 + k_4 L^4 + k_5 L^5 (see symbolic_verify_cp5),
+    for ints or MPolyZ alike."""
+    return k3 + 2 * k4 + 4 * k5 + 24 * m * m - 10 * m - 4 * (m * k3)
+
+
 def cp5_structure(X):
     """The stable almost complex structure
 
@@ -693,9 +719,7 @@ def cp5_structure(X):
     """
     if X.d != 5:
         raise UnsupportedDimension("cp5_structure needs d = 5")
-    m, n = X.m, X.n
-    e = KClass(5, [0, 6, 12 * m, 80 * n, 43 * m,
-                   -19 * m - 20 * n - 6 * m * m + 80 * m * n])
+    e = KClass(5, _cp5_e(X.m, X.n))
     return CP5Report(
         e=e,
         reduction=real_reduce(e),
@@ -713,25 +737,19 @@ def symbolic_verify_cp5():
 
         K = k_3 + 2k_4 + 4k_5 + 24m^2 - 10m - 4m k_3,
 
-    and substituting the k_i formulas makes K the zero polynomial.  The
-    coefficient identity itself is confirmed against total_chern on a grid
-    of independent (m, k_3, k_4, k_5).
+    and substituting the k_i formulas (_cp5_e) makes K the zero polynomial.
+    The coefficient identity itself (_cp5_euler, the same function at ints)
+    is confirmed against total_chern on a grid of independent
+    (m, k_3, k_4, k_5).
     """
     _, _, m, n, _ = poly_variables()
-    k3 = 80 * n
-    k4 = 43 * m
-    k5 = -19 * m - 20 * n - 6 * m * m + 80 * m * n
-    K = k3 + 2 * k4 + 4 * k5 + 24 * m * m - 10 * m - 4 * (m * k3)
-    if not K.is_zero():
+    if not _cp5_euler(m, *_cp5_e(m, n)[3:]).is_zero():
         return False
     for mm in range(-3, 4):
-        for (a3, a4, a5) in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-                             (2, -3, 5), (-4, 7, -1), (6, 6, 6)):
-            e = KClass(5, [0, 6, 12 * mm, a3, a4, a5])
-            got = total_chern(e).coeff(5)
-            want = (6 + 6 * a3 + 12 * a4 + 24 * a5
-                    + 144 * mm * mm - 60 * mm - 24 * mm * a3)
-            if got != want:
+        for ks in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                   (2, -3, 5), (-4, 7, -1), (6, 6, 6)):
+            e = KClass(5, [0, 6, 12 * mm, *ks])
+            if total_chern(e).coeff(5) != 6 + 6 * _cp5_euler(mm, *ks):
                 return False
     return True
 
@@ -739,29 +757,6 @@ def symbolic_verify_cp5():
 # ---------------------------------------------------------------------------
 # d = 6 symbolic: the six numerators of Q^-1 C
 # ---------------------------------------------------------------------------
-
-# the a-free part of numerator 1 recurs in every numerator with these weights
-_CP6_F_MULTIPLES = (1, -19, 3, -17, 1, -1)
-
-# pinned regression data for the first numerator and its a-free part,
-# exponent keys ordered (a, c, m, n, q)
-_CP6_F_PIN = {
-    (0, 0, 1, 0, 0): 1312920, (0, 0, 0, 1, 0): -1814400,
-    (0, 0, 1, 1, 0): 12441600, (0, 2, 0, 0, 0): -1240,
-    (0, 0, 2, 0, 0): 4397760, (0, 0, 3, 0, 0): -898560,
-    (0, 0, 0, 0, 0): 22785,
-}
-_CP6_F1_PIN = dict(_CP6_F_PIN)
-_CP6_F1_PIN.update({
-    (1, 0, 0, 0, 0): -208320, (1, 1, 0, 0, 0): 43152,
-    (1, 0, 1, 0, 0): -5461392, (1, 0, 0, 1, 0): -11336832,
-    (1, 0, 2, 0, 0): -762048, (2, 0, 1, 0, 0): 941904,
-    (1, 0, 3, 0, 0): 96768, (4, 0, 1, 0, 0): -3720,
-    (2, 0, 0, 1, 0): 892800, (2, 0, 0, 0, 0): 178653,
-    (4, 0, 0, 0, 0): -8277, (6, 0, 0, 0, 0): 31,
-    (2, 0, 2, 0, 0): 89280, (1, 0, 1, 1, 0): -2032128,
-})
-
 
 def _a_free_part(poly):
     """The terms of poly that do not contain the variable a."""
@@ -789,20 +784,22 @@ def _lowest_terms(num, den, apow):
     return num, den, apow - k
 
 
-def _symbolic_cp6_rows(p2_m2_coefficient=288):
+def _symbolic_cp6_rows(p2_m2_coefficient=None):
     """Push the d = 6 completion through Newton's identities and Q^-1 over
     Z[a, c, m, n], with q eliminated through the constraint.
 
     Works on the integer polynomials C_i = T^i c_i, T = 2ka (see the module
     docstring), and returns (numerators, denominators) with each row in
     lowest terms f_i / (den * a^apow).  The m^2 coefficient of the degree-4
-    Pontrjagin input is parametrised so the regression tests can
-    demonstrate how a transcribed 228 (for 288) propagates downstream.
+    Pontrjagin input is that of CP6_PONTRJAGIN unless p2_m2_coefficient
+    replaces it, so the regression tests can demonstrate how a transcribed
+    228 (for 288) propagates downstream.
     """
     a, c, m, _, _ = poly_variables()
 
     p1, p2, p3_q = CP6_PONTRJAGIN
-    p2 = p2 + (p2_m2_coefficient - p2.coefficient(m=2)) * m * m
+    if p2_m2_coefficient is not None:
+        p2 = p2 + (p2_m2_coefficient - p2.coefficient(m=2)) * m * m
     # eliminate q, which appears linearly in the constraint, as k p_3
     k = CP6_CONSTRAINT.coefficient(q=1)
     p3_free = p3_q.substitute(q=0)
@@ -827,21 +824,39 @@ def _symbolic_cp6_rows(p2_m2_coefficient=288):
             tuple((den, apow) for _, den, apow in rows))
 
 
+@cache
+def _cp6_f():
+    """F, the a-free part of the first row of _symbolic_cp6_rows(): the
+    numerator of the d = 6 divisor target, derived once per process from
+    CP6_CONSTRAINT and CP6_PONTRJAGIN."""
+    return _a_free_part(_symbolic_cp6_rows()[0][0])
+
+
+def _multiple_of(g, f):
+    """The integer k for which g - k f is divisible by a, i.e. the a-free
+    part of g is k f, for a nonzero a-free MPolyZ f; None when there is no
+    such k."""
+    e, lead = next(iter(f.terms.items()))
+    k, r = divmod(g.terms.get(e, 0), lead)
+    return k if not r and (g - k * f).divisible_by_variable("a") else None
+
+
 def symbolic_cp6_numerators():
     """Compute v = Q^-1 C symbolically over Z[a, c, m, n].
 
     Each entry of v is reduced to lowest terms f_i / (D_i * a).  The facts
     used by the mod-3 existence argument are asserted here: f is the a-free
-    part of f_1, it recurs in every f_i with the fixed multiples, and each
-    f_i minus its multiple of f is divisible by a.  The first numerator is
-    pinned against an independently verified regression value.
+    part of f_1, and the a-free part of every f_i is an integer multiple
+    k_i f, i.e. f_i - k_i f is divisible by a; ArithmeticError otherwise.
+    Under the current model the multiples are (1, -19, 3, -17, 1, -1); the
+    tests pin them and f_1.
     """
     numerators, denominators = _symbolic_cp6_rows()
     f = _a_free_part(numerators[0])
-    if f != MPolyZ(_CP6_F_PIN) or numerators[0] != MPolyZ(_CP6_F1_PIN):
-        raise ArithmeticError("symbolic numerators drifted from their pinned values")
-    for f_i, k in zip(numerators, _CP6_F_MULTIPLES):
-        if not (f_i - k * f).divisible_by_variable("a"):
-            raise ArithmeticError("numerator minus its multiple of f is not divisible by a")
+    if f.is_zero():
+        raise ArithmeticError("the a-free part of the first numerator vanishes")
+    for i, f_i in enumerate(numerators, 1):
+        if _multiple_of(f_i, f) is None:
+            raise ArithmeticError(f"the a-free part of numerator {i} is not an integer multiple of f")
     return CP6Symbolic(f=f, numerators=tuple(numerators),
                        denominators=tuple(denominators))

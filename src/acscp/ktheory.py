@@ -47,7 +47,7 @@ from math import comb, factorial
 
 from .cohomology import (CohClass, exp_series, _elementary_from_power_sums,
                          _mul, _TruncatedRing)
-from .exactmath import _is_int
+from .exactmath import _check_degree, _is_int
 
 
 class UnsupportedDimension(ValueError):
@@ -72,13 +72,15 @@ def _int_coeffs(coeffs, width):
 class KClass(_TruncatedRing):
     """Element of Z[L]/(L^(d+1)); coeffs[i] is the coefficient of L^i.
 
-    Raises TypeError for a coefficient that is not an int (or is a bool).
+    Raises TypeError unless d is an int, ValueError for d < 1, and TypeError
+    for a coefficient that is not an int (a bool is refused for both).
     """
 
     __slots__ = ()
     _gen = "L"
 
     def __init__(self, d, coeffs):
+        _check_degree(d)
         self.d = d
         self.coeffs = tuple(_int_coeffs(coeffs, d + 1))
 
@@ -104,8 +106,10 @@ class KOClass(_TruncatedRing):
     """Element of KO(CP^d) for d in {4, 5, 6}.
 
     coeffs[j] is the coefficient of w^j.  For d = 5 the w^3 coefficient is
-    a 2-torsion residue and is stored reduced mod 2.  Raises TypeError for a
-    coefficient that is not an int (or is a bool).
+    a 2-torsion residue and is stored reduced mod 2.  Raises TypeError
+    unless d is an int, ValueError for d < 1, UnsupportedDimension for any
+    other d outside {4, 5, 6}, and TypeError for a coefficient that is not
+    an int (a bool is refused for both).
     """
 
     __slots__ = ()
@@ -113,6 +117,7 @@ class KOClass(_TruncatedRing):
     _width = staticmethod(_ko_width)
 
     def __init__(self, d, coeffs):
+        _check_degree(d)
         self.d = d
         self.coeffs = _torsion_reduced(d, _int_coeffs(coeffs, _ko_width(d)))
 

@@ -29,8 +29,7 @@ from acscp.homotopy import (HtpyCP, acs_search_cp4, acs_search_cp6,
                             cp5_structure, divisor_target_cp4, mod31_table,
                             pontrjagin_of_X, symbolic_cp6_numerators,
                             symbolic_verify_cp5, tangent_ko_class,
-                            validate_params, _CP6_F_MULTIPLES,
-                            _symbolic_cp6_rows)
+                            validate_params, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, adams_ko, complexify, conjugate,
                            pontrjagin_total, real_reduce, total_chern)
 from tests.test_homotopy import DISPLAY_F1
@@ -123,7 +122,7 @@ def test_criterion_6_cp6_symbolic():
         sym = symbolic_cp6_numerators()
         assert sym.denominators == ((2976, 1), (23808, 1), (2976, 1),
                                     (23808, 1), (3720, 1), (23808, 1))
-        for f_i, k in zip(sym.numerators, _CP6_F_MULTIPLES):
+        for f_i, k in zip(sym.numerators, (1, -19, 3, -17, 1, -1)):
             assert (f_i - k * sym.f).divisible_by_variable("a")
         # corrected a-free part, term for term
         assert sym.f == MPolyZ({

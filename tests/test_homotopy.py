@@ -23,7 +23,7 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP4_WINDOW_MAX,
                             mod31_table, pontrjagin_of_X,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
                             tangent_ko_class, validate_params,
-                            _CP6_F_MULTIPLES, _check_window, _complete_head,
+                            _check_window, _complete_head,
                             _complete_ints, _complete_tail, _criterion_set_cp6,
                             _conjugate_q_rows, _direct_set_cp4,
                             _direct_set_cp6, _odd_classes, _odd_square_roots,
@@ -308,6 +308,27 @@ def test_direct_scan_matches_public_ops_on_the_verify_windows(mn, window):
     assert _direct_set_cp4(pontrjagin_of_X(X), window) == slow
     if mn == (6, 3):
         assert slow == set(divisors_signed(9529))
+
+
+def test_complete_chern_vector_computes_the_pontrjagin_data_once(monkeypatch):
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return pontrjagin_of_X(X)
+
+    monkeypatch.setattr(homotopy, "pontrjagin_of_X", counted)
+    homotopy._pontrjagin_cached.cache_clear()
+    try:
+        X = validate_params(4, 6, 3)
+        assert [complete_chern_vector(X, a) for a in (1, 13, 1)] == [
+            (1, -74, 1154, 5), (13, 10, -118, 5), (1, -74, 1154, 5)]
+        assert calls == [X]
+        # typed: a plain tuple equal to X does not read X's entry
+        with pytest.raises(AttributeError):
+            homotopy._pontrjagin_cached(tuple(X))
+    finally:
+        homotopy._pontrjagin_cached.cache_clear()
 
 
 @settings(max_examples=200, deadline=None)
@@ -720,11 +741,79 @@ def test_symbolic_denominators():
                                 (23808, 1), (3720, 1), (23808, 1))
 
 
+# regression values of the symbolic pipeline under the current model,
+# exponent keys ordered (a, c, m, n, q): the a-free part F of the first
+# numerator, the first numerator f_1, and the multiples of F in every f_i
+CP6_F = {
+    (0, 0, 1, 0, 0): 1312920, (0, 0, 0, 1, 0): -1814400,
+    (0, 0, 1, 1, 0): 12441600, (0, 2, 0, 0, 0): -1240,
+    (0, 0, 2, 0, 0): 4397760, (0, 0, 3, 0, 0): -898560,
+    (0, 0, 0, 0, 0): 22785,
+}
+CP6_F1 = {
+    **CP6_F,
+    (1, 0, 0, 0, 0): -208320, (1, 1, 0, 0, 0): 43152,
+    (1, 0, 1, 0, 0): -5461392, (1, 0, 0, 1, 0): -11336832,
+    (1, 0, 2, 0, 0): -762048, (2, 0, 1, 0, 0): 941904,
+    (1, 0, 3, 0, 0): 96768, (4, 0, 1, 0, 0): -3720,
+    (2, 0, 0, 1, 0): 892800, (2, 0, 0, 0, 0): 178653,
+    (4, 0, 0, 0, 0): -8277, (6, 0, 0, 0, 0): 31,
+    (2, 0, 2, 0, 0): 89280, (1, 0, 1, 1, 0): -2032128,
+}
+CP6_F_MULTIPLES = (1, -19, 3, -17, 1, -1)
+
+
+def test_symbolic_first_numerator_regression():
+    sym = symbolic_cp6_numerators()
+    assert sym.numerators[0] == MPolyZ(CP6_F1)
+    assert sym.f == MPolyZ(CP6_F) == homotopy._cp6_f()
+
+
 def test_symbolic_f_is_a_free_part_and_multiples():
     sym = symbolic_cp6_numerators()
     assert all(e[0] == 0 for e in sym.f.terms)
-    for f_i, k in zip(sym.numerators, _CP6_F_MULTIPLES):
+    for f_i, k in zip(sym.numerators, CP6_F_MULTIPLES):
         assert (f_i - k * sym.f).divisible_by_variable("a")
+    assert [homotopy._multiple_of(f_i, sym.f)
+            for f_i in sym.numerators] == list(CP6_F_MULTIPLES)
+
+
+def test_symbolic_numerators_refuse_an_a_free_part_off_the_multiples(monkeypatch):
+    nums, dens = _symbolic_cp6_rows()
+    for stray in (MPolyZ.var("c"), MPolyZ.const(1)):
+        bent = nums[:3] + (nums[3] + stray,) + nums[4:]
+        monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", lambda: (bent, dens))
+        with pytest.raises(ArithmeticError, match="numerator 4 is not an integer multiple"):
+            symbolic_cp6_numerators()
+    # a first numerator without an a-free part leaves no f to divide by
+    F = homotopy._a_free_part(nums[0])
+    bent = (nums[0] - F,) + nums[1:]
+    monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", lambda: (bent, dens))
+    with pytest.raises(ArithmeticError, match="first numerator vanishes"):
+        symbolic_cp6_numerators()
+    # a rational multiple is refused too: -19 F + F/5 in the second row
+    fifth = F.divexact(5)
+    bent = (nums[0], nums[1] + fifth) + nums[2:]
+    monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", lambda: (bent, dens))
+    with pytest.raises(ArithmeticError, match="numerator 2 is not an integer multiple"):
+        symbolic_cp6_numerators()
+
+
+def test_divisor_target_follows_the_model(monkeypatch):
+    # the constraint with 1044 n in place of 1152 n: the target is derived
+    # from CP6_CONSTRAINT, so it moves with it and nothing else needs editing
+    m, n, q = MPolyZ.var("m"), MPolyZ.var("n"), MPolyZ.var("q")
+    homotopy._cp6_f.cache_clear()
+    try:
+        monkeypatch.setattr(homotopy, "CP6_CONSTRAINT",
+                            32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n
+                            + 1044 * n + 1488 * q)
+        c = MPolyZ.var("c")
+        assert homotopy._cp6_f() == (-898560 * m ** 3 - 1240 * c * c + 4397760 * m * m
+                                     + 12441600 * m * n + 1312920 * m + 3628800 * n
+                                     + 22785)
+    finally:
+        homotopy._cp6_f.cache_clear()
 
 
 @pytest.mark.parametrize("p2_m2", [288, 228])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from acscp.chernvec import chern_from_multiplicities
 from acscp.cohomology import CohClass, DimensionMismatch, exp_series, _line_product
-from acscp.exactmath import MPolyZ
+from acscp.exactmath import MPolyZ, elem_sym
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            UnsupportedOperation, adams, adams_ko,
                            chern_character, complexify, conjugate,
@@ -50,6 +50,28 @@ def test_exponents_that_are_not_ints_are_refused(call):
     # square-and-multiply loop with an unrelated message
     with pytest.raises(TypeError, match="must be an integer|must be integers"):
         call()
+
+
+@pytest.mark.parametrize("d, error", [(True, TypeError), (2.0, TypeError),
+                                      (0, ValueError), (-1, ValueError)],
+                         ids=["True", "2.0", "0", "-1"])
+@pytest.mark.parametrize("build", [
+    lambda d: CohClass(d, [1, 2]),
+    lambda d: KClass(d, [0, 1]),
+    lambda d: KOClass(d, [0]),
+    lambda d: exp_series(1, d),
+], ids=["CohClass", "KClass", "KOClass", "exp_series"])
+def test_ring_dimensions_are_checked_at_the_boundary(build, d, error):
+    # each used to be accepted (KOClass(6.0, [0]) stored d = 6.0) or to die
+    # with an unrelated TypeError deeper in
+    with pytest.raises(error, match="the degree d must be"):
+        build(d)
+
+
+@pytest.mark.parametrize("q", [True, 2.0], ids=["True", "2.0"])
+def test_elem_sym_index_must_be_an_int(q):
+    with pytest.raises(TypeError, match="the index q must be an int"):
+        elem_sym([1, 2], q)
 
 
 def test_k_mul_truncation():
