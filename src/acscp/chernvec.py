@@ -32,7 +32,7 @@ from math import comb, factorial, gcd
 from operator import mul
 
 from .cohomology import exp_series, _line_product
-from .exactmath import _check_degree, _is_int, adjugate
+from .exactmath import _check_degree, _require_int, _require_ints, adjugate
 
 
 class NotRealizable(ValueError):
@@ -68,16 +68,11 @@ def q_matrix(d):
     return [[j ** i for j in range(1, d + 1)] for i in range(1, d + 1)]
 
 
-def _check_m(m):
-    if not _is_int(m):
-        raise TypeError(f"m must be an int, got {m!r}")
-
-
 def moment_vector(m, d):
     """b(m) = (1, m, m^2, ..., m^d), as Fractions.  d is checked as in
     w_matrix, then TypeError unless m is an int (a bool is refused too)."""
     _check_degree(d)
-    _check_m(m)
+    _require_int("m", m)
     return [Fraction(m ** i) for i in range(d + 1)]
 
 
@@ -94,7 +89,7 @@ def closed_form_w(m, d):
     leaving out one factor from prefix and suffix products of the m - j.
     Raises TypeError unless m and d are ints, and ValueError for d < 1.
     """
-    _check_m(m)
+    _require_int("m", m)
     _check_degree(d)
     n = d + 1
     fact = factorial(d)
@@ -140,10 +135,7 @@ def power_sums_from_chern(chern):
 
     Raises TypeError unless every entry is an int (a bool is refused too).
     """
-    chern = list(chern)
-    if not all(_is_int(c) for c in chern):
-        raise TypeError(f"Chern coefficients must be integers, got {chern!r}")
-    return newton_power_sums(chern)
+    return newton_power_sums(_require_ints("each Chern coefficient", chern))
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +195,5 @@ def chern_from_multiplicities(mults):
     Raises TypeError unless every multiplicity is an int (a bool is refused
     too).
     """
-    mults = list(mults)
-    if not all(_is_int(k) for k in mults):
-        raise TypeError(f"multiplicities must be integers, got {mults!r}")
+    mults = _require_ints("each multiplicity", mults)
     return tuple(_line_product(mults, len(mults))[1:])

@@ -24,7 +24,7 @@ takes the power sums k!*ch_k of a class to its Chern classes.
 from fractions import Fraction
 from operator import add, neg, sub
 
-from .exactmath import _check_degree, _is_int, _power
+from .exactmath import _check_degree, _power, _require_int, _require_rational
 
 
 class DimensionMismatch(ValueError):
@@ -72,9 +72,9 @@ class _TruncatedRing:
 
     @classmethod
     def _monomial(cls, d, power=0, coeff=1):
-        """coeff * gen^power, zero once power reaches the width."""
+        """coeff * gen^power for an int power, zero from the width on."""
         coeffs = [0] * cls._width(d)
-        if power < len(coeffs):
+        if _require_int("the power", power) < len(coeffs):
             coeffs[power] = coeff
         return cls(d, coeffs)
 
@@ -183,7 +183,7 @@ class CohClass(_TruncatedRing):
         return CohClass._build(self.d, out)
 
     def __pow__(self, k):
-        if _is_int(k) and k < 0:
+        if _require_int("the exponent", k) < 0:
             return self.invert_unit() ** -k
         return super().__pow__(k)
 
@@ -205,17 +205,16 @@ def _normal_form(coeffs):
 def _normal(x):
     """A CohClass coefficient in normal form: an integral Fraction becomes
     its int; TypeError unless x is an int or a Fraction (a bool too)."""
-    if type(x) is int:
+    if type(_require_rational("a cohomology coefficient", x)) is int:
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    raise TypeError(f"cohomology coefficients must be int or Fraction, got {x!r}")
+    return x.numerator if x.denominator == 1 else x
 
 
 def exp_series(t, d):
     """sum_{i<=d} t^i u^i / i! -- the exponential of t*u, truncated.  d is
-    checked as in CohClass."""
+    checked as in CohClass, and t must be an int or a Fraction."""
     _check_degree(d)
+    _require_rational("t", t)
     coeffs = []
     fact = 1
     for i in range(d + 1):

@@ -56,8 +56,7 @@ def _power(base, k, one, mul):
     """base^k for k >= 0 by square-and-multiply, with unit one and product
     mul.  TypeError unless k is an int (a bool is refused too), ValueError
     for k < 0."""
-    if not _is_int(k):
-        raise TypeError(f"exponents must be integers, got {k!r}")
+    _require_int("the exponent", k)
     if k < 0:
         raise ValueError(f"negative powers are not defined in this ring, got exponent {k}")
     result = one
@@ -76,12 +75,37 @@ def _is_int(x):
     return type(x) is int
 
 
+def _require_int(what, x):
+    """x, unless it is not exactly an int (a bool is refused too): the one
+    integer rule of the package, and with _require_rational the only raise
+    of a TypeError for a value of the wrong kind."""
+    if not _is_int(x):
+        raise TypeError(f"{what} must be an int, got {x!r}")
+    return x
+
+
+def _require_ints(what, xs):
+    """xs as a list, under the rule of _require_int for each entry, which
+    names the first entry that is not an int."""
+    xs = list(xs)
+    if not all(map(_is_int, xs)):
+        for x in xs:
+            _require_int(what, x)
+    return xs
+
+
+def _require_rational(what, x):
+    """x, unless it is neither exactly an int nor exactly a Fraction (a bool
+    is refused too): the one rational rule of the package."""
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError(f"{what} must be an int or a Fraction, got {x!r}")
+    return x
+
+
 def _check_degree(d):
     """The ring-dimension test at the package's boundaries: TypeError unless
     d is an int (a bool is refused too), ValueError for d < 1."""
-    if not _is_int(d):
-        raise TypeError(f"the degree d must be an int, got {d!r}")
-    if d < 1:
+    if _require_int("the degree d", d) < 1:
         raise ValueError(f"the degree d must be at least 1, got {d}")
 
 
@@ -98,16 +122,11 @@ def _square(matrix, fractions=True):
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError(f"matrix must be a nonempty list of equal rows, got {matrix!r}")
+    require = _require_rational if fractions else _require_int
     for r in rows:
-        _check_entries(r, fractions)
+        for x in r:
+            require("a matrix entry", x)
     return rows
-
-
-def _check_entries(values, fractions=True):
-    for x in values:
-        if not (_is_int(x) or fractions and type(x) is Fraction):
-            kinds = "int or Fraction" if fractions else "int"
-            raise TypeError(f"matrix entries must be {kinds}, got {x!r}")
 
 
 def _scaled_int_rows(rows):
@@ -180,7 +199,8 @@ def solve_exact(matrix, b):
     b = list(b)
     if len(b) != len(rows):
         raise ValueError("right-hand side length must equal matrix size")
-    _check_entries(b)
+    for x in b:
+        _require_rational("a matrix entry", x)
     _, D, Y = _eliminate(_scaled_int_rows([r + [x] for r, x in zip(rows, b)])[0])
     return [Fraction(row[0], D) for row in Y]
 
@@ -217,9 +237,10 @@ def adjugate(matrix):
 
 def elem_sym(values, q):
     """q-th elementary symmetric polynomial of the values; sigma_0 = 1.
-    TypeError unless q is an int (a bool is refused too)."""
-    if not _is_int(q):
-        raise TypeError(f"the index q must be an int, got {q!r}")
+    TypeError unless q is an int and each value an int or a Fraction."""
+    _require_int("the index q", q)
+    for v in values:
+        _require_rational("a value", v)
     if q < 0 or q > len(values):
         raise IndexOutOfRange(f"index {q} outside 0..{len(values)}")
     coeffs = [1] + [0] * q
@@ -236,8 +257,7 @@ def _check_nodes(nodes):
     if not nodes:
         raise ValueError("a Vandermonde matrix needs at least one node")
     for x in nodes:
-        if not (_is_int(x) or type(x) is Fraction):
-            raise TypeError(f"Vandermonde nodes must be int or Fraction, got {x!r}")
+        _require_rational("a Vandermonde node", x)
     return nodes
 
 
@@ -418,9 +438,7 @@ def divisors_signed(n):
     TypeError unless n is an int (a bool is refused too), and ZeroArgument
     for 0.
     """
-    if not _is_int(n):
-        raise TypeError(f"divisors need an integer, got {n!r}")
-    if n == 0:
+    if _require_int("n", n) == 0:
         raise ZeroArgument("zero is divisible by everything")
     pos = [1]
     for p, e in _factor(abs(n)).items():
@@ -437,11 +455,6 @@ VARIABLES = ("a", "c", "m", "n", "q")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _NVARS = len(VARIABLES)
 _ZERO_EXP = (0,) * _NVARS
-
-
-def _check_value(name, value):
-    if not _is_int(value):
-        raise TypeError(f"value of {name} must be an int, got {value!r}")
 
 
 class MPolyZ:
@@ -476,9 +489,7 @@ class MPolyZ:
     @classmethod
     def const(cls, k):
         """The constant k; TypeError unless k is an int (a bool is refused)."""
-        if not _is_int(k):
-            raise TypeError(f"constant must be an int, got {k!r}")
-        return cls({_ZERO_EXP: k})
+        return cls({_ZERO_EXP: _require_int("the constant", k)})
 
     @classmethod
     def var(cls, name, power=1, coeff=1):
@@ -486,9 +497,8 @@ class MPolyZ:
         bool is refused), ValueError for a negative power."""
         if name not in _VAR_INDEX:
             raise KeyError(f"unknown variable {name!r}; universe is {VARIABLES}")
-        if not (_is_int(power) and _is_int(coeff)):
-            raise TypeError(f"power and coefficient must be ints, got {power!r}, {coeff!r}")
-        if power < 0:
+        _require_int("the coefficient", coeff)
+        if _require_int("the power", power) < 0:
             raise ValueError(f"negative power {power} of {name}")
         e = [0] * _NVARS
         e[_VAR_INDEX[name]] = power
@@ -551,7 +561,7 @@ class MPolyZ:
         """Substitute integers for some of the variables."""
         out = self
         for name, value in values.items():
-            _check_value(name, value)
+            _require_int(name, value)
             idx = _VAR_INDEX[name]
             acc = {}
             for e, c in out.terms.items():
@@ -566,8 +576,7 @@ class MPolyZ:
         given, and every value must be an int."""
         point = [None] * _NVARS
         for name, value in values.items():
-            _check_value(name, value)
-            point[_VAR_INDEX[name]] = value
+            point[_VAR_INDEX[name]] = _require_int(name, value)
         total = 0
         for e, c in self.terms.items():
             for x, k in zip(point, e):
@@ -599,8 +608,9 @@ class MPolyZ:
 
         For variables named in fermat_vars, exponents are folded with
         x^p = x (valid on integer points for prime p), so e.g. a^3 -> a
-        when p = 3.
+        when p = 3.  TypeError unless p is an int.
         """
+        _require_int("the modulus p", p)
         fold = tuple(_VAR_INDEX[v] for v in fermat_vars)
         out = {}
         for e, c in self.terms.items():
@@ -618,7 +628,8 @@ class MPolyZ:
         return g
 
     def divexact(self, k):
-        """Exact scalar division; every coefficient must be divisible by k."""
+        """Exact division by an int k that divides every coefficient."""
+        _require_int("the divisor k", k)
         if any(c % k for c in self.terms.values()):
             raise NotDivisible(f"coefficients are not all divisible by {k}")
         return MPolyZ._build({e: c // k for e, c in self.terms.items()})

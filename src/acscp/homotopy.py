@@ -18,8 +18,8 @@ CP6_CONSTRAINT and CP4_PONTRJAGIN, CP6_PONTRJAGIN (p_1, ..., p_(d/2) of T
 with n and q free), read by HtpyCP, pontrjagin_of_X (which still checks
 them against the K-theory route), mod31_table and the symbolic pipeline.
 The d = 6 divisor target is F / 155 with F derived from that model: the
-a-free part of the first row of the symbolic pipeline, computed once per
-process (_cp6_f).  The d = 5 model lives once too, as _cp5_e.
+a-free part of the first row of the symbolic pipeline, derived once per
+process (_cp6_rows).  The d = 5 model lives once too, as _cp5_e.
 
 For d = 4 and 6 an almost complex structure is the same thing as an integer
 Chern vector (c_1, ..., c_d) with c_d = d + 1 whose even combinations match
@@ -142,8 +142,8 @@ from math import gcd
 from operator import itemgetter, mul
 
 from .chernvec import _decompose, _q_adjugate, _q_rows, newton_power_sums
-from .exactmath import (MPolyZ, NotDivisible, _is_int, divisors_signed,
-                        poly_variables)
+from .exactmath import (MPolyZ, NotDivisible, _require_int, _require_ints,
+                        divisors_signed, poly_variables)
 from .ktheory import (KClass, KOClass, UnsupportedDimension, pontrjagin_total,
                       real_reduce, total_chern)
 
@@ -187,9 +187,7 @@ class HtpyCP(namedtuple("HtpyCP", "d m n q")):
     __slots__ = ()
 
     def __new__(cls, d, m, n, q=None):
-        for name, value in (("d", d), ("m", m), ("n", n), ("q", q)):
-            if value is not None and not _is_int(value):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        _require_ints("each of d, m, n, q", [x for x in (d, m, n, q) if x is not None])
         if d not in (4, 5, 6):
             raise UnsupportedDimension(f"d must be 4, 5, or 6, not {d}")
         if d == 6 and q is None:
@@ -314,9 +312,9 @@ def complete_chern_vector(X, a, c=None):
     d = X.d
     if d not in (4, 6):
         raise UnsupportedDimension("Chern-vector completion applies to d = 4 and 6")
-    for name, value in (("a", a), ("c", c)):
-        if value is not None and not _is_int(value):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    _require_int("a", a)
+    if c is not None:
+        _require_int("c", c)
     if a == 0:
         raise ZeroFirstChern("completion divides by c_1; a must be nonzero")
     if d == 6 and c is None:
@@ -358,9 +356,7 @@ CP6_WINDOW_AREA_MAX = 100_000
 def _check_window(name, value, limit):
     """Refuse a search window that is not an int (or is a bool) with
     TypeError, and one below 1 or above limit with ValueError."""
-    if not _is_int(value):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
+    if _require_int(name, value) < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
     if value > limit:
         raise ValueError(f"{name} must be at most {limit}, got {value}")
@@ -386,8 +382,7 @@ def divisor_target_cp4(m):
     """The integer whose divisors are the admissible c_1 coefficients:
     25 + (3/7)(576 m^2 + 240 m).  TypeError unless m is an int (not a
     bool)."""
-    if not _is_int(m):
-        raise TypeError(f"m must be an integer, got {m!r}")
+    _require_int("m", m)
     num = 576 * m * m + 240 * m
     if num % 7:
         raise ArithmeticError(f"(576 m^2 + 240 m)/7 is not integral at m={m}")
@@ -825,11 +820,16 @@ def _symbolic_cp6_rows(p2_m2_coefficient=None):
 
 
 @cache
+def _cp6_rows():
+    """_symbolic_cp6_rows() of the model, derived once per process and read
+    by symbolic_cp6_numerators and the divisor target (_cp6_f)."""
+    return _symbolic_cp6_rows()
+
+
 def _cp6_f():
-    """F, the a-free part of the first row of _symbolic_cp6_rows(): the
-    numerator of the d = 6 divisor target, derived once per process from
-    CP6_CONSTRAINT and CP6_PONTRJAGIN."""
-    return _a_free_part(_symbolic_cp6_rows()[0][0])
+    """F, the a-free part of the first row of _cp6_rows(): the numerator of
+    the d = 6 divisor target."""
+    return _a_free_part(_cp6_rows()[0][0])
 
 
 def _multiple_of(g, f):
@@ -851,7 +851,7 @@ def symbolic_cp6_numerators():
     Under the current model the multiples are (1, -19, 3, -17, 1, -1); the
     tests pin them and f_1.
     """
-    numerators, denominators = _symbolic_cp6_rows()
+    numerators, denominators = _cp6_rows()
     f = _a_free_part(numerators[0])
     if f.is_zero():
         raise ArithmeticError("the a-free part of the first numerator vanishes")

@@ -47,7 +47,7 @@ from math import comb, factorial
 
 from .cohomology import (CohClass, exp_series, _elementary_from_power_sums,
                          _mul, _TruncatedRing)
-from .exactmath import _check_degree, _is_int
+from .exactmath import _check_degree, _require_int, _require_ints
 
 
 class UnsupportedDimension(ValueError):
@@ -61,9 +61,7 @@ class UnsupportedOperation(ValueError):
 def _int_coeffs(coeffs, width):
     """coeffs zero-padded to width; TypeError for a coefficient that is not
     an int (or is a bool), ValueError if there are more than width."""
-    coeffs = list(coeffs)
-    if not all(map(_is_int, coeffs)):
-        raise TypeError(f"K-theory coefficients must be integers, got {coeffs!r}")
+    coeffs = _require_ints("each K-theory coefficient", coeffs)
     if len(coeffs) > width:
         raise ValueError(f"too many coefficients: {len(coeffs)} for width {width}")
     return coeffs + [0] * (width - len(coeffs))
@@ -165,9 +163,7 @@ def adams(k, x):
     TypeError unless k is an int (a bool is refused too), ValueError for
     k < 1."""
     _require(KClass, "adams", x)
-    if not _is_int(k):
-        raise TypeError(f"the Adams index k must be an integer, got {k!r}")
-    if k < 1:
+    if _require_int("the Adams index k", k) < 1:
         raise ValueError("Adams operations need k >= 1")
     d = x.d
     return _compose(x, KClass._build(d, [comb(k, i) if i else 0 for i in range(d + 1)]))
@@ -251,6 +247,7 @@ def line_multiplicities(x):
 
     Uses L^i = (H-1)^i = sum_j (-1)^(i-j) C(i,j) H^j.
     """
+    _require(KClass, "line_multiplicities", x)
     d = x.d
     mult = [0] * (d + 1)
     for i, coef in enumerate(x.coeffs):
@@ -341,8 +338,7 @@ def adams_ko(k, x):
     TypeError unless k is an int (a bool is refused too).
     """
     _require(KOClass, "adams_ko", x)
-    if not _is_int(k):
-        raise TypeError(f"the Adams index k must be an integer, got {k!r}")
+    _require_int("the Adams index k", k)
     if k == 1:
         return x
     if k not in (2, 4):

@@ -1,0 +1,133 @@
+"""The two type rules at the public boundaries of acscp.
+
+An integer argument must be exactly an int, and a rational one exactly an
+int or a Fraction; a bool is refused by both.  Each rule is written once, in
+exactmath (_require_int, _require_ints, _require_rational), with one
+wording, and every boundary below goes through it.
+"""
+
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import acscp
+from acscp.chernvec import (chern_from_multiplicities, closed_form_w,
+                            moment_vector, power_sums_from_chern, q_vector,
+                            realizable, w_matrix)
+from acscp.cohomology import CohClass, exp_series
+from acscp.exactmath import (MPolyZ, adjugate, det_exact, divisors_signed,
+                             elem_sym, inverse_exact, solve_exact,
+                             vandermonde_inverse, vandermonde_matrix)
+from acscp.homotopy import (HtpyCP, acs_search_cp4, acs_search_cp6,
+                            complete_chern_vector, divisor_target_cp4,
+                            divisor_target_cp6)
+from acscp.ktheory import KClass, KOClass, adams, adams_ko
+
+INT = "must be an int, got"
+RATIONAL = "must be an int or a Fraction, got"
+
+F = 4 * MPolyZ.var("m", 2) - 10 * MPolyZ.var("m") - 28 * MPolyZ.var("n")
+X4 = HtpyCP(4, 0, 0)
+X6 = HtpyCP(6, 0, 0, 0)
+
+BOUNDARIES = {
+    # exactmath
+    "MPolyZ**": (INT, lambda x: MPolyZ.var("m") ** x),
+    "KClass**": (INT, lambda x: KClass.L(4) ** x),
+    "degree": (INT, lambda x: CohClass(x, [1, 0])),
+    "w_matrix": (INT, w_matrix),
+    "elem_sym-index": (INT, lambda x: elem_sym([1, 2], x)),
+    "elem_sym-value": (RATIONAL, lambda x: elem_sym([x, 2], 1)),
+    "divisors_signed": (INT, divisors_signed),
+    "const": (INT, MPolyZ.const),
+    "var-power": (INT, lambda x: MPolyZ.var("m", x)),
+    "var-coeff": (INT, lambda x: MPolyZ.var("m", 1, x)),
+    "evaluate": (INT, lambda x: F.evaluate(m=x, n=0)),
+    "substitute": (INT, lambda x: F.substitute(m=x)),
+    "divexact": (INT, lambda x: F.divexact(x)),
+    "reduce_mod": (INT, lambda x: F.reduce_mod(x)),
+    "solve_exact-matrix": (RATIONAL, lambda x: solve_exact([[x]], [1])),
+    "solve_exact-rhs": (RATIONAL, lambda x: solve_exact([[1]], [x])),
+    "inverse_exact": (RATIONAL, lambda x: inverse_exact([[x]])),
+    "det_exact": (RATIONAL, lambda x: det_exact([[x]])),
+    "adjugate": (INT, lambda x: adjugate([[x]])),
+    "vandermonde_inverse": (RATIONAL, lambda x: vandermonde_inverse([x, 0])),
+    "vandermonde_matrix": (RATIONAL, lambda x: vandermonde_matrix([x, 0])),
+    # cohomology
+    "CohClass-coefficient": (RATIONAL, lambda x: CohClass(1, [1, x])),
+    "CohClass.u-power": (INT, lambda x: CohClass.u(3, x)),
+    "KOClass.omega-power": (INT, lambda x: KOClass.omega(4, x)),
+    "exp_series": (RATIONAL, lambda x: exp_series(x, 3)),
+    "q_vector": (RATIONAL, lambda x: q_vector(x, 3)),
+    # chernvec
+    "moment_vector": (INT, lambda x: moment_vector(x, 2)),
+    "closed_form_w": (INT, lambda x: closed_form_w(x, 3)),
+    "power_sums_from_chern": (INT, lambda x: power_sums_from_chern([1, x])),
+    "realizable": (INT, lambda x: realizable([1, x])),
+    "chern_from_multiplicities": (INT, lambda x: chern_from_multiplicities([1, x])),
+    # ktheory
+    "KClass-coefficient": (INT, lambda x: KClass(4, [0, x])),
+    "KOClass-coefficient": (INT, lambda x: KOClass(4, [0, x])),
+    "adams": (INT, lambda x: adams(x, KClass.L(4))),
+    "adams_ko": (INT, lambda x: adams_ko(x, KOClass.omega(4))),
+    # homotopy
+    "HtpyCP-d": (INT, lambda x: HtpyCP(x, 0, 0)),
+    "HtpyCP-m": (INT, lambda x: HtpyCP(4, x, 0)),
+    "HtpyCP-q": (INT, lambda x: HtpyCP(6, 0, 0, x)),
+    "complete_chern_vector-a": (INT, lambda x: complete_chern_vector(X4, x)),
+    "complete_chern_vector-c": (INT, lambda x: complete_chern_vector(X6, 1, x)),
+    "acs_search_cp4-window": (INT, lambda x: acs_search_cp4(X4, x)),
+    "acs_search_cp6-a_max": (INT, lambda x: acs_search_cp6(X6, x, 1)),
+    "divisor_target_cp4": (INT, divisor_target_cp4),
+    "divisor_target_cp6": (INT, lambda x: divisor_target_cp6(1, x, 0)),
+}
+
+# a Fraction is a rational value, so it is passed only where ints are required
+BAD = {INT: (True, 2.0, "3", Fraction(3, 2)), RATIONAL: (True, 2.0, "3")}
+CASES = [(name, bad) for name, (rule, _) in sorted(BOUNDARIES.items()) for bad in BAD[rule]]
+
+
+@pytest.mark.parametrize("name, bad", CASES,
+                         ids=[f"{name}-{type(bad).__name__}" for name, bad in CASES])
+def test_every_boundary_refuses_with_its_rule(name, bad):
+    # among them, each used to return an answer: divexact(2.0) float
+    # coefficients, reduce_mod(2.0) the zero polynomial, KOClass.omega(4,
+    # True) and CohClass.u(3, True) the generator, exp_series(True, 3) the
+    # series at t = 1 and elem_sym([1.5, 2], 1) the float 3.5
+    rule, call = BOUNDARIES[name]
+    with pytest.raises(TypeError, match=re.escape(f"{rule} {bad!r}")):
+        call(bad)
+
+
+SRC = Path(acscp.__file__).parent
+RULE_WORDS = re.compile(r"\bints?\b|integer|Fraction|rational")
+
+
+def _type_error_raises(node, where):
+    """(enclosing module.function, exception node) of every raise of
+    TypeError under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            func = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(func, ast.Name) and func.id == "TypeError":
+                yield inner, child.exc
+        yield from _type_error_raises(child, inner)
+
+
+def test_only_the_helpers_raise_the_type_rules():
+    # a TypeError whose message speaks of ints, integers or Fractions is a
+    # copy of one of the two rules, which belong to the exactmath helpers
+    raising = set()
+    for path in sorted(SRC.glob("*.py")):
+        for where, exc in _type_error_raises(ast.parse(path.read_text()), path.stem):
+            words = " ".join(n.value for n in ast.walk(exc)
+                             if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            if not words or RULE_WORDS.search(words):
+                raising.add(where)
+    assert raising == {"exactmath._require_int", "exactmath._require_rational"}

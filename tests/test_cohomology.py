@@ -71,7 +71,7 @@ def test_int_built_class_equals_fraction_built(cs):
 def test_coefficients_must_be_int_or_fraction():
     # a float is refused, not read as its binary value; a bool is not 1
     for bad in (0.1, True, False, "1", None, 1.0):
-        with pytest.raises(TypeError, match="cohomology coefficients must be int or Fraction"):
+        with pytest.raises(TypeError, match="a cohomology coefficient must be an int or a Fraction, got"):
             CohClass(1, [0, bad])
     with pytest.raises(ValueError, match="need 3 coefficients"):
         CohClass(2, [1, 2])

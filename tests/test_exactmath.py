@@ -234,7 +234,7 @@ def test_matrix_boundary_errors(routine):
         with pytest.raises(ValueError, match="nonempty list of equal rows"):
             routine(rows)
     for bad in (True, 1.5, "1/2", None):
-        with pytest.raises(TypeError, match="matrix entries must be int"):
+        with pytest.raises(TypeError, match="a matrix entry must be an int"):
             routine([[1, 0], [bad, 1]])
 
 
@@ -242,9 +242,9 @@ def test_matrix_boundary_errors_per_routine():
     with pytest.raises(ValueError, match="right-hand side length"):
         solve_exact([[1, 0], [0, 1]], [1])
     for bad in ("1", 2.0, False):
-        with pytest.raises(TypeError, match="matrix entries must be int or Fraction"):
+        with pytest.raises(TypeError, match="a matrix entry must be an int or a Fraction, got"):
             solve_exact([[1, 0], [0, 1]], [1, bad])
-    with pytest.raises(TypeError, match="matrix entries must be int, got Fraction"):
+    with pytest.raises(TypeError, match="a matrix entry must be an int, got Fraction"):
         adjugate([[Fraction(1, 2)]])
     assert inverse_exact([[Fraction(1, 2)]]) == [[2]]
     assert det_exact([[Fraction(1, 2)]]) == Fraction(1, 2)
@@ -277,7 +277,7 @@ def test_vandermonde_duplicate_nodes():
 def test_vandermonde_matrix_checks_its_nodes():
     # a float node is refused, not turned into float rows
     for bad in ([0.5, 1], [True, 2], ["1", 2], [None]):
-        with pytest.raises(TypeError, match="Vandermonde nodes must be int or Fraction"):
+        with pytest.raises(TypeError, match="a Vandermonde node must be an int or a Fraction, got"):
             vandermonde_matrix(bad)
     with pytest.raises(ValueError, match="at least one node"):
         vandermonde_matrix([])
@@ -287,7 +287,7 @@ def test_vandermonde_matrix_checks_its_nodes():
 def test_vandermonde_inverse_checks_its_nodes():
     # a float node is refused at the boundary, not left to fail inside Fraction
     for bad in ([0.5, 1], [1, False], ["1", 2], [None]):
-        with pytest.raises(TypeError, match="Vandermonde nodes must be int or Fraction"):
+        with pytest.raises(TypeError, match="a Vandermonde node must be an int or a Fraction, got"):
             vandermonde_inverse(bad)
     with pytest.raises(ValueError, match="at least one node"):
         vandermonde_inverse([])
@@ -474,9 +474,9 @@ def test_evaluate_and_substitute_refuse_non_integers():
     # int(value) used to truncate these silently: m=1.5 and m=True gave m=1
     f = 4 * m * m - 10 * m - 28 * n
     for bad in (1.5, True, Fraction(3, 2), Fraction(1), "1"):
-        with pytest.raises(TypeError, match="value of m must be an int"):
+        with pytest.raises(TypeError, match="^m must be an int, got"):
             f.evaluate(m=bad, n=0)
-        with pytest.raises(TypeError, match="value of m must be an int"):
+        with pytest.raises(TypeError, match="^m must be an int, got"):
             f.substitute(m=bad)
 
 
@@ -484,11 +484,11 @@ def test_constructors_refuse_non_integers():
     # no silent truncation: const(2.7) is not const(2), and var("m", -1)
     # is not a polynomial
     for bad in (2.7, True, Fraction(1, 2), "2"):
-        with pytest.raises(TypeError, match="constant must be an int"):
+        with pytest.raises(TypeError, match="the constant must be an int, got"):
             MPolyZ.const(bad)
-        with pytest.raises(TypeError, match="power and coefficient must be ints"):
+        with pytest.raises(TypeError, match="the power must be an int, got"):
             MPolyZ.var("m", bad)
-        with pytest.raises(TypeError, match="power and coefficient must be ints"):
+        with pytest.raises(TypeError, match="the coefficient must be an int, got"):
             MPolyZ.var("m", 1, bad)
     with pytest.raises(ValueError, match="negative power -1 of m"):
         MPolyZ.var("m", -1)

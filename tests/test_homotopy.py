@@ -782,19 +782,19 @@ def test_symbolic_numerators_refuse_an_a_free_part_off_the_multiples(monkeypatch
     nums, dens = _symbolic_cp6_rows()
     for stray in (MPolyZ.var("c"), MPolyZ.const(1)):
         bent = nums[:3] + (nums[3] + stray,) + nums[4:]
-        monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", lambda: (bent, dens))
+        monkeypatch.setattr(homotopy, "_cp6_rows", lambda: (bent, dens))
         with pytest.raises(ArithmeticError, match="numerator 4 is not an integer multiple"):
             symbolic_cp6_numerators()
     # a first numerator without an a-free part leaves no f to divide by
     F = homotopy._a_free_part(nums[0])
     bent = (nums[0] - F,) + nums[1:]
-    monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", lambda: (bent, dens))
+    monkeypatch.setattr(homotopy, "_cp6_rows", lambda: (bent, dens))
     with pytest.raises(ArithmeticError, match="first numerator vanishes"):
         symbolic_cp6_numerators()
     # a rational multiple is refused too: -19 F + F/5 in the second row
     fifth = F.divexact(5)
     bent = (nums[0], nums[1] + fifth) + nums[2:]
-    monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", lambda: (bent, dens))
+    monkeypatch.setattr(homotopy, "_cp6_rows", lambda: (bent, dens))
     with pytest.raises(ArithmeticError, match="numerator 2 is not an integer multiple"):
         symbolic_cp6_numerators()
 
@@ -803,7 +803,7 @@ def test_divisor_target_follows_the_model(monkeypatch):
     # the constraint with 1044 n in place of 1152 n: the target is derived
     # from CP6_CONSTRAINT, so it moves with it and nothing else needs editing
     m, n, q = MPolyZ.var("m"), MPolyZ.var("n"), MPolyZ.var("q")
-    homotopy._cp6_f.cache_clear()
+    homotopy._cp6_rows.cache_clear()
     try:
         monkeypatch.setattr(homotopy, "CP6_CONSTRAINT",
                             32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n
@@ -813,7 +813,7 @@ def test_divisor_target_follows_the_model(monkeypatch):
                                      + 12441600 * m * n + 1312920 * m + 3628800 * n
                                      + 22785)
     finally:
-        homotopy._cp6_f.cache_clear()
+        homotopy._cp6_rows.cache_clear()
 
 
 @pytest.mark.parametrize("p2_m2", [288, 228])

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 import acscp.suites
-from acscp import exactmath
+from acscp import exactmath, homotopy
 from acscp.chernvec import _q_adjugate
 from acscp.cli import main
 from acscp.suites import SUITES, Check, _every, _expect, run_suite
@@ -110,3 +110,23 @@ def test_basis_decomposition_eliminates_each_w_once(monkeypatch):
     assert all(c.passed for c in checks)
     assert sorted(shapes) == sorted([(n, n) for n in range(2, 10)]
                                     + [(n, 2 * n) for n in range(2, 10)])
+
+
+def test_verify_all_derives_the_default_cp6_rows_once(monkeypatch):
+    # symbolic_cp6_numerators and the divisor target read one cached row
+    # set; only the 228 regression derives its own rows
+    calls = []
+    rows = homotopy._symbolic_cp6_rows
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", counted)
+    monkeypatch.setattr(acscp.suites, "_symbolic_cp6_rows", counted)
+    homotopy._cp6_rows.cache_clear()
+    try:
+        assert all(c.passed for c in run_suite("all", 0))
+    finally:
+        homotopy._cp6_rows.cache_clear()
+    assert sorted(calls, key=len) == [{}, {"p2_m2_coefficient": 228}]
