@@ -72,9 +72,12 @@ class _TruncatedRing:
 
     @classmethod
     def _monomial(cls, d, power=0, coeff=1):
-        """coeff * gen^power for an int power, zero from the width on."""
+        """coeff * gen^power for an int power, zero from the width on;
+        ValueError for a negative power."""
+        if _require_int("the power", power) < 0:
+            raise ValueError(f"negative powers are not defined in this ring, got power {power}")
         coeffs = [0] * cls._width(d)
-        if _require_int("the power", power) < len(coeffs):
+        if power < len(coeffs):
             coeffs[power] = coeff
         return cls(d, coeffs)
 

@@ -535,7 +535,7 @@ class MPolyZ:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
+            if not _require_int("the scalar", other):
                 return MPolyZ()
             return MPolyZ._build({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MPolyZ):

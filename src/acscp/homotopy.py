@@ -39,28 +39,34 @@ cross-checked against each other.  Each search computes the Pontrjagin
 classes of X once and passes them to the completion and decomposition of
 every candidate (a, c).
 
-For d = 4 the completion depends on a^2 except for c_3 = num_3 / (2a), so
-v(-a) = (-a, c_2, -c_3, 5) and the test 2|a| | num_3 depends on |a| only.
-The direct scan completes once per sign class |a|; the power sums of the
-conjugate cell -a are the flipped list (-1)^i s_i, so one Newton recursion
-serves both cells, and each is decomposed on its own.
+Each completion is written once.  For d = 4 it is _complete_cp4, which
+depends on a^2 except for c_3 = num_3 / (2a), so v(-a) = (-a, c_2, -c_3, 5)
+and the test 2|a| | num_3 depends on |a| only.  Both routes of the search,
+the positive divisors of the target and the odd k of the cross-check
+window, run one step per positive k (_cp4_solutions): it completes k once,
+and the Chern vector and the power sums of the conjugate cell -k are the
+flipped lists (-1)^i v_i and (-1)^i s_i (_conjugate), so one Newton
+recursion serves both cells, and each is decomposed on its own.
 
-For d = 6 the completion is one head per a, c_2 and h_4 = (p_2 - c_2^2)/2,
-and one tail per c, c_4 = a c + h_4 and c_5 = num_5 / (2a).  Since
+For d = 6 the completion is one head per a (_complete_head): c_2,
+h_4 = (p_2 - c_2^2)/2 and K = 14 + 2 c_2 h_4 + p_3; and one tail per c
+(_complete_tail): c_4 = a c + h_4 and, since num_5 = (K - c^2) + 2a c_2 c,
 
-    num_5 = (K - c^2) + 2a c_2 c,   K = 14 + 2 c_2 h_4 + p_3,
+    c_5 = (K - c^2) / (2a) + c_2 c.
 
-c_5 is integral exactly when c^2 = K (mod 2a).  The head and K depend on
-a^2 only and the test on |a| and |c| only, so the direct scan runs them
-once per |a| and finds the classes |c| without visiting the rest: a cached
-table per even modulus 2|a| groups the odd c < 2|a| by c^2 mod 2|a|, and
-the classes are the progressions r, r + 2|a|, ... up to c_max over the
+So c_5 is integral exactly when c^2 = K (mod 2a).  The head depends on
+a^2 only and the test on |a| and |c| only, so the direct scan runs the
+head once per |a| and finds the classes |c| without visiting the rest: a
+cached table per even modulus 2|a| groups the odd c < 2|a| by c^2 mod 2|a|,
+and the classes are the progressions r, r + 2|a|, ... up to c_max over the
 roots r of K.  The tables depend on the modulus alone, so a process builds
 each once; a modulus above _ROOT_TABLE_MAX gets no table and its odd c are
 tested one by one, which bounds the cache whatever the window.  The
 conjugate cells (a, c) and (-a, -c) share c_2, c_4 and num_5, so
 v(-a, -c)_i = (-1)^i v(a, c)_i; s_i has weighted degree i, so
-s_i(-a, -c) = (-1)^i s_i(a, c) as well.
+s_i(-a, -c) = (-1)^i s_i(a, c) as well.  The scan writes the per-cell
+arithmetic of the tail and the conjugate vector out inline, on its hot
+path.
 
 The scan does not run Newton's identities per cell.  Fix a, so that c_2
 and h_4 are fixed, and read v = (a, c_2, c, a c + h_4, c_5, 7) as a
@@ -94,19 +100,21 @@ acscp.chernvec
 G is one Newton recursion, at v = (a, c_2, 0, h_4, 0, 7), and each row's
 form is one dot product and a few products.  At the conjugate cell
 (-a, -c) the power sums are (-1)^i s_i, evaluated at the same (c, c_5), so
-the same G serves with the rows whose entry i is multiplied by (-1)^i,
-cached once.
+the same G serves with the rows whose entry i is multiplied by (-1)^i.
+One cached table, _scan_rows, holds the rows in order of modulus, the
+sign-flipped rows, and the getter that puts quotients back in the order of
+_q_rows.
 
 The cells (a, +-c) of one |a| are then decomposed row by row, once with
 the rows and once with the sign-flipped rows, in order of modulus, largest
 first: for d = 6 the 720 row comes first.  On seeded admissible triples
 it passes exactly the solutions, where the first row of _q_rows (mod 120)
 passes about half the cells, so most cells are tested once.  Each cell
-left is tested by (alpha c^2 + beta c + gamma + delta c_5) % det with
-c_5 = (K - c^2)/(2a) + c_2 c and keeps its quotient, and a side stops at
-the first row that no cell passes.  The quotients, put back in the order
-of _q_rows, are the decomposition, and the Chern vector is built only for
-a cell that passes every row.  So the scan costs one Newton recursion per
+left is tested by (alpha c^2 + beta c + gamma + delta c_5) % det and
+keeps its quotient, and a side stops at the first row that no cell
+passes.  The quotients, put back in the order of _q_rows, are the
+decomposition, and the Chern vector is built only for a cell that passes
+every row.  So the scan costs one Newton recursion per
 |a| with a class, one remainder per cell and row reached, and rows beyond
 the first only for the sides that still have a cell.
 
@@ -187,7 +195,7 @@ class HtpyCP(namedtuple("HtpyCP", "d m n q")):
     __slots__ = ()
 
     def __new__(cls, d, m, n, q=None):
-        _require_ints("each of d, m, n, q", [x for x in (d, m, n, q) if x is not None])
+        _require_ints("each of d, m, n, q", (d, m, n) if q is None else (d, m, n, q))
         if d not in (4, 5, 6):
             raise UnsupportedDimension(f"d must be 4, 5, or 6, not {d}")
         if d == 6 and q is None:
@@ -259,10 +267,23 @@ def _pontrjagin_cached(X):
 # Chern-vector completion (d = 4, 6)
 # ---------------------------------------------------------------------------
 
+def _complete_cp4(p, a):
+    """The d = 4 completion (a, c_2, c_3, 5), c_2 = (a^2 - p_1)/2 and
+    c_3 = (10 + c_2^2 - p_2) / (2a), or None when either is not integral."""
+    t = a * a - p[0]
+    if t % 2:
+        return None
+    c2 = t // 2
+    num3 = 10 + c2 * c2 - p[1]
+    if num3 % (2 * a):
+        return None
+    return (a, c2, num3 // (2 * a), 5)
+
+
 def _complete_head(p, a):
-    """The per-a part of the d = 6 completion: (c_2, h_4) with
-    c_2 = (a^2 - p_1)/2 and h_4 = (p_2 - c_2^2)/2, or None when either is
-    not integral."""
+    """The per-a part of the d = 6 completion: (c_2, h_4, K) with
+    c_2 = (a^2 - p_1)/2, h_4 = (p_2 - c_2^2)/2 and K = 14 + 2 c_2 h_4 + p_3,
+    or None when c_2 or h_4 is not integral."""
     t = a * a - p[0]
     if t % 2:
         return None
@@ -270,35 +291,19 @@ def _complete_head(p, a):
     t4 = p[1] - c2 * c2
     if t4 % 2:
         return None
-    return c2, t4 // 2
+    h4 = t4 // 2
+    return c2, h4, 14 + 2 * c2 * h4 + p[2]
 
 
-def _complete_tail(p, a, head, c):
-    """The per-c part of the d = 6 completion from head = (c_2, h_4):
-    c_4 = a c + h_4 and c_5 = num_5 / (2a), or None when c_5 is not
-    integral."""
-    c2, h4 = head
-    a4 = a * c + h4
-    num5 = 14 + 2 * c2 * a4 - c * c + p[2]
-    if num5 % (2 * a):
+def _complete_tail(a, head, c):
+    """The per-c part of the d = 6 completion from head = (c_2, h_4, K):
+    c_4 = a c + h_4 and c_5 = (K - c^2)/(2a) + c_2 c, or None when c_5 is
+    not integral."""
+    c2, h4, K = head
+    num = K - c * c
+    if num % (2 * a):
         return None
-    return (a, c2, c, a4, num5 // (2 * a), 7)
-
-
-def _complete_ints(d, p, a, c):
-    """Integer completion of the Chern vector, or None at the first
-    non-integral step.  p is the Pontrjagin coefficient tuple."""
-    if d == 4:
-        t = a * a - p[0]
-        if t % 2:
-            return None
-        c2 = t // 2
-        num3 = 10 + c2 * c2 - p[1]
-        if num3 % (2 * a):
-            return None
-        return (a, c2, num3 // (2 * a), 5)
-    head = _complete_head(p, a)
-    return None if head is None else _complete_tail(p, a, head, c)
+    return (a, c2, c, a * c + h4, num // (2 * a) + c2 * c, 7)
 
 
 def complete_chern_vector(X, a, c=None):
@@ -321,7 +326,12 @@ def complete_chern_vector(X, a, c=None):
         raise ValueError("d = 6 needs the c_3 coefficient c")
     if d == 4 and c is not None:
         raise ValueError("d = 4 determines c_3; do not pass c")
-    v = _complete_ints(d, _pontrjagin_cached(X), a, c)
+    p = _pontrjagin_cached(X)
+    if d == 4:
+        v = _complete_cp4(p, a)
+    else:
+        head = _complete_head(p, a)
+        v = head and _complete_tail(a, head, c)
     if v is None:
         raise NoCompletion(f"no integral completion for a={a}" + (f", c={c}" if d == 6 else ""))
     return v
@@ -331,17 +341,6 @@ class ACSSolution(namedtuple("ACSSolution", "d a c full_chern decomposition")):
     """One almost complex structure: its Chern vector and decomposition."""
 
     __slots__ = ()
-
-
-def _solution(d, p, a, c=None):
-    """The structure with c_1 = a (and c_3 = c when d = 6) on the manifold
-    with Pontrjagin tuple p, or None when its Chern vector does not complete
-    or does not decompose integrally."""
-    v = _complete_ints(d, p, a, c)
-    if v is None:
-        return None
-    dec = _decompose(newton_power_sums(v))
-    return None if dec is None else ACSSolution(d, a, c, v, dec)
 
 
 # The largest search windows accepted: the cross-check window |a| <= w of
@@ -362,10 +361,16 @@ def _check_window(name, value, limit):
         raise ValueError(f"{name} must be at most {limit}, got {value}")
 
 
-def _conjugate_sums(sums):
-    """The power sums of the conjugate cell: negating c_1 (and c_3) negates
-    every odd Chern class, so v_i, hence s_i, is multiplied by (-1)^i."""
-    return [-x if i % 2 else x for i, x in enumerate(sums, 1)]
+# (-1)^i for i = 1..6
+_SIGNS = (-1, 1, -1, 1, -1, 1)
+
+
+def _conjugate(xs):
+    """Entry i of xs (at most six) multiplied by (-1)^i, as a tuple: the
+    Chern vector and the power sums of the conjugate cell, since negating
+    c_1 (and c_3) negates every odd Chern class, so v_i, hence s_i, is
+    multiplied by (-1)^i."""
+    return tuple(map(mul, xs, _SIGNS))
 
 
 def _signed_odds(n):
@@ -389,31 +394,23 @@ def divisor_target_cp4(m):
     return 25 + 3 * (num // 7)
 
 
-def _direct_set_cp4(p, window):
-    """All odd a with |a| <= window whose completion exists and decomposes
-    integrally.  Pure integer arithmetic.
+def _cp4_solutions(p, ks):
+    """{a: ACSSolution} over a = +-k for the positive odd k in ks whose
+    completion exists and decomposes integrally.  Pure integer arithmetic.
 
     The completion and its test 2|a| | num_3 depend on |a| only, so they run
-    once per sign class, inline: c_2 = (a^2 - p_1)/2, then the test
-    2a | 10 + c_2^2 - p_2, the step of _complete_ints at d = 4 without its
-    call and dispatch.  The cells a and -a share one Newton recursion, and
-    each is decomposed on its own."""
-    p1, p2 = p
-    out = set()
-    for a in range(1, window + 1, 2):
-        t = a * a - p1
-        if t % 2:
+    once per k, and v(-k) = _conjugate(v(k)).  The cells k and -k share one
+    Newton recursion, and each is decomposed on its own."""
+    out = {}
+    for k in ks:
+        v = _complete_cp4(p, k)
+        if v is None:
             continue
-        c2 = t // 2
-        two_a = 2 * a
-        num3 = 10 + c2 * c2 - p2
-        if num3 % two_a:
-            continue
-        sums = newton_power_sums((a, c2, num3 // two_a, 5))
-        if _decompose(sums) is not None:
-            out.add(a)
-        if _decompose(_conjugate_sums(sums)) is not None:
-            out.add(-a)
+        sums = newton_power_sums(v)
+        if (dec := _decompose(sums)) is not None:
+            out[k] = ACSSolution(4, k, None, v, dec)
+        if (dec := _decompose(_conjugate(sums))) is not None:
+            out[-k] = ACSSolution(4, -k, None, _conjugate(v), dec)
     return out
 
 
@@ -421,9 +418,11 @@ def acs_search_cp4(X, cross_check_window=200):
     """All almost complex structures on a homotopy CP^4.
 
     Enumerates a over the signed divisors of the target, completes each
-    Chern vector, and keeps the realizable ones.  A brute-force integrality
-    scan over |a| <= cross_check_window must agree with the divisor
-    criterion on that window, or ArithmeticError is raised.
+    Chern vector, and keeps the realizable ones, in order of a.  A
+    brute-force integrality scan over |a| <= cross_check_window must agree
+    with the divisor criterion on that window, or ArithmeticError is raised.
+    Both routes run _cp4_solutions, over the positive divisors and over the
+    odd k in the window.
 
     The target D = 25 + 3*48*m(12m + 5)/7 never vanishes: m(12m + 5) >= 0
     for every integer m (both factors share a sign, or m = 0), so D >= 25.
@@ -433,14 +432,14 @@ def acs_search_cp4(X, cross_check_window=200):
     _check_window("cross_check_window", cross_check_window, CP4_WINDOW_MAX)
     D = divisor_target_cp4(X.m)
     p = pontrjagin_of_X(X)
-    sols = [s for s in (_solution(4, p, a) for a in divisors_signed(D)) if s is not None]
-    direct = _direct_set_cp4(p, cross_check_window)
-    from_divisors = {s.a for s in sols if abs(s.a) <= cross_check_window}
-    if from_divisors != direct:
+    sols = _cp4_solutions(p, [k for k in divisors_signed(D) if k > 0])
+    direct = _cp4_solutions(p, range(1, cross_check_window + 1, 2))
+    from_divisors = {a for a in sols if abs(a) <= cross_check_window}
+    if from_divisors != direct.keys():
         raise ArithmeticError(
             f"divisor criterion and direct scan disagree on |a| <= {cross_check_window}: "
-            f"{sorted(from_divisors ^ direct)}")
-    return sols
+            f"{sorted(from_divisors ^ direct.keys())}")
+    return [sols[a] for a in sorted(sols)]
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +452,8 @@ def cp6_exists(X):
     Always, decided constructively: (c_1, c_3) = (1, 1) completes to an
     integral Chern vector for every admissible (m, n, q).  With p_1 = 7 + 24m
     the completion gives c_2 = -3 - 12m, which is odd; p_2 is odd as well, so
-    t_4 = p_2 - c_2^2 is even; and num_5 = 14 + 2 c_2 c_4 - 1 + p_3 is even
-    because p_3 is odd, so c_5 = num_5 / (2 c_1) is an integer.  The
+    t_4 = p_2 - c_2^2 is even; and K - 1 = 13 + 2 c_2 h_4 + p_3 is even
+    because p_3 is odd, so c_5 = (K - 1)/2 + c_2 is an integer.  The
     decomposition of the witness is checked exactly, and a failure raises
     ArithmeticError because it would contradict the criterion.
 
@@ -465,7 +464,9 @@ def cp6_exists(X):
     """
     if X.d != 6:
         raise UnsupportedDimension("cp6_exists needs d = 6")
-    if _solution(6, pontrjagin_of_X(X), 1, 1) is None:
+    head = _complete_head(pontrjagin_of_X(X), 1)
+    v = head and _complete_tail(1, head, 1)
+    if v is None or _decompose(newton_power_sums(v)) is None:
         raise ArithmeticError(
             f"the witness (a, c) = (1, 1) does not decompose on {X}; this contradicts the criterion")
     return True
@@ -549,39 +550,34 @@ def _odd_classes(mod, K, c_max):
             for c in range(r, c_max + 1, mod)]
 
 
-@lru_cache(maxsize=None)
-def _row_order(d):
-    """(order, back): the indices of _q_rows(d) by modulus, largest first
-    (for d = 6 the 720 row, see the module docstring), and the place
-    back[i] of row i in order."""
-    rows = _q_rows(d)
-    order = sorted(range(d), key=lambda i: -rows[i][1])
-    return tuple(order), tuple(order.index(i) for i in range(d))
+@cache
+def _scan_rows():
+    """(rows, conjugate_rows, in_q_order): the rows of _q_rows(6) by
+    modulus, largest first (the 720 row first, see the module docstring);
+    the same rows with entry i multiplied by (-1)^i, so that row . s is
+    taken at the power sums of the conjugate cell (see _conjugate); and the
+    getter that takes the quotients of a cell, its entries from 3 on in the
+    order of rows, back to the order of _q_rows."""
+    order = sorted(range(6), key=lambda i: -_q_rows(6)[i][1])
+    rows = tuple(_q_rows(6)[i] for i in order)
+    conjugate_rows = tuple((_conjugate(row), det) for row, det in rows)
+    return rows, conjugate_rows, itemgetter(*(3 + order.index(i) for i in range(6)))
 
 
-@lru_cache(maxsize=None)
-def _conjugate_q_rows(d):
-    """_q_rows(d) with entry i of every row multiplied by (-1)^i: row . s
-    taken at the power sums of the conjugate cell (see _conjugate_sums)."""
-    return tuple((tuple(_conjugate_sums(row)), det) for row, det in _q_rows(d))
-
-
-def _row_quotients(rows, a, c2, G, cells):
+def _row_quotients(rows, in_q_order, a, c2, G, cells):
     """The cells (c, c^2, c_5) that decompose integrally over rows, each
     paired with its quotient tuple, for the power sums
     A c^2 + B c + G + D c_5 at c_1 = a and c_2 = c2 (see the module
     docstring).
 
-    Row by row in _row_order: the row's form is alpha = 3 r_6,
+    Row by row, in the order of rows: the row's form is alpha = 3 r_6,
     delta = 5 r_5 + 6a r_6, beta = 3 r_3 - c_2 delta and gamma = row . G,
     a cell stays while det divides alpha c^2 + beta c + gamma + delta c_5
     and carries the quotient as one more entry, and no further row is
     formed once no cell is left.  The quotients are returned in the order
-    of rows."""
-    order, back = _row_order(6)
+    that in_q_order gives them (see _scan_rows)."""
     live = cells
-    for i in order:
-        row, det = rows[i]
+    for row, det in rows:
         alpha = 3 * row[5]
         delta = 5 * row[4] + 6 * a * row[5]
         beta = 3 * row[2] - c2 * delta
@@ -590,29 +586,26 @@ def _row_quotients(rows, a, c2, G, cells):
                 if not (x := alpha * cell[1] + beta * cell[0] + gamma + delta * cell[2]) % det]
         if not live:
             return []
-    quotients = itemgetter(*(3 + k for k in back))
-    return [(cell[:3], quotients(cell)) for cell in live]
+    return [(cell[:3], in_q_order(cell)) for cell in live]
 
 
 def _direct_set_cp6(p, a_max, c_max):
     """{(a, c): ACSSolution} over the odd (a, c) in the window whose
     completion exists and decomposes integrally.  Pure integer arithmetic.
 
-    Per |a|: the head and K (see the module docstring), then the classes
-    |c| with 2|a| | K - c^2 from the square-root table of the modulus 2|a|.
-    An |a| with a class takes G from one Newton recursion, and its cells
-    (a, +-c) go row by row through _row_quotients, once with the reduced
-    adjugate rows and once with the sign-flipped rows for the conjugate
-    cells (-a, -+c).  A Chern vector is built only for a cell that passes
-    every row."""
-    rows, conjugate_rows = _q_rows(6), _conjugate_q_rows(6)
+    Per |a|: the head and K (_complete_head), then the classes |c| with
+    2|a| | K - c^2 from the square-root table of the modulus 2|a|.  An |a|
+    with a class takes G from one Newton recursion, and its cells (a, +-c)
+    go row by row through _row_quotients, once with the rows of _scan_rows
+    and once with its sign-flipped rows for the conjugate cells (-a, -+c).
+    A Chern vector is built only for a cell that passes every row."""
+    rows, conjugate_rows, in_q_order = _scan_rows()
     out = {}
     for a in range(1, a_max + 1, 2):
         head = _complete_head(p, a)
         if head is None:
             continue
-        c2, h4 = head
-        K = 14 + 2 * c2 * h4 + p[2]
+        c2, h4, K = head
         two_a = 2 * a
         classes = _odd_classes(two_a, K, c_max)
         if not classes:
@@ -623,9 +616,9 @@ def _direct_set_cp6(p, a_max, c_max):
             q5 = (K - cc) // two_a
             cells += ((c, cc, q5 + c2 * c), (-c, cc, q5 - c2 * c))
         G = newton_power_sums((a, c2, 0, h4, 0, 7))
-        for (c, _, c5), dec in _row_quotients(rows, a, c2, G, cells):
+        for (c, _, c5), dec in _row_quotients(rows, in_q_order, a, c2, G, cells):
             out[a, c] = ACSSolution(6, a, c, (a, c2, c, a * c + h4, c5, 7), dec)
-        for (c, _, c5), dec in _row_quotients(conjugate_rows, a, c2, G, cells):
+        for (c, _, c5), dec in _row_quotients(conjugate_rows, in_q_order, a, c2, G, cells):
             out[-a, -c] = ACSSolution(6, -a, -c, (-a, c2, -c, a * c + h4, -c5, 7), dec)
     return out
 

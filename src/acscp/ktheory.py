@@ -35,7 +35,10 @@ are table-driven: each names the image of the generator, and _compose reads
 the powers of that image from one cached, bounded table (_power_table) and
 takes one integer-weighted row sum over it.  That row sum, _combine, is the
 one loop behind the maps, real reduction (over the generator table
-_r_table) and the Chern character (over _ch_table).
+_r_table) and the Chern character (over _ch_table).  _power_table is also
+the one power loop behind those two tables: _ch_table holds the powers of
+e^u - 1, and _r_table is solved against the powers of c(w) that complexify
+reads.
 
 The identities r(c(x)) = 2x and c(r(x)) = x + t(x) hold on the nose and are
 exercised heavily by the test suite.
@@ -184,8 +187,9 @@ def _compose(x, image):
 @lru_cache(maxsize=64)
 def _power_table(image):
     """The coefficient tuples of image^0, image^1, ..., image^top, top the
-    highest power the ring of image stores.  The cache is bounded, so the
-    tables of adams(k, .) for ever new k do not pile up."""
+    highest power the ring of image (a KClass, KOClass or CohClass) stores.
+    The cache is bounded, so the tables of adams(k, .) for ever new k do not
+    pile up."""
     top = len(image.coeffs) - 1
     rows = [(1,) + (0,) * top]
     for _ in range(top):
@@ -212,18 +216,14 @@ def _combine(coeffs, table):
 
 @lru_cache(maxsize=None)
 def _ch_table(d):
-    """ch(L^i) = (e^u - 1)^i for i = 0..d, as integer tuples scaled by k!.
+    """ch(L^i) = (e^u - 1)^i for i = 0..d, as integer tuples scaled by k!:
+    the powers of e^u - 1 from _power_table.
 
     Entry [i][k] is k! times the u^k coefficient, i.e. i! S(k, i) with S the
     Stirling numbers of the second kind, so it is an integer.
     """
-    eu_minus_1 = exp_series(1, d) - 1
-    table = []
-    power = CohClass.one(d)
-    for _ in range(d + 1):
-        table.append(tuple(int(c * factorial(k)) for k, c in enumerate(power.coeffs)))
-        power = power * eu_minus_1
-    return tuple(table)
+    return tuple(tuple(int(c * factorial(k)) for k, c in enumerate(power))
+                 for power in _power_table(exp_series(1, d) - 1))
 
 
 def _scaled_ch(x):
@@ -300,22 +300,18 @@ def _r_table(d):
     if d not in (4, 6):
         raise UnsupportedDimension(f"real reduction is modelled for d in 4..6, not {d}")
     # torsion-free cases: c is injective, so solve c(y) = x + t(x) for y.
-    # c(w^j) has leading term L^(2j), making the system triangular.
-    width = _ko_width(d)
-    c_omega = KClass.L(d) + _t_of_L(d)
-    c_powers = [KClass.one(d)]
-    for _ in range(width - 1):
-        c_powers.append(c_powers[-1] * c_omega)
+    # c(w^j) has leading term L^(2j), making the system triangular; its
+    # coefficients are the powers of c(w) that complexify reads too.
+    c_powers = _power_table(KClass.L(d) + _t_of_L(d))
     table = []
     for i in range(d + 1):
         x = KClass(d, [0] * i + [1])
-        target = x + conjugate(x)
-        y = [0] * width
-        rem = target
-        for j in range(width):
-            y[j] = rem.coeffs[2 * j]
-            rem = rem - c_powers[j] * y[j]
-        if rem != KClass.zero(d):
+        rem = (x + conjugate(x)).coeffs
+        y = []
+        for j, power in enumerate(c_powers[:_ko_width(d)]):
+            y.append(rem[2 * j])
+            rem = [r - y[j] * c for r, c in zip(rem, power)]
+        if any(rem):
             raise ArithmeticError(f"r(L^{i}) does not exist in KO(CP^{d})")
         table.append(tuple(y))
     return tuple(table)

@@ -76,6 +76,7 @@ BOUNDARIES = {
     # homotopy
     "HtpyCP-d": (INT, lambda x: HtpyCP(x, 0, 0)),
     "HtpyCP-m": (INT, lambda x: HtpyCP(4, x, 0)),
+    "HtpyCP-n": (INT, lambda x: HtpyCP(4, 0, x)),
     "HtpyCP-q": (INT, lambda x: HtpyCP(6, 0, 0, x)),
     "complete_chern_vector-a": (INT, lambda x: complete_chern_vector(X4, x)),
     "complete_chern_vector-c": (INT, lambda x: complete_chern_vector(X6, 1, x)),
@@ -100,6 +101,36 @@ def test_every_boundary_refuses_with_its_rule(name, bad):
     rule, call = BOUNDARIES[name]
     with pytest.raises(TypeError, match=re.escape(f"{rule} {bad!r}")):
         call(bad)
+
+
+def test_only_q_of_htpycp_may_be_none():
+    # HtpyCP(5, 0, None) was accepted with n = None, and HtpyCP(None, 0, 0)
+    # raised UnsupportedDimension
+    for call in (lambda: HtpyCP(None, 0, 0), lambda: HtpyCP(4, None, 0),
+                 lambda: HtpyCP(5, 0, None), lambda: HtpyCP(6, 0, None, 0)):
+        with pytest.raises(TypeError, match=re.escape(f"{INT} None")):
+            call()
+    assert X4.q is None and HtpyCP(4, 0, 0, None) == X4
+
+
+def test_a_bool_scalar_factor_of_mpolyz_is_refused():
+    # m * True returned m, while m + True already raised
+    m = MPolyZ.var("m")
+    for call in (lambda: m * True, lambda: True * m, lambda: m * False, lambda: m + True):
+        with pytest.raises(TypeError, match=f"{INT} (True|False)"):
+            call()
+    assert m * 3 == 3 * m == MPolyZ.var("m", 1, 3) and (m * 0).is_zero()
+    assert MPolyZ.const(1) == True  # noqa: E712 -- equality is left as it is
+
+
+@pytest.mark.parametrize("power", [-1, -2, -4, -100])
+def test_a_negative_power_of_a_generator_is_refused(power):
+    # CohClass.u(3, -1) returned u^3, CohClass.u(3, -4) returned 1 and
+    # KOClass.omega(4, -1) returned w^2
+    for call in (lambda: CohClass.u(3, power), lambda: KOClass.omega(4, power)):
+        with pytest.raises(ValueError, match=f"negative powers are not defined in this ring, got power {power}"):
+            call()
+    assert CohClass.u(3, 3).coeffs == (0, 0, 0, 1) and CohClass.u(3, 4) == CohClass.zero(3)
 
 
 SRC = Path(acscp.__file__).parent

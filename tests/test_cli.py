@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acscp import cli, exactmath
+from acscp import cli, exactmath, homotopy
 from acscp.cli import (DIVISOR_TARGETS_M_MAX, main, _build_parser, _dumps,
                        _solution_json)
 from acscp.homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, ACSSolution,
@@ -167,6 +167,29 @@ def test_acs_factoring_past_its_budget_is_an_error(capsys, monkeypatch):
     code, doc, _ = run_json(capsys, "acs", "--dim", "4", "--m", "132", "--n", "2442")
     assert code == 1 and doc["status"] == "error"
     assert "cofactor 4314841 within 1 steps" in doc["payload"]["error"]
+
+
+CP4_ARGV = ("acs", "--dim", "4", "--m", "6", "--n", "3")
+CP6_ARGV = ("acs", "--dim", "6", "--m", "0", "--n", "0", "--q", "0")
+
+
+@pytest.mark.parametrize("argv, patch, message", [
+    (CP4_ARGV, lambda mp: mp.setattr(homotopy, "divisor_target_cp4", lambda m: 25),
+     "divisor criterion and direct scan disagree"),
+    (CP6_ARGV, lambda mp: mp.delitem(homotopy._CP6_PARITY, 1),
+     "criterion and direct scan disagree on the window"),
+    (CP6_ARGV, lambda mp: mp.setattr(homotopy, "_decompose", lambda sums: None),
+     "does not decompose"),
+    (CP4_ARGV, lambda mp: mp.setitem(homotopy._PONTRJAGIN, 4, (homotopy.CP4_PONTRJAGIN[0] + 1,
+                                                               homotopy.CP4_PONTRJAGIN[1])),
+     "Pontrjagin mismatch"),
+], ids=["cp4-routes", "cp6-routes", "cp6-witness", "pontrjagin"])
+def test_acs_cross_check_failure_is_an_error(capsys, monkeypatch, argv, patch, message):
+    assert run_json(capsys, *argv)[0] == 0
+    patch(monkeypatch)
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 1 and doc["status"] == "error"
+    assert message in doc["payload"]["error"]
 
 
 def test_divisor_targets_m_max_defaults_to_34(capsys):

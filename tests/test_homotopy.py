@@ -23,14 +23,29 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP4_WINDOW_MAX,
                             mod31_table, pontrjagin_of_X,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
                             tangent_ko_class, validate_params,
-                            _check_window, _complete_head,
-                            _complete_ints, _complete_tail, _criterion_set_cp6,
-                            _conjugate_q_rows, _direct_set_cp4,
+                            ACSSolution, _check_window, _complete_cp4,
+                            _complete_head, _complete_tail, _conjugate,
+                            _cp4_solutions, _criterion_set_cp6,
                             _direct_set_cp6, _odd_classes, _odd_square_roots,
-                            _row_order, _row_quotients, _signed_odds,
-                            _solution, _symbolic_cp6_rows)
+                            _row_quotients, _scan_rows, _signed_odds,
+                            _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            pontrjagin_total)
+
+
+def per_cell(X, a, c=None):
+    """The structure with c_1 = a (and c_3 = c when d = 6) through the public
+    operations, one cell at a time, or None."""
+    try:
+        v = complete_chern_vector(X, a, c)
+        return ACSSolution(X.d, a, c, v, realizable(v))
+    except (NoCompletion, NotRealizable):
+        return None
+
+
+def cp4_scan(p, window):
+    """_cp4_solutions over the odd k in a cross-check window."""
+    return _cp4_solutions(p, range(1, window + 1, 2))
 
 
 def cp6_q_free(m, n):
@@ -276,19 +291,10 @@ def test_acs_search_cp4_every_valid_m_up_to_40():
 def test_direct_scan_matches_public_ops(mn, window):
     # every nonzero a with |a| <= window, either sign, one cell at a time
     X = validate_params(4, *mn)
-    fast = _direct_set_cp4(pontrjagin_of_X(X), window)
-    slow = set()
-    for a in range(-window, window + 1):
-        if a == 0:
-            continue
-        try:
-            v = complete_chern_vector(X, a)
-            realizable(v)
-            slow.add(a)
-        except (NoCompletion, NotRealizable):
-            continue
+    fast = cp4_scan(pontrjagin_of_X(X), window)
+    slow = {a: s for a in range(-window, window + 1) if a and (s := per_cell(X, a))}
     assert fast == slow
-    assert {1, -1} <= fast
+    assert {1, -1} <= fast.keys()
 
 
 @pytest.mark.parametrize("mn, window", [((-8, 12), 2000), ((14, 23), 2000), ((6, 3), 9529)])
@@ -296,18 +302,11 @@ def test_direct_scan_matches_public_ops_on_the_verify_windows(mn, window):
     # the windows of verify cp4's criterion-vs-direct check; 9529 is the
     # whole divisor target of X(6, 3)
     X = validate_params(4, *mn)
-    slow = set()
-    for a in range(-window, window + 1):
-        if a == 0:
-            continue
-        try:
-            realizable(complete_chern_vector(X, a))
-        except (NoCompletion, NotRealizable):
-            continue
-        slow.add(a)
-    assert _direct_set_cp4(pontrjagin_of_X(X), window) == slow
+    slow = {a: s for a in range(-window, window + 1) if a and (s := per_cell(X, a))}
+    assert cp4_scan(pontrjagin_of_X(X), window) == slow
     if mn == (6, 3):
-        assert slow == set(divisors_signed(9529))
+        assert sorted(slow) == divisors_signed(9529)
+        assert acs_search_cp4(X, window) == [slow[a] for a in sorted(slow)]
 
 
 def test_complete_chern_vector_computes_the_pontrjagin_data_once(monkeypatch):
@@ -341,12 +340,33 @@ def test_cp4_conjugate_cell_has_the_flipped_power_sums(k, r, data):
     a = data.draw(st.one_of(
         st.sampled_from([d for d in divisors_signed(divisor_target_cp4(m)) if d > 0]),
         st.integers(0, 10 ** 4).map(lambda j: 2 * j + 1)))
-    v, w = _complete_ints(4, p, a, None), _complete_ints(4, p, -a, None)
+    v, w = _complete_cp4(p, a), _complete_cp4(p, -a)
     assert (v is None) == (w is None)
     if v is not None:
         flip = lambda xs: [-x if i % 2 else x for i, x in enumerate(xs, 1)]
-        assert list(w) == flip(v)
+        assert list(w) == flip(v) == list(_conjugate(v))
         assert newton_power_sums(w) == flip(newton_power_sums(v))
+        assert list(_conjugate(newton_power_sums(v))) == newton_power_sums(w)
+
+
+def test_acs_search_cp4_runs_one_newton_recursion_per_first_chern_class(monkeypatch):
+    # each route completes every positive k once and decomposes k and -k from
+    # one Newton recursion: one call per positive divisor of the target and
+    # one per odd k in the window whose completion exists
+    X = validate_params(4, 6, 3)
+    p = pontrjagin_of_X(X)
+    calls = []
+
+    def counted(cs):
+        calls.append(tuple(cs))
+        return newton_power_sums(cs)
+
+    monkeypatch.setattr(homotopy, "newton_power_sums", counted)
+    sols = acs_search_cp4(X, cross_check_window=200)
+    divisors = [k for k in divisors_signed(9529) if k > 0]
+    completing = [k for k in range(1, 201, 2) if _complete_cp4(p, k) is not None]
+    assert calls == [_complete_cp4(p, k) for k in divisors + completing]
+    assert len(calls) == len(sols) // 2 + len(completing)
 
 
 @pytest.mark.parametrize("window, error", [
@@ -481,8 +501,8 @@ def test_complete_tail_of_the_conjugate_cell_is_the_sign_flip(mnq):
         if head is None:
             continue
         for c in _signed_odds(40):
-            v = _complete_tail(p, a, head, c)
-            w = _complete_tail(p, -a, head, -c)
+            v = _complete_tail(a, head, c)
+            w = _complete_tail(-a, head, -c)
             assert (v is None) == (w is None)
             if v is not None:
                 assert w == flip(v)
@@ -499,15 +519,16 @@ def test_complete_tail_of_the_conjugate_cell_is_the_sign_flip(mnq):
     ((16, 11, 23), 301, 41),
 ])
 def test_direct_scan_cp6_returns_the_per_cell_solutions(mnq, a_max, c_max):
-    # every cell, both signs of a and c, against _solution with no symmetry
+    # every cell, both signs of a and c, through the public operations with
+    # no symmetry
     X = validate_params(6, *mnq)
     p = pontrjagin_of_X(X)
-    per_cell = {(a, c): s for a in _signed_odds(a_max) for c in _signed_odds(c_max)
-                if (s := _solution(6, p, a, c)) is not None}
+    cells = {(a, c): s for a in _signed_odds(a_max) for c in _signed_odds(c_max)
+             if (s := per_cell(X, a, c))}
     direct = _direct_set_cp6(p, a_max, c_max)
-    assert direct == per_cell
+    assert direct == cells
     assert {(a, c) for a, c in direct if a < 0} and {(a, c) for a, c in direct if c < 0}
-    assert acs_search_cp6(X, a_max, c_max) == [per_cell[k] for k in sorted(per_cell)]
+    assert acs_search_cp6(X, a_max, c_max) == [cells[k] for k in sorted(cells)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -526,10 +547,11 @@ def test_row_forms_equal_the_rows_at_every_point(a, c2, h4, c, c5):
     G = newton_power_sums((a, c2, 0, h4, 0, 7))
     assert [x * c * c + y * c + z + t * c5 for x, y, z, t in zip(A, B, G, D)] == \
         newton_power_sums(v)
-    for vec, rows in ((v, _q_rows(6)), (w, _conjugate_q_rows(6))):
+    scan_rows, conjugate_rows, in_q_order = _scan_rows()
+    for vec, rows in ((v, scan_rows), (w, conjugate_rows)):
         s = newton_power_sums(vec)
         assert len(rows) == 6
-        for (row, det), (ref, ref_det) in zip(rows, _q_rows(6)):
+        for (row, det), (ref, ref_det) in zip(rows, scan_rows):
             assert det == ref_det
             alpha, beta, gamma, delta = (sum(x * y for x, y in zip(row, u))
                                          for u in (A, B, G, D))
@@ -539,7 +561,8 @@ def test_row_forms_equal_the_rows_at_every_point(a, c2, h4, c, c5):
                 x * y for x, y in zip(ref, s))
         dec = _decompose(s)
         cell = (c, c * c, c5)
-        assert _row_quotients(rows, a, c2, G, [cell]) == ([] if dec is None else [(cell, dec)])
+        assert _row_quotients(rows, in_q_order, a, c2, G, [cell]) == (
+            [] if dec is None else [(cell, dec)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -581,7 +604,7 @@ def test_direct_scan_cp6_runs_one_newton_recursion_per_first_chern_class(monkeyp
     for a in range(1, 201, 2):
         head = _complete_head(p, a)
         tails = 0 if head is None else sum(
-            _complete_tail(p, a, head, c) is not None for c in range(1, 201, 2))
+            _complete_tail(a, head, c) is not None for c in range(1, 201, 2))
         if tails:
             expected.append((a, head[0], 0, head[1], 0, 7))
         cells += 4 * tails
@@ -596,28 +619,30 @@ def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch
     # sums of each cell
     p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
     row_quotients = homotopy._row_quotients
-    order = _row_order(6)[0]
-    assert _q_rows(6)[order[0]][1] == 720 == _q_rows(6)[-1][1]
-    assert [_q_rows(6)[i][1] for i in order] == sorted((d for _, d in _q_rows(6)), reverse=True)
+    scan_rows, _, in_q_order = _scan_rows()
+    assert scan_rows[0] == _q_rows(6)[-1] and scan_rows[0][1] == 720
+    assert sorted(scan_rows) == sorted(_q_rows(6))
+    assert [d for _, d in scan_rows] == sorted((d for _, d in _q_rows(6)), reverse=True)
+    # the getter puts quotients taken in scan order back in _q_rows order
+    assert [scan_rows[i] for i in in_q_order(tuple(range(-3, 6)))] == list(_q_rows(6))
     sides = []
 
-    class Pulled:
-        def __init__(self, rows, sums):
-            self.rows, self.sums, self.formed = rows, sums, []
-            sides.append(self.formed)
+    def pulled(rows, sums):
+        # yields the rows in order, recording each one formed, after checking
+        # that some cell passed every row before it
+        formed = []
+        sides.append(formed)
+        for k, (row, det) in enumerate(rows):
+            assert any(all(sum(x * y for x, y in zip(r, s)) % d == 0 for r, d in rows[:k])
+                       for s in sums)
+            formed.append(det)
+            yield row, det
 
-        def __getitem__(self, i):
-            before = [self.rows[j] for j in order[:order.index(i)]]
-            assert any(all(sum(x * y for x, y in zip(r, s)) % d == 0 for r, d in before)
-                       for s in self.sums)
-            self.formed.append(i)
-            return self.rows[i]
-
-    def counted(rows, a, c2, G, cells):
+    def counted(rows, in_q_order, a, c2, G, cells):
         A, B, D = (0, 0, 0, 0, 0, 3), (0, 0, 3, 0, -5 * c2, -6 * a * c2), (0, 0, 0, 0, 5, 6 * a)
         sums = [[x * cc + y * c + z + t * c5 for x, y, z, t in zip(A, B, G, D)]
                 for c, cc, c5 in cells]
-        return row_quotients(Pulled(rows, sums), a, c2, G, cells)
+        return row_quotients(pulled(rows, sums), in_q_order, a, c2, G, cells)
 
     monkeypatch.setattr(homotopy, "_row_quotients", counted)
     direct = _direct_set_cp6(p, 200, 200)
@@ -625,9 +650,9 @@ def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch
     for a in range(1, 201, 2):
         head = _complete_head(p, a)
         classes += head is not None and any(
-            _complete_tail(p, a, head, c) is not None for c in range(1, 201, 2))
+            _complete_tail(a, head, c) is not None for c in range(1, 201, 2))
     assert len(sides) == 2 * classes and len(direct) > 0
-    assert all(formed[0] == 5 for formed in sides)
+    assert all(formed[0] == 720 for formed in sides)
     # a side (the cells of one signed a) runs every row when it has a
     # solution; on this triple the 720 row passes the solutions only, so
     # every other side stops at it
@@ -674,9 +699,8 @@ def test_cp6_criterion_set_equals_direct_set(k, j, a_max, c_max):
     p = pontrjagin_of_X(X)
     direct = set(_direct_set_cp6(p, a_max, c_max))
     assert direct == _criterion_set_cp6(X, a_max, c_max)
-    per_cell = {(a, c) for a in _signed_odds(a_max) for c in _signed_odds(c_max)
-                if _solution(6, p, a, c) is not None}
-    assert direct == per_cell
+    assert direct == {(a, c) for a in _signed_odds(a_max) for c in _signed_odds(c_max)
+                      if per_cell(X, a, c)}
 
 
 _CP6_PINNED = ((0, 0, 0), (16, 11, 23), (48, 12, -1747), (32, 7, -442),
@@ -729,6 +753,40 @@ def test_acs_witness_on_m_not_divisible_by_three():
     assert realizable(v) == (-230059, 541118, -680055, 481457, -182039, 28726)
     sols = acs_search_cp6(X, a_max=30, c_max=30)
     assert ((1, 1) in [(s.a, s.c) for s in sols])
+
+
+# ---------------------------------------------------------------------------
+# runtime cross-checks: each fires when its two routes disagree
+# ---------------------------------------------------------------------------
+
+def test_acs_search_cp4_refuses_a_divisor_route_off_the_scan(monkeypatch):
+    # 25 in place of 9529 = 13 * 733 on X(6, 3): the scan still finds +-13
+    monkeypatch.setattr(homotopy, "divisor_target_cp4", lambda m: 25)
+    with pytest.raises(ArithmeticError,
+                       match=r"divisor criterion and direct scan disagree on \|a\| <= 200: \[-13, 13\]"):
+        acs_search_cp4(validate_params(4, 6, 3))
+
+
+def test_acs_search_cp6_refuses_a_criterion_off_the_scan(monkeypatch):
+    # without the class a = 1 (mod 16), c = 1 (mod 8) the criterion misses (1, 1)
+    monkeypatch.delitem(homotopy._CP6_PARITY, 1)
+    with pytest.raises(ArithmeticError, match="criterion and direct scan disagree") as info:
+        acs_search_cp6(validate_params(6, 0, 0, 0), a_max=9, c_max=9)
+    assert "(1, 1)" in str(info.value)
+
+
+def test_cp6_exists_refuses_a_witness_that_does_not_decompose(monkeypatch):
+    monkeypatch.setattr(homotopy, "_decompose", lambda sums: None)
+    with pytest.raises(ArithmeticError, match=r"witness \(a, c\) = \(1, 1\) does not decompose"):
+        cp6_exists(validate_params(6, 0, 0, 0))
+
+
+@pytest.mark.parametrize("d, X", [(4, HtpyCP(4, 6, 3)), (6, HtpyCP(6, 16, 11, 23))])
+def test_pontrjagin_of_X_refuses_formulas_off_the_k_theory_route(monkeypatch, d, X):
+    formulas = homotopy._PONTRJAGIN[d]
+    monkeypatch.setitem(homotopy._PONTRJAGIN, d, formulas[:-1] + (formulas[-1] + 1,))
+    with pytest.raises(ArithmeticError, match="Pontrjagin mismatch"):
+        pontrjagin_of_X(X)
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +915,8 @@ def test_symbolic_numerators_match_realizable(m, n, q):
     p = pontrjagin_of_X(X)
     decomposed = 0
     for a, c in product(_signed_odds(15), repeat=2):
-        v = _complete_ints(6, p, a, c)
+        head = _complete_head(p, a)
+        v = head and _complete_tail(a, head, c)
         if v is None:
             continue
         try:
