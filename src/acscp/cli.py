@@ -21,10 +21,14 @@ pay for it once.  Output is deterministic pretty-printed JSON on stdout,
 written from the raw payload by _dumps, in the bytes
 json.dumps(sort_keys=True, indent=2) would give after integers beyond the
 53-bit safe range become decimal strings and dict keys str(k); timing goes
-to stderr.  An acs solution reaches _dumps as a _Json fragment, its text
-already written: one % format of a template cached per shape (has c_3,
-Chern length, decomposition length), and the template is _dumps itself
-applied to the solution dict with "%s" holes, so the layout has one writer.
+to stderr.  The solution list of an acs call reaches _dumps as one _Json
+fragment, its text already written by _solutions_json: the solutions of
+one search share one shape (has c_3, Chern length, decomposition length),
+so one template cached per shape, indented once for its place in the list,
+is joined once per solution and filled by one % format from one flat list
+of the ints, quoted at once when any lies beyond the 53-bit range.  The
+template is _dumps itself applied to the solution dict with "%s" holes, so
+the layout has one writer.
 Exit codes: 0 ok, 1 failed internal checks, 2 constraint violations, 64
 usage errors, a window or --m-max above its limit among them.
 """
@@ -129,22 +133,36 @@ def _cmd_realizable(args):
 @cache
 def _solution_template(has_c, n_chern, n_dec):
     """The JSON text of a solution with "%s" for each int, filled in sorted
-    key order: a, [c,] the Chern vector, the decomposition."""
+    key order: a, [c,] the Chern vector, the decomposition; indented once,
+    for its place in a list."""
     hole = _Json("%s")
     sol = {"a": hole, "chern": [hole] * n_chern, "decomposition": [hole] * n_dec}
     if has_c:
         sol["c"] = hole
-    return _dumps(sol)
+    return _dumps(sol, "\n  ")
 
 
-def _solution_json(sol):
-    """The JSON text of one ACSSolution, as _dumps would write its dict."""
-    head = (sol.a,) if sol.c is None else (sol.a, sol.c)
-    values = (*head, *sol.full_chern, *sol.decomposition)
+def _solutions_json(sols):
+    """The JSON text of a list of ACSSolution, as _dumps would write the
+    list of their dicts.  The solutions of one search share one shape, so
+    one template serves them all: their ints go into one flat list, quoted
+    at once when any lies beyond the 53-bit range, and fill the joined
+    templates in one % format."""
+    if not sols:
+        return _Json("[]")
+    first = sols[0]
+    has_c = first.c is not None
+    template = _solution_template(has_c, len(first.full_chern), len(first.decomposition))
+    values = []
+    if has_c:
+        for s in sols:
+            values += (s.a, s.c, *s.full_chern, *s.decomposition)
+    else:
+        for s in sols:
+            values += (s.a, *s.full_chern, *s.decomposition)
     if not (-_SAFE < min(values) and max(values) < _SAFE):
-        values = tuple(map(_dumps, values))
-    template = _solution_template(len(head) == 2, len(sol.full_chern), len(sol.decomposition))
-    return _Json(template % values)
+        values = map(_dumps, values)
+    return _Json("[\n  " + ",\n  ".join([template] * len(sols)) % tuple(values) + "\n]")
 
 
 # the window flags each --dim reads
@@ -189,12 +207,12 @@ def _cmd_acs(args):
         sols = acs_search_cp4(X, cross_check_window=window["a_max"])
         payload["divisor_target"] = divisor_target_cp4(X.m)
         payload["a_values"] = [s.a for s in sols]
-        payload["solutions"] = [_solution_json(s) for s in sols]
+        payload["solutions"] = _solutions_json(sols)
     elif args.dim == 6:
         sols = acs_search_cp6(X, **window)
         payload["exists"] = cp6_exists(X)
         payload["window"] = window
-        payload["solutions"] = [_solution_json(s) for s in sols]
+        payload["solutions"] = _solutions_json(sols)
     else:
         rep = cp5_structure(X)
         payload["e_coefficients"] = list(rep.e.coeffs[1:])

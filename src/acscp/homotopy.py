@@ -46,7 +46,16 @@ the positive divisors of the target and the odd k of the cross-check
 window, run one step per positive k (_cp4_solutions): it completes k once,
 and the Chern vector and the power sums of the conjugate cell -k are the
 flipped lists (-1)^i v_i and (-1)^i s_i (_conjugate), so one Newton
-recursion serves both cells, and each is decomposed on its own.
+recursion serves both cells.
+
+Conjugation H -> H^-1 is a ring automorphism of K(CP^d), and it keeps the
+exponential lattice of acscp.chernvec (see _conjugate): power sums s
+decompose integrally exactly when the flipped (-1)^i s_i do.  So the cell
+-a (or (-a, -c) for d = 6) is a solution exactly when a (or (a, c)) is.
+Both searches test the cells with a > 0 and decompose a conjugate cell only
+when its partner decomposed, for its multiplicities; a conjugate cell that
+then fails raises ArithmeticError, since it would contradict the
+automorphism.  The cost of the conjugate cells follows the solutions found.
 
 For d = 6 the completion is one head per a (_complete_head): c_2,
 h_4 = (p_2 - c_2^2)/2 and K = 14 + 2 c_2 h_4 + p_3; and one tail per c
@@ -105,18 +114,20 @@ One cached table, _scan_rows, holds the rows in order of modulus, the
 sign-flipped rows, and the getter that puts quotients back in the order of
 _q_rows.
 
-The cells (a, +-c) of one |a| are then decomposed row by row, once with
-the rows and once with the sign-flipped rows, in order of modulus, largest
-first: for d = 6 the 720 row comes first.  On seeded admissible triples
-it passes exactly the solutions, where the first row of _q_rows (mod 120)
-passes about half the cells, so most cells are tested once.  Each cell
-left is tested by (alpha c^2 + beta c + gamma + delta c_5) % det and
-keeps its quotient, and a side stops at the first row that no cell
-passes.  The quotients, put back in the order of _q_rows, are the
-decomposition, and the Chern vector is built only for a cell that passes
-every row.  So the scan costs one Newton recursion per
-|a| with a class, one remainder per cell and row reached, and rows beyond
-the first only for the sides that still have a cell.
+The cells (a, +-c) of one |a| are then decomposed row by row with the
+rows, in order of modulus, largest first: for d = 6 the 720 row comes
+first.  On seeded admissible triples it passes exactly the solutions,
+where the first row of _q_rows (mod 120) passes about half the cells, so
+most cells are tested once.  Each cell left is tested by
+(alpha c^2 + beta c + gamma + delta c_5) % det and keeps its quotient, and
+the side stops at the first row that no cell passes.  The quotients, put
+back in the order of _q_rows, are the decomposition.  Only the cells that
+passed every row go through the sign-flipped rows, for the decompositions
+of their conjugates (-a, -+c), and the Chern vectors are built for those
+cells alone.  So the scan costs one Newton recursion per |a| with a class,
+one remainder per cell and row reached, rows beyond the first only for the
+|a| that still have a cell, and the sign-flipped rows only for the |a|
+with a solution, over its solutions.
 
 For d = 6 the congruence-and-divisor criterion is uniform in the
 parameters, and (a, c) = (1, 1) always satisfies it, so every admissible
@@ -146,6 +157,7 @@ its parameters in __new__, which _make, _replace, copy and pickle all reach.
 
 from collections import namedtuple
 from functools import cache, lru_cache
+from itertools import cycle
 from math import gcd
 from operator import itemgetter, mul
 
@@ -259,7 +271,9 @@ def pontrjagin_of_X(X):
 @lru_cache(maxsize=256, typed=True)
 def _pontrjagin_cached(X):
     """pontrjagin_of_X(X), kept for the callers that complete one cell at a
-    time; typed, so a plain tuple never reads the entry of an equal HtpyCP."""
+    time and for the d = 6 search and witness, so that an acs job on a CP^6
+    takes the K-theory route once; typed, so a plain tuple never reads the
+    entry of an equal HtpyCP."""
     return pontrjagin_of_X(X)
 
 
@@ -361,16 +375,20 @@ def _check_window(name, value, limit):
         raise ValueError(f"{name} must be at most {limit}, got {value}")
 
 
-# (-1)^i for i = 1..6
-_SIGNS = (-1, 1, -1, 1, -1, 1)
-
-
 def _conjugate(xs):
-    """Entry i of xs (at most six) multiplied by (-1)^i, as a tuple: the
+    """Entry i of xs, for every i, multiplied by (-1)^i, as a tuple: the
     Chern vector and the power sums of the conjugate cell, since negating
     c_1 (and c_3) negates every odd Chern class, so v_i, hence s_i, is
-    multiplied by (-1)^i."""
-    return tuple(map(mul, xs, _SIGNS))
+    multiplied by (-1)^i.
+
+    The flip is conjugation H -> H^-1, a ring automorphism of K(CP^d), and
+    it keeps the lattice of acscp.chernvec: H^-1 = (1 + (H - 1))^-1 is a
+    polynomial in H - 1, since (H - 1)^(d+1) = 0, so H^-j - 1 is an integer
+    combination of the (H - 1)^k, k = 1..d, hence of the H^k - 1, and
+    ch(H^-j - 1), the flip of q_j, lies in the integer span of the q_j.
+    The flip is an involution, so s decomposes integrally exactly when its
+    flip does."""
+    return tuple(map(mul, xs, cycle((-1, 1))))
 
 
 def _signed_odds(n):
@@ -399,18 +417,23 @@ def _cp4_solutions(p, ks):
     completion exists and decomposes integrally.  Pure integer arithmetic.
 
     The completion and its test 2|a| | num_3 depend on |a| only, so they run
-    once per k, and v(-k) = _conjugate(v(k)).  The cells k and -k share one
-    Newton recursion, and each is decomposed on its own."""
+    once per k, and v(-k) = (-k, c_2, -c_3, 5) = _conjugate(v(k)), written
+    out inline.  The cells k and -k share one Newton recursion.  The cell -k decomposes exactly when k does (see
+    _conjugate), so it is decomposed only for a k that decomposed, for its
+    multiplicities, and ArithmeticError is raised if it then fails."""
     out = {}
     for k in ks:
         v = _complete_cp4(p, k)
         if v is None:
             continue
         sums = newton_power_sums(v)
-        if (dec := _decompose(sums)) is not None:
-            out[k] = ACSSolution(4, k, None, v, dec)
-        if (dec := _decompose(_conjugate(sums))) is not None:
-            out[-k] = ACSSolution(4, -k, None, _conjugate(v), dec)
+        if (dec := _decompose(sums)) is None:
+            continue
+        if (conjugate_dec := _decompose(_conjugate(sums))) is None:
+            raise ArithmeticError(
+                f"a = {k} decomposes but its conjugate a = {-k} does not")
+        out[k] = ACSSolution(4, k, None, v, dec)
+        out[-k] = ACSSolution(4, -k, None, (-k, v[1], -v[2], 5), conjugate_dec)
     return out
 
 
@@ -464,7 +487,7 @@ def cp6_exists(X):
     """
     if X.d != 6:
         raise UnsupportedDimension("cp6_exists needs d = 6")
-    head = _complete_head(pontrjagin_of_X(X), 1)
+    head = _complete_head(_pontrjagin_cached(X), 1)
     v = head and _complete_tail(1, head, 1)
     if v is None or _decompose(newton_power_sums(v)) is None:
         raise ArithmeticError(
@@ -596,9 +619,12 @@ def _direct_set_cp6(p, a_max, c_max):
     Per |a|: the head and K (_complete_head), then the classes |c| with
     2|a| | K - c^2 from the square-root table of the modulus 2|a|.  An |a|
     with a class takes G from one Newton recursion, and its cells (a, +-c)
-    go row by row through _row_quotients, once with the rows of _scan_rows
-    and once with its sign-flipped rows for the conjugate cells (-a, -+c).
-    A Chern vector is built only for a cell that passes every row."""
+    go row by row through _row_quotients with the rows of _scan_rows.  The
+    conjugate cell (-a, -c) decomposes exactly when (a, c) does (see
+    _conjugate), so only the cells that passed go through the sign-flipped
+    rows, for their multiplicities, and a conjugate cell that fails raises
+    ArithmeticError.  A Chern vector is built only for a cell that passes
+    every row."""
     rows, conjugate_rows, in_q_order = _scan_rows()
     out = {}
     for a in range(1, a_max + 1, 2):
@@ -616,10 +642,20 @@ def _direct_set_cp6(p, a_max, c_max):
             q5 = (K - cc) // two_a
             cells += ((c, cc, q5 + c2 * c), (-c, cc, q5 - c2 * c))
         G = newton_power_sums((a, c2, 0, h4, 0, 7))
-        for (c, _, c5), dec in _row_quotients(rows, in_q_order, a, c2, G, cells):
+        found = _row_quotients(rows, in_q_order, a, c2, G, cells)
+        if not found:
+            continue
+        conjugates = _row_quotients(conjugate_rows, in_q_order, a, c2, G,
+                                    [cell for cell, _ in found])
+        if len(conjugates) < len(found):
+            kept = {cell for cell, _ in conjugates}
+            c = next(cell[0] for cell, _ in found if cell not in kept)
+            raise ArithmeticError(
+                f"(a, c) = {(a, c)} decomposes but its conjugate {(-a, -c)} does not")
+        for ((c, _, c5), dec), (_, conjugate_dec) in zip(found, conjugates):
             out[a, c] = ACSSolution(6, a, c, (a, c2, c, a * c + h4, c5, 7), dec)
-        for (c, _, c5), dec in _row_quotients(conjugate_rows, in_q_order, a, c2, G, cells):
-            out[-a, -c] = ACSSolution(6, -a, -c, (-a, c2, -c, a * c + h4, -c5, 7), dec)
+            out[-a, -c] = ACSSolution(6, -a, -c, (-a, c2, -c, a * c + h4, -c5, 7),
+                                      conjugate_dec)
     return out
 
 
@@ -638,7 +674,7 @@ def acs_search_cp6(X, a_max=200, c_max=200):
     _check_window("c_max", c_max, CP6_WINDOW_AREA_MAX)
     _check_window("a_max * c_max", a_max * c_max, CP6_WINDOW_AREA_MAX)
     crit = _criterion_set_cp6(X, a_max, c_max)
-    direct = _direct_set_cp6(pontrjagin_of_X(X), a_max, c_max)
+    direct = _direct_set_cp6(_pontrjagin_cached(X), a_max, c_max)
     if crit != direct.keys():
         raise ArithmeticError(
             f"criterion and direct scan disagree on the window: {sorted(crit ^ direct.keys())}")

@@ -10,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from acscp import cli, exactmath, homotopy
 from acscp.cli import (DIVISOR_TARGETS_M_MAX, main, _build_parser, _dumps,
-                       _solution_json)
+                       _solutions_json)
+from acscp.chernvec import _decompose
 from acscp.homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, ACSSolution,
                             ConstraintViolated, HtpyCP)
+
+from tests.test_homotopy import perturb_conjugate_row
 
 
 def run(capsys, *argv):
@@ -183,7 +186,13 @@ CP6_ARGV = ("acs", "--dim", "6", "--m", "0", "--n", "0", "--q", "0")
     (CP4_ARGV, lambda mp: mp.setitem(homotopy._PONTRJAGIN, 4, (homotopy.CP4_PONTRJAGIN[0] + 1,
                                                                homotopy.CP4_PONTRJAGIN[1])),
      "Pontrjagin mismatch"),
-], ids=["cp4-routes", "cp6-routes", "cp6-witness", "pontrjagin"])
+    (CP4_ARGV, lambda mp: mp.setattr(homotopy, "_decompose",
+                                     lambda sums: None if sums[0] < 0 else _decompose(sums)),
+     "a = 1 decomposes but its conjugate a = -1 does not"),
+    (CP6_ARGV, perturb_conjugate_row,
+     "(a, c) = (1, 1) decomposes but its conjugate (-1, -1) does not"),
+], ids=["cp4-routes", "cp6-routes", "cp6-witness", "pontrjagin", "cp4-conjugate",
+        "cp6-conjugate"])
 def test_acs_cross_check_failure_is_an_error(capsys, monkeypatch, argv, patch, message):
     assert run_json(capsys, *argv)[0] == 0
     patch(monkeypatch)
@@ -458,7 +467,7 @@ def test_dumps_matches_indented_json_dumps(value):
 
 def _solution_dict(sol):
     """A solution as the dict the writer used to walk, the reference for
-    _solution_json."""
+    _solutions_json."""
     out = {"a": sol.a, "chern": list(sol.full_chern),
            "decomposition": list(sol.decomposition)}
     if sol.c is not None:
@@ -472,19 +481,25 @@ _solution_ints = st.one_of(
 
 
 @st.composite
-def _solutions(draw):
+def _solution_lists(draw):
+    # the solutions of one search share one shape: d = 4 without c, d = 6
+    # with it; none, one or many
     d = draw(st.sampled_from([4, 6]))
-    return ACSSolution(d, draw(_solution_ints), draw(st.none() | _solution_ints),
-                       tuple(draw(st.lists(_solution_ints, min_size=d, max_size=d))),
-                       tuple(draw(st.lists(_solution_ints, min_size=d, max_size=d))))
+    count = draw(st.sampled_from([0, 1]) | st.integers(2, 40))
+    ints = st.lists(_solution_ints, min_size=d, max_size=d).map(tuple)
+    return [ACSSolution(d, draw(_solution_ints), draw(_solution_ints) if d == 6 else None,
+                        draw(ints), draw(ints))
+            for _ in range(count)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(_solutions())
-def test_solution_json_matches_the_dict_it_replaces(sol):
-    # the fragment lands two levels deep, as a solution does in a payload
-    got = _dumps({"k": [[_solution_json(sol)]]})
-    assert got == json.dumps(_jsonable({"k": [[_solution_dict(sol)]]}), sort_keys=True, indent=2)
+@given(_solution_lists())
+def test_solutions_json_matches_the_dicts_it_replaces(sols):
+    # the list lands where it does in an acs document, and two levels deeper
+    for wrap in (lambda x: {"payload": {"solutions": x}}, lambda x: {"k": [[x]]}):
+        got = _dumps(wrap(_solutions_json(sols)))
+        assert got == json.dumps(_jsonable(wrap([_solution_dict(s) for s in sols])),
+                                 sort_keys=True, indent=2)
 
 
 def test_dumps_on_empty_containers_and_edge_scalars():

@@ -349,6 +349,26 @@ def test_cp4_conjugate_cell_has_the_flipped_power_sums(k, r, data):
         assert list(_conjugate(newton_power_sums(v))) == newton_power_sums(w)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.booleans(), st.data())
+def test_sign_flip_keeps_the_exponential_lattice(d, on_lattice, data):
+    # conjugation sends q_j to ch(H^-j - 1), which lies in the span of the
+    # q_j (see _conjugate), so s decomposes exactly when its flip does; the
+    # lattice vectors are s_i = sum_j a_j j^i, the others any integers
+    entries = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d, max_size=d)
+    if on_lattice:
+        mults = data.draw(entries)
+        s = [sum(x * j ** i for j, x in enumerate(mults, 1)) for i in range(1, d + 1)]
+    else:
+        s = data.draw(entries)
+    flipped = _conjugate(s)
+    assert list(flipped) == [-x if i % 2 else x for i, x in enumerate(s, 1)]
+    assert _conjugate(flipped) == tuple(s)
+    assert (_decompose(s) is None) == (_decompose(flipped) is None)
+    if on_lattice:
+        assert _decompose(s) == tuple(mults)
+
+
 def test_acs_search_cp4_runs_one_newton_recursion_per_first_chern_class(monkeypatch):
     # each route completes every positive k once and decomposes k and -k from
     # one Newton recursion: one call per positive divisor of the target and
@@ -614,12 +634,13 @@ def test_direct_scan_cp6_runs_one_newton_recursion_per_first_chern_class(monkeyp
 
 def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch):
     # the rows are formed largest modulus first, so the 720 row (the last
-    # of _q_rows) opens every side; a later row is formed only while some
-    # cell of the side has passed every row before it, checked on the power
-    # sums of each cell
+    # of _q_rows) opens every forward side; a later row is formed only while
+    # some cell of the side has passed every row before it, checked on the
+    # power sums of each cell; the sign-flipped rows run only for an |a|
+    # with a solution, over the cells that passed the rows
     p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
     row_quotients = homotopy._row_quotients
-    scan_rows, _, in_q_order = _scan_rows()
+    scan_rows, conjugate_rows, in_q_order = _scan_rows()
     assert scan_rows[0] == _q_rows(6)[-1] and scan_rows[0][1] == 720
     assert sorted(scan_rows) == sorted(_q_rows(6))
     assert [d for _, d in scan_rows] == sorted((d for _, d in _q_rows(6)), reverse=True)
@@ -627,11 +648,9 @@ def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch
     assert [scan_rows[i] for i in in_q_order(tuple(range(-3, 6)))] == list(_q_rows(6))
     sides = []
 
-    def pulled(rows, sums):
+    def pulled(rows, sums, formed):
         # yields the rows in order, recording each one formed, after checking
         # that some cell passed every row before it
-        formed = []
-        sides.append(formed)
         for k, (row, det) in enumerate(rows):
             assert any(all(sum(x * y for x, y in zip(r, s)) % d == 0 for r, d in rows[:k])
                        for s in sums)
@@ -639,26 +658,44 @@ def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch
             yield row, det
 
     def counted(rows, in_q_order, a, c2, G, cells):
+        # records each side as (forward?, a, its c, the c that passed, rows formed)
+        assert rows is scan_rows or rows is conjugate_rows
         A, B, D = (0, 0, 0, 0, 0, 3), (0, 0, 3, 0, -5 * c2, -6 * a * c2), (0, 0, 0, 0, 5, 6 * a)
         sums = [[x * cc + y * c + z + t * c5 for x, y, z, t in zip(A, B, G, D)]
                 for c, cc, c5 in cells]
-        return row_quotients(pulled(rows, sums), in_q_order, a, c2, G, cells)
+        formed = []
+        found = row_quotients(pulled(rows, sums, formed), in_q_order, a, c2, G, cells)
+        sides.append((rows is scan_rows, a, [cell[0] for cell in cells],
+                      [cell[0] for cell, _ in found], formed))
+        return found
 
     monkeypatch.setattr(homotopy, "_row_quotients", counted)
     direct = _direct_set_cp6(p, 200, 200)
+    forward = [side[1:] for side in sides if side[0]]
+    conjugate = [side[1:] for side in sides if not side[0]]
     classes = 0
     for a in range(1, 201, 2):
         head = _complete_head(p, a)
         classes += head is not None and any(
             _complete_tail(a, head, c) is not None for c in range(1, 201, 2))
-    assert len(sides) == 2 * classes and len(direct) > 0
-    assert all(formed[0] == 720 for formed in sides)
-    # a side (the cells of one signed a) runs every row when it has a
-    # solution; on this triple the 720 row passes the solutions only, so
-    # every other side stops at it
-    with_solution = len({a for a, _ in direct})
-    assert sum(len(formed) == 6 for formed in sides) == with_solution
-    assert sum(map(len, sides)) == 6 * with_solution + (len(sides) - with_solution)
+    assert len(forward) == classes and len(direct) > 0
+    assert all(formed[0] == 720 for _, _, _, formed in forward)
+    assert {(a, c) for a, _, passed, _ in forward for c in passed} == \
+        {(a, c) for a, c in direct if a > 0}
+    # the conjugate sides are the |a| with a solution, each over the cells
+    # that passed its forward side, and every cell passes every row
+    with_solution = [a for a, _, passed, _ in forward if passed]
+    assert [a for a, _, _, _ in conjugate] == with_solution
+    assert len(with_solution) == len({a for a, _ in direct if a > 0})
+    passed = {a: cs for a, _, cs, _ in forward}
+    for a, cells, kept, formed in conjugate:
+        assert cells == kept == passed[a]
+        assert formed == [d for _, d in scan_rows]
+    # on this triple the 720 row passes the solutions only, so every
+    # forward side without one stops at it
+    assert sum(len(formed) == 6 for _, _, _, formed in forward) == len(with_solution)
+    assert sum(len(formed) for _, _, _, formed in forward) == \
+        6 * len(with_solution) + (len(forward) - len(with_solution))
 
 
 _MOD31 = dict(mod31_table())
@@ -779,6 +816,50 @@ def test_cp6_exists_refuses_a_witness_that_does_not_decompose(monkeypatch):
     monkeypatch.setattr(homotopy, "_decompose", lambda sums: None)
     with pytest.raises(ArithmeticError, match=r"witness \(a, c\) = \(1, 1\) does not decompose"):
         cp6_exists(validate_params(6, 0, 0, 0))
+
+
+def test_acs_search_cp4_refuses_a_conjugate_cell_that_does_not_decompose(monkeypatch):
+    # the conjugate decomposition perturbed: power sums with s_1 = c_1 < 0
+    # are refused, so a = 1 decomposes and its conjugate -1 does not
+    monkeypatch.setattr(homotopy, "_decompose",
+                        lambda sums: None if sums[0] < 0 else _decompose(sums))
+    with pytest.raises(ArithmeticError, match="a = 1 decomposes but its conjugate a = -1 does not"):
+        acs_search_cp4(validate_params(4, 6, 3))
+
+
+def perturb_conjugate_row(monkeypatch):
+    """Add 1 to the first entry of the first sign-flipped scan row, the 720
+    row: its form at a conjugate cell moves by G_1 = a, which is odd."""
+    rows, conjugate_rows, in_q_order = _scan_rows()
+    (row, det), *rest = conjugate_rows
+    perturbed = (((row[0] + 1,) + row[1:], det), *rest)
+    monkeypatch.setattr(homotopy, "_scan_rows", lambda: (rows, perturbed, in_q_order))
+
+
+def test_acs_search_cp6_refuses_a_conjugate_cell_that_does_not_decompose(monkeypatch):
+    perturb_conjugate_row(monkeypatch)
+    with pytest.raises(ArithmeticError,
+                       match=r"\(a, c\) = \(1, 1\) decomposes but its conjugate \(-1, -1\) does not"):
+        acs_search_cp6(validate_params(6, 0, 0, 0), a_max=9, c_max=9)
+
+
+def test_cp6_job_takes_the_k_theory_route_once(monkeypatch):
+    # the search and the witness of one acs --dim 6 job share the cached
+    # Pontrjagin data
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return pontrjagin_of_X(X)
+
+    monkeypatch.setattr(homotopy, "pontrjagin_of_X", counted)
+    homotopy._pontrjagin_cached.cache_clear()
+    try:
+        X = validate_params(6, 48, 12, -1747)
+        assert acs_search_cp6(X, a_max=9, c_max=9) and cp6_exists(X)
+        assert calls == [X]
+    finally:
+        homotopy._pontrjagin_cached.cache_clear()
 
 
 @pytest.mark.parametrize("d, X", [(4, HtpyCP(4, 6, 3)), (6, HtpyCP(6, 16, 11, 23))])
