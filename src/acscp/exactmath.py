@@ -457,6 +457,23 @@ _NVARS = len(VARIABLES)
 _ZERO_EXP = (0,) * _NVARS
 
 
+def _var_index(name):
+    """The position of the variable name in VARIABLES; KeyError naming the
+    universe for any other name."""
+    if name not in _VAR_INDEX:
+        raise KeyError(f"unknown variable {name!r}; universe is {VARIABLES}")
+    return _VAR_INDEX[name]
+
+
+def _power_index(name, power):
+    """_var_index(name), for a power of that variable: TypeError unless
+    power is an int (a bool is refused), ValueError when it is negative."""
+    idx = _var_index(name)
+    if _require_int("the power", power) < 0:
+        raise ValueError(f"negative power {power} of {name}")
+    return idx
+
+
 class MPolyZ:
     """Polynomial with integer coefficients in the variables a, c, m, n, q.
 
@@ -495,13 +512,9 @@ class MPolyZ:
     def var(cls, name, power=1, coeff=1):
         """coeff * name^power; TypeError unless power and coeff are ints (a
         bool is refused), ValueError for a negative power."""
-        if name not in _VAR_INDEX:
-            raise KeyError(f"unknown variable {name!r}; universe is {VARIABLES}")
-        _require_int("the coefficient", coeff)
-        if _require_int("the power", power) < 0:
-            raise ValueError(f"negative power {power} of {name}")
         e = [0] * _NVARS
-        e[_VAR_INDEX[name]] = power
+        e[_power_index(name, power)] = power
+        _require_int("the coefficient", coeff)
         return cls({tuple(e): coeff})
 
     def is_zero(self):
@@ -562,7 +575,7 @@ class MPolyZ:
         out = self
         for name, value in values.items():
             _require_int(name, value)
-            idx = _VAR_INDEX[name]
+            idx = _var_index(name)
             acc = {}
             for e, c in out.terms.items():
                 coeff = c * value ** e[idx]
@@ -576,7 +589,7 @@ class MPolyZ:
         given, and every value must be an int."""
         point = [None] * _NVARS
         for name, value in values.items():
-            point[_VAR_INDEX[name]] = _require_int(name, value)
+            point[_var_index(name)] = _require_int(name, value)
         total = 0
         for e, c in self.terms.items():
             for x, k in zip(point, e):
@@ -590,12 +603,12 @@ class MPolyZ:
         return total
 
     def divisible_by_variable(self, name):
-        idx = _VAR_INDEX[name]
+        idx = _var_index(name)
         return all(e[idx] >= 1 for e in self.terms)
 
     def divide_by_variable(self, name):
         """Exact division by one power of a variable."""
-        idx = _VAR_INDEX[name]
+        idx = _var_index(name)
         out = {}
         for e, c in self.terms.items():
             if e[idx] < 1:
@@ -608,10 +621,11 @@ class MPolyZ:
 
         For variables named in fermat_vars, exponents are folded with
         x^p = x (valid on integer points for prime p), so e.g. a^3 -> a
-        when p = 3.  TypeError unless p is an int.
+        when p = 3.  TypeError unless p is an int, ValueError for p < 2.
         """
-        _require_int("the modulus p", p)
-        fold = tuple(_VAR_INDEX[v] for v in fermat_vars)
+        if _require_int("the modulus p", p) < 2:
+            raise ValueError(f"the modulus p must be at least 2, got {p}")
+        fold = tuple(map(_var_index, fermat_vars))
         out = {}
         for e, c in self.terms.items():
             if fold:
@@ -628,17 +642,20 @@ class MPolyZ:
         return g
 
     def divexact(self, k):
-        """Exact division by an int k that divides every coefficient."""
-        _require_int("the divisor k", k)
+        """Exact division by an int k that divides every coefficient;
+        ZeroDivisionError for k = 0, whatever the polynomial."""
+        if _require_int("the divisor k", k) == 0:
+            raise ZeroDivisionError("exact division by zero")
         if any(c % k for c in self.terms.values()):
             raise NotDivisible(f"coefficients are not all divisible by {k}")
         return MPolyZ._build({e: c // k for e, c in self.terms.items()})
 
     def coefficient(self, **exps):
-        """Coefficient of the monomial with the given exponents (others zero)."""
+        """Coefficient of the monomial with the given exponents (others
+        zero); each exponent is checked as the power of var is."""
         e = [0] * _NVARS
         for name, power in exps.items():
-            e[_VAR_INDEX[name]] = power
+            e[_power_index(name, power)] = power
         return self.terms.get(tuple(e), 0)
 
     def _sorted_terms(self):

@@ -44,18 +44,22 @@ depends on a^2 except for c_3 = num_3 / (2a), so v(-a) = (-a, c_2, -c_3, 5)
 and the test 2|a| | num_3 depends on |a| only.  Both routes of the search,
 the positive divisors of the target and the odd k of the cross-check
 window, run one step per positive k (_cp4_solutions): it completes k once,
-and the Chern vector and the power sums of the conjugate cell -k are the
-flipped lists (-1)^i v_i and (-1)^i s_i (_conjugate), so one Newton
-recursion serves both cells.
+runs one Newton recursion and one decomposition, and writes the conjugate
+cell -k from them.
 
-Conjugation H -> H^-1 is a ring automorphism of K(CP^d), and it keeps the
-exponential lattice of acscp.chernvec (see _conjugate): power sums s
-decompose integrally exactly when the flipped (-1)^i s_i do.  So the cell
--a (or (-a, -c) for d = 6) is a solution exactly when a (or (a, c)) is.
-Both searches test the cells with a > 0 and decompose a conjugate cell only
-when its partner decomposed, for its multiplicities; a conjugate cell that
-then fails raises ArithmeticError, since it would contradict the
-automorphism.  The cost of the conjugate cells follows the solutions found.
+Conjugation H -> H^-1 is a ring automorphism of K(CP^d), and an involution.
+Negating c_1 (and c_3 when d = 6) negates every odd Chern class, so the
+cell -a (or (-a, -c)) has the Chern vector and the power sums of the cell
+a (or (a, c)) with entry i multiplied by (-1)^i: those of the conjugate
+class.  ch(H^-j - 1) has the power sums (-j)^i, so power sums that
+decompose as dec have a flip that decomposes as M dec, where column j of
+the integer d x d matrix M = _conjugation(d) holds the multiplicities of
+H^-j - 1 over the H^k - 1, read from ktheory.conjugate.  M is certified
+once per d against the lattice, sum_k k^i M_kj = (-j)^i, so this holds for
+every vector at once, and the conjugate cell is a solution exactly when
+its partner is.  Both searches test the cells with a > 0 only and write
+each conjugate solution with the decomposition M dec, so the cost of the
+conjugate cells follows the solutions found.
 
 For d = 6 the completion is one head per a (_complete_head): c_2,
 h_4 = (p_2 - c_2^2)/2 and K = 14 + 2 c_2 h_4 + p_3; and one tail per c
@@ -72,10 +76,8 @@ roots r of K.  The tables depend on the modulus alone, so a process builds
 each once; a modulus above _ROOT_TABLE_MAX gets no table and its odd c are
 tested one by one, which bounds the cache whatever the window.  The
 conjugate cells (a, c) and (-a, -c) share c_2, c_4 and num_5, so
-v(-a, -c)_i = (-1)^i v(a, c)_i; s_i has weighted degree i, so
-s_i(-a, -c) = (-1)^i s_i(a, c) as well.  The scan writes the per-cell
-arithmetic of the tail and the conjugate vector out inline, on its hot
-path.
+v(-a, -c)_i = (-1)^i v(a, c)_i.  The scan writes the per-cell arithmetic
+of the tail and the conjugate vector out inline, on its hot path.
 
 The scan does not run Newton's identities per cell.  Fix a, so that c_2
 and h_4 are fixed, and read v = (a, c_2, c, a c + h_4, c_5, 7) as a
@@ -107,27 +109,20 @@ acscp.chernvec
     gamma = row . G.
 
 G is one Newton recursion, at v = (a, c_2, 0, h_4, 0, 7), and each row's
-form is one dot product and a few products.  At the conjugate cell
-(-a, -c) the power sums are (-1)^i s_i, evaluated at the same (c, c_5), so
-the same G serves with the rows whose entry i is multiplied by (-1)^i.
-One cached table, _scan_rows, holds the rows in order of modulus, the
-sign-flipped rows, and the getter that puts quotients back in the order of
-_q_rows.
+form is one dot product and a few products.
 
-The cells (a, +-c) of one |a| are then decomposed row by row with the
-rows, in order of modulus, largest first: for d = 6 the 720 row comes
+The cells (a, +-c) of one |a| are then decomposed row by row with the rows
+of _q_rows(6) in reverse order, so the 720 row, the last of _q_rows, comes
 first.  On seeded admissible triples it passes exactly the solutions,
 where the first row of _q_rows (mod 120) passes about half the cells, so
 most cells are tested once.  Each cell left is tested by
 (alpha c^2 + beta c + gamma + delta c_5) % det and keeps its quotient, and
-the side stops at the first row that no cell passes.  The quotients, put
-back in the order of _q_rows, are the decomposition.  Only the cells that
-passed every row go through the sign-flipped rows, for the decompositions
-of their conjugates (-a, -+c), and the Chern vectors are built for those
-cells alone.  So the scan costs one Newton recursion per |a| with a class,
+the side stops at the first row that no cell passes.  The quotients, read
+back in reverse, are the decomposition dec.  The Chern vectors are built
+only for the cells that passed every row, and their conjugates (-a, -+c)
+take M dec.  So the scan costs one Newton recursion per |a| with a class,
 one remainder per cell and row reached, rows beyond the first only for the
-|a| that still have a cell, and the sign-flipped rows only for the |a|
-with a solution, over its solutions.
+|a| that still have a cell, and one product by M per solution.
 
 For d = 6 the congruence-and-divisor criterion is uniform in the
 parameters, and (a, c) = (1, 1) always satisfies it, so every admissible
@@ -157,15 +152,15 @@ its parameters in __new__, which _make, _replace, copy and pickle all reach.
 
 from collections import namedtuple
 from functools import cache, lru_cache
-from itertools import cycle
 from math import gcd
-from operator import itemgetter, mul
+from operator import mul
 
 from .chernvec import _decompose, _q_adjugate, _q_rows, newton_power_sums
 from .exactmath import (MPolyZ, NotDivisible, _require_int, _require_ints,
                         divisors_signed, poly_variables)
-from .ktheory import (KClass, KOClass, UnsupportedDimension, pontrjagin_total,
-                      real_reduce, total_chern)
+from .ktheory import (KClass, KOClass, UnsupportedDimension, conjugate,
+                      line_multiplicities, pontrjagin_total, real_reduce,
+                      total_chern)
 
 
 class ConstraintViolated(ValueError):
@@ -375,20 +370,26 @@ def _check_window(name, value, limit):
         raise ValueError(f"{name} must be at most {limit}, got {value}")
 
 
-def _conjugate(xs):
-    """Entry i of xs, for every i, multiplied by (-1)^i, as a tuple: the
-    Chern vector and the power sums of the conjugate cell, since negating
-    c_1 (and c_3) negates every odd Chern class, so v_i, hence s_i, is
-    multiplied by (-1)^i.
+@cache
+def _conjugation(d):
+    """The d x d integer matrix M, as a tuple of rows, that takes the
+    decomposition dec of power sums s over the q_k (acscp.chernvec) to that
+    of their flip (-1)^i s_i: column j holds the multiplicities of
+    conjugate(H^j - 1) = H^-j - 1 over the H^k - 1, k = 1..d.
 
-    The flip is conjugation H -> H^-1, a ring automorphism of K(CP^d), and
-    it keeps the lattice of acscp.chernvec: H^-1 = (1 + (H - 1))^-1 is a
-    polynomial in H - 1, since (H - 1)^(d+1) = 0, so H^-j - 1 is an integer
-    combination of the (H - 1)^k, k = 1..d, hence of the H^k - 1, and
-    ch(H^-j - 1), the flip of q_j, lies in the integer span of the q_j.
-    The flip is an involution, so s decomposes integrally exactly when its
-    flip does."""
-    return tuple(map(mul, xs, cycle((-1, 1))))
+    ch(H^-j - 1) has the power sums (-j)^i, so with Q[i][j] = j^i and
+    Q(-1)[i][j] = (-j)^i, s = Q dec gives flip(s) = Q(-1) dec, and
+    Q M = Q(-1) makes M dec the decomposition of flip(s), integral whenever
+    dec is.  That identity is checked here, once per d, entry by entry, so
+    it holds for every vector; ArithmeticError if it fails."""
+    h = KClass.H(d)
+    cols = [line_multiplicities(conjugate(h ** j - 1))[1:] for j in range(1, d + 1)]
+    for j, col in enumerate(cols, 1):
+        if any(sum(k ** i * x for k, x in enumerate(col, 1)) != (-j) ** i
+               for i in range(1, d + 1)):
+            raise ArithmeticError(
+                f"the conjugate of H^{j} - 1 in K(CP^{d}) leaves the exponential lattice")
+    return tuple(zip(*cols))
 
 
 def _signed_odds(n):
@@ -417,23 +418,21 @@ def _cp4_solutions(p, ks):
     completion exists and decomposes integrally.  Pure integer arithmetic.
 
     The completion and its test 2|a| | num_3 depend on |a| only, so they run
-    once per k, and v(-k) = (-k, c_2, -c_3, 5) = _conjugate(v(k)), written
-    out inline.  The cells k and -k share one Newton recursion.  The cell -k decomposes exactly when k does (see
-    _conjugate), so it is decomposed only for a k that decomposed, for its
-    multiplicities, and ArithmeticError is raised if it then fails."""
+    once per k, and v(-k) = (-k, c_2, -c_3, 5), written out inline.  The
+    cell -k is a solution exactly when k is, with the decomposition M dec,
+    M = _conjugation(4), so each k runs one Newton recursion and one
+    decomposition."""
+    conj = _conjugation(4)
     out = {}
     for k in ks:
         v = _complete_cp4(p, k)
         if v is None:
             continue
-        sums = newton_power_sums(v)
-        if (dec := _decompose(sums)) is None:
+        if (dec := _decompose(newton_power_sums(v))) is None:
             continue
-        if (conjugate_dec := _decompose(_conjugate(sums))) is None:
-            raise ArithmeticError(
-                f"a = {k} decomposes but its conjugate a = {-k} does not")
         out[k] = ACSSolution(4, k, None, v, dec)
-        out[-k] = ACSSolution(4, -k, None, (-k, v[1], -v[2], 5), conjugate_dec)
+        out[-k] = ACSSolution(4, -k, None, (-k, v[1], -v[2], 5),
+                              tuple([sum(map(mul, row, dec)) for row in conj]))
     return out
 
 
@@ -573,34 +572,20 @@ def _odd_classes(mod, K, c_max):
             for c in range(r, c_max + 1, mod)]
 
 
-@cache
-def _scan_rows():
-    """(rows, conjugate_rows, in_q_order): the rows of _q_rows(6) by
-    modulus, largest first (the 720 row first, see the module docstring);
-    the same rows with entry i multiplied by (-1)^i, so that row . s is
-    taken at the power sums of the conjugate cell (see _conjugate); and the
-    getter that takes the quotients of a cell, its entries from 3 on in the
-    order of rows, back to the order of _q_rows."""
-    order = sorted(range(6), key=lambda i: -_q_rows(6)[i][1])
-    rows = tuple(_q_rows(6)[i] for i in order)
-    conjugate_rows = tuple((_conjugate(row), det) for row, det in rows)
-    return rows, conjugate_rows, itemgetter(*(3 + order.index(i) for i in range(6)))
-
-
-def _row_quotients(rows, in_q_order, a, c2, G, cells):
-    """The cells (c, c^2, c_5) that decompose integrally over rows, each
-    paired with its quotient tuple, for the power sums
+def _row_quotients(a, c2, G, cells):
+    """The cells (c, c^2, c_5) that decompose integrally, each paired with
+    its quotient tuple in the order of _q_rows(6), for the power sums
     A c^2 + B c + G + D c_5 at c_1 = a and c_2 = c2 (see the module
     docstring).
 
-    Row by row, in the order of rows: the row's form is alpha = 3 r_6,
-    delta = 5 r_5 + 6a r_6, beta = 3 r_3 - c_2 delta and gamma = row . G,
-    a cell stays while det divides alpha c^2 + beta c + gamma + delta c_5
-    and carries the quotient as one more entry, and no further row is
-    formed once no cell is left.  The quotients are returned in the order
-    that in_q_order gives them (see _scan_rows)."""
+    Row by row, over _q_rows(6) in reverse, the 720 row first: the row's
+    form is alpha = 3 r_6, delta = 5 r_5 + 6a r_6, beta = 3 r_3 - c_2 delta
+    and gamma = row . G, a cell stays while det divides
+    alpha c^2 + beta c + gamma + delta c_5 and carries the quotient as one
+    more entry, and no further row is formed once no cell is left.  The
+    quotients, entries 3 on, are read back in reverse."""
     live = cells
-    for row, det in rows:
+    for row, det in reversed(_q_rows(6)):
         alpha = 3 * row[5]
         delta = 5 * row[4] + 6 * a * row[5]
         beta = 3 * row[2] - c2 * delta
@@ -609,7 +594,7 @@ def _row_quotients(rows, in_q_order, a, c2, G, cells):
                 if not (x := alpha * cell[1] + beta * cell[0] + gamma + delta * cell[2]) % det]
         if not live:
             return []
-    return [(cell[:3], in_q_order(cell)) for cell in live]
+    return [(cell[:3], cell[:2:-1]) for cell in live]
 
 
 def _direct_set_cp6(p, a_max, c_max):
@@ -619,13 +604,10 @@ def _direct_set_cp6(p, a_max, c_max):
     Per |a|: the head and K (_complete_head), then the classes |c| with
     2|a| | K - c^2 from the square-root table of the modulus 2|a|.  An |a|
     with a class takes G from one Newton recursion, and its cells (a, +-c)
-    go row by row through _row_quotients with the rows of _scan_rows.  The
-    conjugate cell (-a, -c) decomposes exactly when (a, c) does (see
-    _conjugate), so only the cells that passed go through the sign-flipped
-    rows, for their multiplicities, and a conjugate cell that fails raises
-    ArithmeticError.  A Chern vector is built only for a cell that passes
-    every row."""
-    rows, conjugate_rows, in_q_order = _scan_rows()
+    go row by row through _row_quotients.  A Chern vector is built only for
+    a cell that passes every row, and its conjugate cell (-a, -c) takes the
+    decomposition M dec, M = _conjugation(6)."""
+    conj = _conjugation(6)
     out = {}
     for a in range(1, a_max + 1, 2):
         head = _complete_head(p, a)
@@ -642,20 +624,10 @@ def _direct_set_cp6(p, a_max, c_max):
             q5 = (K - cc) // two_a
             cells += ((c, cc, q5 + c2 * c), (-c, cc, q5 - c2 * c))
         G = newton_power_sums((a, c2, 0, h4, 0, 7))
-        found = _row_quotients(rows, in_q_order, a, c2, G, cells)
-        if not found:
-            continue
-        conjugates = _row_quotients(conjugate_rows, in_q_order, a, c2, G,
-                                    [cell for cell, _ in found])
-        if len(conjugates) < len(found):
-            kept = {cell for cell, _ in conjugates}
-            c = next(cell[0] for cell, _ in found if cell not in kept)
-            raise ArithmeticError(
-                f"(a, c) = {(a, c)} decomposes but its conjugate {(-a, -c)} does not")
-        for ((c, _, c5), dec), (_, conjugate_dec) in zip(found, conjugates):
+        for (c, _, c5), dec in _row_quotients(a, c2, G, cells):
             out[a, c] = ACSSolution(6, a, c, (a, c2, c, a * c + h4, c5, 7), dec)
             out[-a, -c] = ACSSolution(6, -a, -c, (-a, c2, -c, a * c + h4, -c5, 7),
-                                      conjugate_dec)
+                                      tuple([sum(map(mul, row, dec)) for row in conj]))
     return out
 
 

@@ -49,6 +49,7 @@ BOUNDARIES = {
     "substitute": (INT, lambda x: F.substitute(m=x)),
     "divexact": (INT, lambda x: F.divexact(x)),
     "reduce_mod": (INT, lambda x: F.reduce_mod(x)),
+    "coefficient": (INT, lambda x: F.coefficient(m=x)),
     "solve_exact-matrix": (RATIONAL, lambda x: solve_exact([[x]], [1])),
     "solve_exact-rhs": (RATIONAL, lambda x: solve_exact([[1]], [x])),
     "inverse_exact": (RATIONAL, lambda x: inverse_exact([[x]])),
@@ -95,7 +96,8 @@ CASES = [(name, bad) for name, (rule, _) in sorted(BOUNDARIES.items()) for bad i
                          ids=[f"{name}-{type(bad).__name__}" for name, bad in CASES])
 def test_every_boundary_refuses_with_its_rule(name, bad):
     # among them, each used to return an answer: divexact(2.0) float
-    # coefficients, reduce_mod(2.0) the zero polynomial, KOClass.omega(4,
+    # coefficients, reduce_mod(2.0) the zero polynomial, coefficient(m=True)
+    # and coefficient(m=2.0) the m^1 and m^2 coefficients, KOClass.omega(4,
     # True) and CohClass.u(3, True) the generator, exp_series(True, 3) the
     # series at t = 1 and elem_sym([1.5, 2], 1) the float 3.5
     rule, call = BOUNDARIES[name]
@@ -131,6 +133,45 @@ def test_a_negative_power_of_a_generator_is_refused(power):
         with pytest.raises(ValueError, match=f"negative powers are not defined in this ring, got power {power}"):
             call()
     assert CohClass.u(3, 3).coeffs == (0, 0, 0, 1) and CohClass.u(3, 4) == CohClass.zero(3)
+
+
+def test_mpolyz_refuses_a_zero_divisor_and_a_modulus_below_2():
+    # divexact(0) returned the zero polynomial on zero and raised from inside
+    # its loop otherwise; reduce_mod(1) returned zero, reduce_mod(0) raised
+    # ZeroDivisionError, and reduce_mod(-3) gave coefficients outside [0, p)
+    a = MPolyZ.var("a")
+    for poly in (MPolyZ(), F, 3 * a + 1):
+        with pytest.raises(ZeroDivisionError, match="exact division by zero"):
+            poly.divexact(0)
+        for p in (1, 0, -1, -3):
+            for fermat_vars in ((), ("a",)):
+                with pytest.raises(ValueError, match=f"the modulus p must be at least 2, got {p}"):
+                    poly.reduce_mod(p, fermat_vars=fermat_vars)
+    assert (3 * a + 1).reduce_mod(2) == a + 1 and (3 * a + 1).divexact(-1) == -3 * a - 1
+
+
+def test_mpolyz_refuses_a_negative_exponent():
+    # coefficient(m=-1) returned 0, as for any monomial that is absent
+    for call in (lambda: F.coefficient(m=-1), lambda: MPolyZ.var("m", -1)):
+        with pytest.raises(ValueError, match="negative power -1 of m"):
+            call()
+    assert F.coefficient(m=2) == 4 and F.coefficient(m=0) == F.coefficient() == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MPolyZ.var("z"),
+    lambda: F.substitute(z=1),
+    lambda: F.evaluate(m=0, n=0, z=1),
+    lambda: F.coefficient(z=1),
+    lambda: F.divisible_by_variable("z"),
+    lambda: F.divide_by_variable("z"),
+    lambda: F.reduce_mod(3, fermat_vars=("z",)),
+], ids=["var", "substitute", "evaluate", "coefficient", "divisible_by_variable",
+        "divide_by_variable", "reduce_mod"])
+def test_mpolyz_names_the_universe_for_an_unknown_variable(call):
+    # all but var raised a bare KeyError: 'z'
+    with pytest.raises(KeyError, match=re.escape("unknown variable 'z'; universe is ('a', 'c', 'm', 'n', 'q')")):
+        call()
 
 
 SRC = Path(acscp.__file__).parent

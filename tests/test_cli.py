@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,9 @@ from hypothesis import given, settings, strategies as st
 from acscp import cli, exactmath, homotopy
 from acscp.cli import (DIVISOR_TARGETS_M_MAX, main, _build_parser, _dumps,
                        _solutions_json)
-from acscp.chernvec import _decompose
 from acscp.homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, ACSSolution,
                             ConstraintViolated, HtpyCP)
-
-from tests.test_homotopy import perturb_conjugate_row
+from acscp.ktheory import line_multiplicities
 
 
 def run(capsys, *argv):
@@ -176,6 +175,16 @@ CP4_ARGV = ("acs", "--dim", "4", "--m", "6", "--n", "3")
 CP6_ARGV = ("acs", "--dim", "6", "--m", "0", "--n", "0", "--q", "0")
 
 
+def perturb_conjugation(mp):
+    """Add 1 to the multiplicity of H in every class that homotopy expands
+    over the line bundles, so that the conjugation matrix fails its lattice
+    check at column 1.  _conjugation gets a fresh cache for the patch, which
+    the undo drops, so no perturbed matrix outlives it."""
+    mp.setattr(homotopy, "line_multiplicities",
+               lambda x: [m + (j == 1) for j, m in enumerate(line_multiplicities(x))])
+    mp.setattr(homotopy, "_conjugation", cache(homotopy._conjugation.__wrapped__))
+
+
 @pytest.mark.parametrize("argv, patch, message", [
     (CP4_ARGV, lambda mp: mp.setattr(homotopy, "divisor_target_cp4", lambda m: 25),
      "divisor criterion and direct scan disagree"),
@@ -186,11 +195,10 @@ CP6_ARGV = ("acs", "--dim", "6", "--m", "0", "--n", "0", "--q", "0")
     (CP4_ARGV, lambda mp: mp.setitem(homotopy._PONTRJAGIN, 4, (homotopy.CP4_PONTRJAGIN[0] + 1,
                                                                homotopy.CP4_PONTRJAGIN[1])),
      "Pontrjagin mismatch"),
-    (CP4_ARGV, lambda mp: mp.setattr(homotopy, "_decompose",
-                                     lambda sums: None if sums[0] < 0 else _decompose(sums)),
-     "a = 1 decomposes but its conjugate a = -1 does not"),
-    (CP6_ARGV, perturb_conjugate_row,
-     "(a, c) = (1, 1) decomposes but its conjugate (-1, -1) does not"),
+    (CP4_ARGV, perturb_conjugation,
+     "the conjugate of H^1 - 1 in K(CP^4) leaves the exponential lattice"),
+    (CP6_ARGV, perturb_conjugation,
+     "the conjugate of H^1 - 1 in K(CP^6) leaves the exponential lattice"),
 ], ids=["cp4-routes", "cp6-routes", "cp6-witness", "pontrjagin", "cp4-conjugate",
         "cp6-conjugate"])
 def test_acs_cross_check_failure_is_an_error(capsys, monkeypatch, argv, patch, message):

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from acscp import homotopy
-from acscp.chernvec import (NotRealizable, newton_power_sums, q_matrix,
-                            realizable, _decompose, _q_adjugate, _q_rows)
+from acscp.chernvec import (NotRealizable, chern_from_multiplicities,
+                            newton_power_sums, q_matrix, realizable,
+                            _decompose, _q_adjugate, _q_rows)
 from acscp.exactmath import MPolyZ, divisors_signed, solve_exact
 from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP4_WINDOW_MAX,
                             CP6_CONSTRAINT, CP6_PONTRJAGIN,
@@ -24,11 +25,10 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP4_WINDOW_MAX,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
                             tangent_ko_class, validate_params,
                             ACSSolution, _check_window, _complete_cp4,
-                            _complete_head, _complete_tail, _conjugate,
+                            _complete_head, _complete_tail, _conjugation,
                             _cp4_solutions, _criterion_set_cp6,
                             _direct_set_cp6, _odd_classes, _odd_square_roots,
-                            _row_quotients, _scan_rows, _signed_odds,
-                            _symbolic_cp6_rows)
+                            _row_quotients, _signed_odds, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            pontrjagin_total)
 
@@ -275,6 +275,22 @@ def test_acs_search_cp4_large_m(m):
     assert [s.a for s in sols] == [-d for d in reversed(pos)] + pos
 
 
+@pytest.mark.parametrize("X", [
+    *(HtpyCP(4, m, (2 * m * m - 5 * m) // 14) for m in (0, 6, -8, 14, -22, min(LARGE_M_TARGETS))),
+    # the triples of verify cp6
+    *(HtpyCP(6, *mnq) for mnq in ((16, 11, 23), (48, 12, -1747), (0, 31, -24), (32, 7, -442))),
+], ids=lambda X: "-".join(map(str, (f"d{X.d}", *X.params()))))
+def test_every_solution_is_the_line_product_of_its_decomposition(X):
+    # chern_from_multiplicities multiplies out prod (1 + k u)^(a_k), a route
+    # that shares no step with the searches' completion, Newton recursion,
+    # adjugate rows or conjugation matrix; both halves of every solution
+    # list, the conjugate half built as M dec
+    sols = acs_search_cp4(X) if X.d == 4 else acs_search_cp6(X, a_max=60, c_max=60)
+    assert {s.a > 0 for s in sols} == {True, False}
+    for s in sols:
+        assert chern_from_multiplicities(s.decomposition) == s.full_chern
+
+
 def test_acs_search_cp4_every_valid_m_up_to_40():
     # criterion-vs-direct agreement for every valid parameter pair
     # (window-restricted where the divisor target is large)
@@ -344,49 +360,70 @@ def test_cp4_conjugate_cell_has_the_flipped_power_sums(k, r, data):
     assert (v is None) == (w is None)
     if v is not None:
         flip = lambda xs: [-x if i % 2 else x for i, x in enumerate(xs, 1)]
-        assert list(w) == flip(v) == list(_conjugate(v))
+        assert list(w) == flip(v)
         assert newton_power_sums(w) == flip(newton_power_sums(v))
-        assert list(_conjugate(newton_power_sums(v))) == newton_power_sums(w)
+
+
+def times(M, v):
+    """The matrix M, a sequence of rows, times the vector v."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in M)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 8), st.booleans(), st.data())
 def test_sign_flip_keeps_the_exponential_lattice(d, on_lattice, data):
-    # conjugation sends q_j to ch(H^-j - 1), which lies in the span of the
-    # q_j (see _conjugate), so s decomposes exactly when its flip does; the
-    # lattice vectors are s_i = sum_j a_j j^i, the others any integers
+    # the conjugation matrix M is an involution and equals
+    # Q^-1 Q(-1) = adj(Q) Q(-1) / det Q with Q(-1)[i][j] = (-j)^i, so the
+    # flip (-1)^i s_i of lattice power sums s = Q dec decomposes as M dec;
+    # off the lattice, s decomposes exactly when its flip does
+    M = _conjugation(d)
+    assert all(isinstance(x, int) for row in M for x in row) and len(M) == d
+    # the columns of M^2 are M times the columns of M
+    assert [times(M, col) for col in zip(*M)] == [
+        tuple(int(i == j) for i in range(d)) for j in range(d)]
+    adj, det = _q_adjugate(d)
+    q_flip = [[(-j) ** i for j in range(1, d + 1)] for i in range(1, d + 1)]
+    product = [times(adj, col) for col in zip(*q_flip)]
+    assert all(x % det == 0 for col in product for x in col)
+    assert [tuple(x // det for x in col) for col in product] == list(zip(*M))
     entries = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d, max_size=d)
     if on_lattice:
         mults = data.draw(entries)
         s = [sum(x * j ** i for j, x in enumerate(mults, 1)) for i in range(1, d + 1)]
     else:
         s = data.draw(entries)
-    flipped = _conjugate(s)
-    assert list(flipped) == [-x if i % 2 else x for i, x in enumerate(s, 1)]
-    assert _conjugate(flipped) == tuple(s)
+    flipped = [-x if i % 2 else x for i, x in enumerate(s, 1)]
     assert (_decompose(s) is None) == (_decompose(flipped) is None)
     if on_lattice:
         assert _decompose(s) == tuple(mults)
+        assert _decompose(flipped) == times(M, mults)
 
 
 def test_acs_search_cp4_runs_one_newton_recursion_per_first_chern_class(monkeypatch):
-    # each route completes every positive k once and decomposes k and -k from
-    # one Newton recursion: one call per positive divisor of the target and
-    # one per odd k in the window whose completion exists
+    # each route completes every positive k once and takes k and -k from one
+    # Newton recursion and one decomposition: one call each per positive
+    # divisor of the target and per odd k in the window whose completion
+    # exists
     X = validate_params(4, 6, 3)
     p = pontrjagin_of_X(X)
-    calls = []
+    calls, decomposed = [], []
 
     def counted(cs):
         calls.append(tuple(cs))
         return newton_power_sums(cs)
 
+    def counted_decompose(sums):
+        decomposed.append(list(sums))
+        return _decompose(sums)
+
     monkeypatch.setattr(homotopy, "newton_power_sums", counted)
+    monkeypatch.setattr(homotopy, "_decompose", counted_decompose)
     sols = acs_search_cp4(X, cross_check_window=200)
     divisors = [k for k in divisors_signed(9529) if k > 0]
     completing = [k for k in range(1, 201, 2) if _complete_cp4(p, k) is not None]
     assert calls == [_complete_cp4(p, k) for k in divisors + completing]
     assert len(calls) == len(sols) // 2 + len(completing)
+    assert decomposed == [newton_power_sums(v) for v in calls]
 
 
 @pytest.mark.parametrize("window, error", [
@@ -556,33 +593,31 @@ def test_direct_scan_cp6_returns_the_per_cell_solutions(mnq, a_max, c_max):
        *[st.integers(-10 ** 12, 10 ** 12)] * 4)
 def test_row_forms_equal_the_rows_at_every_point(a, c2, h4, c, c5):
     # the closed-form vectors A, B, D with G from one Newton recursion, and
-    # each row's form in (c, c_5), against newton_power_sums and row . s for
-    # the cell (a, c) with the rows and the conjugate cell (-a, -c) with the
-    # sign-flipped rows
+    # each row's form in (c, c_5), against newton_power_sums and row . s, at
+    # the cell (a, c) and at its conjugate cell (-a, -c), whose
+    # decomposition is M dec
     v = (a, c2, c, a * c + h4, c5, 7)
     w = (-a, c2, -c, a * c + h4, -c5, 7)
-    A = (0, 0, 0, 0, 0, 3)
-    B = (0, 0, 3, 0, -5 * c2, -6 * a * c2)
-    D = (0, 0, 0, 0, 5, 6 * a)
-    G = newton_power_sums((a, c2, 0, h4, 0, 7))
-    assert [x * c * c + y * c + z + t * c5 for x, y, z, t in zip(A, B, G, D)] == \
-        newton_power_sums(v)
-    scan_rows, conjugate_rows, in_q_order = _scan_rows()
-    for vec, rows in ((v, scan_rows), (w, conjugate_rows)):
+    decs = []
+    for e1, e3, e5, vec in ((a, c, c5, v), (-a, -c, -c5, w)):
+        A = (0, 0, 0, 0, 0, 3)
+        B = (0, 0, 3, 0, -5 * c2, -6 * e1 * c2)
+        D = (0, 0, 0, 0, 5, 6 * e1)
+        G = newton_power_sums((e1, c2, 0, h4, 0, 7))
         s = newton_power_sums(vec)
-        assert len(rows) == 6
-        for (row, det), (ref, ref_det) in zip(rows, scan_rows):
-            assert det == ref_det
+        assert [x * e3 * e3 + y * e3 + z + t * e5 for x, y, z, t in zip(A, B, G, D)] == s
+        for row, det in _q_rows(6):
             alpha, beta, gamma, delta = (sum(x * y for x, y in zip(row, u))
                                          for u in (A, B, G, D))
-            assert (alpha, delta) == (3 * row[5], 5 * row[4] + 6 * a * row[5])
+            assert (alpha, delta) == (3 * row[5], 5 * row[4] + 6 * e1 * row[5])
             assert beta == 3 * row[2] - c2 * delta
-            assert alpha * c * c + beta * c + gamma + delta * c5 == sum(
-                x * y for x, y in zip(ref, s))
+            assert alpha * e3 * e3 + beta * e3 + gamma + delta * e5 == sum(
+                x * y for x, y in zip(row, s))
         dec = _decompose(s)
-        cell = (c, c * c, c5)
-        assert _row_quotients(rows, in_q_order, a, c2, G, [cell]) == (
-            [] if dec is None else [(cell, dec)])
+        cell = (e3, e3 * e3, e5)
+        assert _row_quotients(e1, c2, G, [cell]) == ([] if dec is None else [(cell, dec)])
+        decs.append(dec)
+    assert decs[1] == (None if decs[0] is None else times(_conjugation(6), decs[0]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -633,69 +668,57 @@ def test_direct_scan_cp6_runs_one_newton_recursion_per_first_chern_class(monkeyp
 
 
 def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch):
-    # the rows are formed largest modulus first, so the 720 row (the last
-    # of _q_rows) opens every forward side; a later row is formed only while
-    # some cell of the side has passed every row before it, checked on the
-    # power sums of each cell; the sign-flipped rows run only for an |a|
-    # with a solution, over the cells that passed the rows
+    # one _row_quotients call per |a| with a class, over _q_rows(6) in
+    # reverse, so the 720 row (the last of _q_rows) opens every side; a later
+    # row is formed only while some cell of the side has passed every row
+    # before it, checked on the power sums of each cell
     p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
+    assert _q_rows(6)[-1][1] == 720
     row_quotients = homotopy._row_quotients
-    scan_rows, conjugate_rows, in_q_order = _scan_rows()
-    assert scan_rows[0] == _q_rows(6)[-1] and scan_rows[0][1] == 720
-    assert sorted(scan_rows) == sorted(_q_rows(6))
-    assert [d for _, d in scan_rows] == sorted((d for _, d in _q_rows(6)), reverse=True)
-    # the getter puts quotients taken in scan order back in _q_rows order
-    assert [scan_rows[i] for i in in_q_order(tuple(range(-3, 6)))] == list(_q_rows(6))
-    sides = []
+    sides, side = [], {}
 
-    def pulled(rows, sums, formed):
-        # yields the rows in order, recording each one formed, after checking
-        # that some cell passed every row before it
-        for k, (row, det) in enumerate(rows):
-            assert any(all(sum(x * y for x, y in zip(r, s)) % d == 0 for r, d in rows[:k])
-                       for s in sums)
-            formed.append(det)
-            yield row, det
+    class Pulled(tuple):
+        # the rows of _q_rows(d), which reversed() yields one at a time,
+        # recording each one formed
+        def __reversed__(self):
+            rows = self[::-1]
+            for k, (row, det) in enumerate(rows):
+                assert any(all(sum(x * y for x, y in zip(r, s)) % d == 0 for r, d in rows[:k])
+                           for s in side["sums"])
+                side["formed"].append(det)
+                yield row, det
 
-    def counted(rows, in_q_order, a, c2, G, cells):
-        # records each side as (forward?, a, its c, the c that passed, rows formed)
-        assert rows is scan_rows or rows is conjugate_rows
+    def counted(a, c2, G, cells):
+        # records each side as (a, its c, the c that passed, rows formed)
         A, B, D = (0, 0, 0, 0, 0, 3), (0, 0, 3, 0, -5 * c2, -6 * a * c2), (0, 0, 0, 0, 5, 6 * a)
-        sums = [[x * cc + y * c + z + t * c5 for x, y, z, t in zip(A, B, G, D)]
-                for c, cc, c5 in cells]
-        formed = []
-        found = row_quotients(pulled(rows, sums, formed), in_q_order, a, c2, G, cells)
-        sides.append((rows is scan_rows, a, [cell[0] for cell in cells],
-                      [cell[0] for cell, _ in found], formed))
+        side.update(formed=[], sums=[[x * cc + y * c + z + t * c5 for x, y, z, t in zip(A, B, G, D)]
+                                     for c, cc, c5 in cells])
+        found = row_quotients(a, c2, G, cells)
+        sides.append((a, [cell[0] for cell in cells], [cell[0] for cell, _ in found],
+                      side["formed"]))
         return found
 
+    monkeypatch.setattr(homotopy, "_q_rows", lambda d: Pulled(_q_rows(d)))
     monkeypatch.setattr(homotopy, "_row_quotients", counted)
     direct = _direct_set_cp6(p, 200, 200)
-    forward = [side[1:] for side in sides if side[0]]
-    conjugate = [side[1:] for side in sides if not side[0]]
-    classes = 0
+    classes = []
     for a in range(1, 201, 2):
         head = _complete_head(p, a)
-        classes += head is not None and any(
-            _complete_tail(a, head, c) is not None for c in range(1, 201, 2))
-    assert len(forward) == classes and len(direct) > 0
-    assert all(formed[0] == 720 for _, _, _, formed in forward)
-    assert {(a, c) for a, _, passed, _ in forward for c in passed} == \
+        if head is not None and any(_complete_tail(a, head, c) is not None
+                                    for c in range(1, 201, 2)):
+            classes.append(a)
+    assert [a for a, _, _, _ in sides] == classes and len(direct) > 0
+    assert all(formed[0] == 720 for _, _, _, formed in sides)
+    assert {(a, c) for a, _, passed, _ in sides for c in passed} == \
         {(a, c) for a, c in direct if a > 0}
-    # the conjugate sides are the |a| with a solution, each over the cells
-    # that passed its forward side, and every cell passes every row
-    with_solution = [a for a, _, passed, _ in forward if passed]
-    assert [a for a, _, _, _ in conjugate] == with_solution
+    assert {(a, c) for a, c in direct if a < 0} == {(-a, -c) for a, c in direct if a > 0}
+    # on this triple the 720 row passes the solutions only, so every side
+    # without one stops at it
+    with_solution = [a for a, _, passed, _ in sides if passed]
     assert len(with_solution) == len({a for a, _ in direct if a > 0})
-    passed = {a: cs for a, _, cs, _ in forward}
-    for a, cells, kept, formed in conjugate:
-        assert cells == kept == passed[a]
-        assert formed == [d for _, d in scan_rows]
-    # on this triple the 720 row passes the solutions only, so every
-    # forward side without one stops at it
-    assert sum(len(formed) == 6 for _, _, _, formed in forward) == len(with_solution)
-    assert sum(len(formed) for _, _, _, formed in forward) == \
-        6 * len(with_solution) + (len(forward) - len(with_solution))
+    assert sum(len(formed) == 6 for _, _, _, formed in sides) == len(with_solution)
+    assert sum(len(formed) for _, _, _, formed in sides) == \
+        6 * len(with_solution) + (len(sides) - len(with_solution))
 
 
 _MOD31 = dict(mod31_table())
@@ -816,31 +839,6 @@ def test_cp6_exists_refuses_a_witness_that_does_not_decompose(monkeypatch):
     monkeypatch.setattr(homotopy, "_decompose", lambda sums: None)
     with pytest.raises(ArithmeticError, match=r"witness \(a, c\) = \(1, 1\) does not decompose"):
         cp6_exists(validate_params(6, 0, 0, 0))
-
-
-def test_acs_search_cp4_refuses_a_conjugate_cell_that_does_not_decompose(monkeypatch):
-    # the conjugate decomposition perturbed: power sums with s_1 = c_1 < 0
-    # are refused, so a = 1 decomposes and its conjugate -1 does not
-    monkeypatch.setattr(homotopy, "_decompose",
-                        lambda sums: None if sums[0] < 0 else _decompose(sums))
-    with pytest.raises(ArithmeticError, match="a = 1 decomposes but its conjugate a = -1 does not"):
-        acs_search_cp4(validate_params(4, 6, 3))
-
-
-def perturb_conjugate_row(monkeypatch):
-    """Add 1 to the first entry of the first sign-flipped scan row, the 720
-    row: its form at a conjugate cell moves by G_1 = a, which is odd."""
-    rows, conjugate_rows, in_q_order = _scan_rows()
-    (row, det), *rest = conjugate_rows
-    perturbed = (((row[0] + 1,) + row[1:], det), *rest)
-    monkeypatch.setattr(homotopy, "_scan_rows", lambda: (rows, perturbed, in_q_order))
-
-
-def test_acs_search_cp6_refuses_a_conjugate_cell_that_does_not_decompose(monkeypatch):
-    perturb_conjugate_row(monkeypatch)
-    with pytest.raises(ArithmeticError,
-                       match=r"\(a, c\) = \(1, 1\) decomposes but its conjugate \(-1, -1\) does not"):
-        acs_search_cp6(validate_params(6, 0, 0, 0), a_max=9, c_max=9)
 
 
 def test_cp6_job_takes_the_k_theory_route_once(monkeypatch):

@@ -1,8 +1,11 @@
-"""Every private module-level name of acscp is used inside the package.
+"""Every private module-level name of acscp is used inside the package, and
+every name a module imports is read in that module.
 
 A private function, class or constant that only its own definition and the
 tests mention is dead code kept alive by a test import; this test fails on
-it, so such a helper is deleted or put back to use.
+it, so such a helper is deleted or put back to use.  An import that nothing
+reads is what a refactor leaves behind; __init__ is exempt, since its
+imports are the public re-exports.
 """
 
 import ast
@@ -60,3 +63,26 @@ def test_every_private_name_is_used_beyond_its_definition():
                        for m, t in trees.items()):
                 unused.append(f"{module}.{name}")
     assert unused == []
+
+
+def _imported(tree):
+    """(name, line) for each name an import statement binds under tree; a
+    dotted `import a.b` binds a."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def test_every_imported_name_is_read():
+    # __init__ is exempt: its imports are the public re-exports
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}:{line} {name}" for name, line in _imported(tree)
+                   if name not in read]
+    assert unread == []
