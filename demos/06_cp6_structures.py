@@ -14,7 +14,6 @@ m != 0 mod 3.  The symbolic pipeline below reproduces the corrected data,
 and re-running it with the slip reproduces the transcribed variant term
 for term -- both directions are pinned in the test suite."""
 
-from acscp.exactmath import MPolyZ
 from acscp.homotopy import (CP6_CONSTRAINT, acs_search_cp6, cp6_exists,
                             mod31_table, symbolic_cp6_numerators,
                             validate_params, _symbolic_cp6_rows)
@@ -30,8 +29,7 @@ print("  f =", sym.f)
 g3 = (sym.numerators[2] - 3 * sym.f).divide_by_variable("a")
 print("(f_3 - 3f)/a reduced mod 3 with a^3 = a:", g3.reduce_mod(3, fermat_vars=("a",)))
 nums228, _ = _symbolic_cp6_rows(p2_m2_coefficient=228)
-f228 = MPolyZ({e: c for e, c in nums228[0].terms.items() if e[0] == 0})
-g3s = (nums228[2] - 3 * f228).divide_by_variable("a")
+g3s = (nums228[2] - 3 * nums228[0].substitute(a=0)).divide_by_variable("a")
 print("same quantity under the 228 slip:", g3s.reduce_mod(3, fermat_vars=("a",)),
       " <- the spurious obstruction")
 

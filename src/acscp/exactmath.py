@@ -620,11 +620,15 @@ class MPolyZ:
         """Coefficients reduced into [0, p).
 
         For variables named in fermat_vars, exponents are folded with
-        x^p = x (valid on integer points for prime p), so e.g. a^3 -> a
-        when p = 3.  TypeError unless p is an int, ValueError for p < 2.
+        x^p = x, so e.g. a^3 -> a when p = 3.  That identity holds on
+        integer points for prime p only (Fermat), so a composite p with
+        fermat_vars is refused.  TypeError unless p is an int, ValueError
+        for p < 2 or a composite p with fermat_vars.
         """
         if _require_int("the modulus p", p) < 2:
             raise ValueError(f"the modulus p must be at least 2, got {p}")
+        if fermat_vars and _factor(p) != {p: 1}:
+            raise ValueError(f"x^p = x holds for prime p only, got p = {p}")
         fold = tuple(map(_var_index, fermat_vars))
         out = {}
         for e, c in self.terms.items():

@@ -18,8 +18,9 @@ CP6_CONSTRAINT and CP4_PONTRJAGIN, CP6_PONTRJAGIN (p_1, ..., p_(d/2) of T
 with n and q free), read by HtpyCP, pontrjagin_of_X (which still checks
 them against the K-theory route), mod31_table and the symbolic pipeline.
 The d = 6 divisor target is F / 155 with F derived from that model: the
-a-free part of the first row of the symbolic pipeline, derived once per
-process (_cp6_rows).  The d = 5 model lives once too, as _cp5_e.
+a-free part of the first row of the symbolic pipeline (_cp6_f), whose rows
+a process derives once per argument (_symbolic_cp6_rows).  The d = 5 model
+lives once too, as _cp5_e.
 
 For d = 4 and 6 an almost complex structure is the same thing as an integer
 Chern vector (c_1, ..., c_d) with c_d = d + 1 whose even combinations match
@@ -754,11 +755,6 @@ def symbolic_verify_cp5():
 # d = 6 symbolic: the six numerators of Q^-1 C
 # ---------------------------------------------------------------------------
 
-def _a_free_part(poly):
-    """The terms of poly that do not contain the variable a."""
-    return MPolyZ({e: coeff for e, coeff in poly.terms.items() if e[0] == 0})
-
-
 class CP6Symbolic(namedtuple("CP6Symbolic", "f numerators denominators")):
     """Numerators and denominators, as (integer, power of a) pairs, of the
     symbolic decomposition vector."""
@@ -780,6 +776,7 @@ def _lowest_terms(num, den, apow):
     return num, den, apow - k
 
 
+@cache
 def _symbolic_cp6_rows(p2_m2_coefficient=None):
     """Push the d = 6 completion through Newton's identities and Q^-1 over
     Z[a, c, m, n], with q eliminated through the constraint.
@@ -789,7 +786,9 @@ def _symbolic_cp6_rows(p2_m2_coefficient=None):
     lowest terms f_i / (den * a^apow).  The m^2 coefficient of the degree-4
     Pontrjagin input is that of CP6_PONTRJAGIN unless p2_m2_coefficient
     replaces it, so the regression tests can demonstrate how a transcribed
-    228 (for 288) propagates downstream.
+    228 (for 288) propagates downstream.  Cached: a process derives the rows
+    of each argument once, and a test that patches the model clears the
+    cache.
     """
     a, c, m, _, _ = poly_variables()
 
@@ -821,16 +820,10 @@ def _symbolic_cp6_rows(p2_m2_coefficient=None):
 
 
 @cache
-def _cp6_rows():
-    """_symbolic_cp6_rows() of the model, derived once per process and read
-    by symbolic_cp6_numerators and the divisor target (_cp6_f)."""
-    return _symbolic_cp6_rows()
-
-
 def _cp6_f():
-    """F, the a-free part of the first row of _cp6_rows(): the numerator of
-    the d = 6 divisor target."""
-    return _a_free_part(_cp6_rows()[0][0])
+    """F, the a-free part of the first row of _symbolic_cp6_rows(): the
+    numerator of the d = 6 divisor target."""
+    return _symbolic_cp6_rows()[0][0].substitute(a=0)
 
 
 def _multiple_of(g, f):
@@ -852,12 +845,11 @@ def symbolic_cp6_numerators():
     Under the current model the multiples are (1, -19, 3, -17, 1, -1); the
     tests pin them and f_1.
     """
-    numerators, denominators = _cp6_rows()
-    f = _a_free_part(numerators[0])
+    numerators, denominators = _symbolic_cp6_rows()
+    f = _cp6_f()
     if f.is_zero():
         raise ArithmeticError("the a-free part of the first numerator vanishes")
     for i, f_i in enumerate(numerators, 1):
         if _multiple_of(f_i, f) is None:
             raise ArithmeticError(f"the a-free part of numerator {i} is not an integer multiple of f")
-    return CP6Symbolic(f=f, numerators=tuple(numerators),
-                       denominators=tuple(denominators))
+    return CP6Symbolic(f, numerators, denominators)

@@ -27,7 +27,7 @@ from .exactmath import adjugate, det_exact
 from .homotopy import (HtpyCP, acs_search_cp4, acs_search_cp6, cp6_exists,
                        cp5_structure, mod31_table, pontrjagin_of_X,
                        symbolic_cp6_numerators, symbolic_verify_cp5,
-                       _a_free_part, _symbolic_cp6_rows)
+                       _symbolic_cp6_rows)
 from .ktheory import (KClass, KOClass, adams, adams_ko, chern_character,
                       complexify, conjugate, pontrjagin_total, real_reduce,
                       total_chern)
@@ -287,7 +287,7 @@ def suite_cp6(seed=0):
     sym = symbolic_cp6_numerators()
     g3 = (sym.numerators[2] - 3 * sym.f).divide_by_variable("a")
     nums228, _ = _symbolic_cp6_rows(p2_m2_coefficient=228)
-    g3s = (nums228[2] - 3 * _a_free_part(nums228[0])).divide_by_variable("a")
+    g3s = (nums228[2] - 3 * nums228[0].substitute(a=0)).divide_by_variable("a")
 
     sols = acs_search_cp6(HtpyCP(6, 0, 0, 0), a_max=40, c_max=40)
     pairs = [(s.a, s.c) for s in sols]

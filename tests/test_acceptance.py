@@ -32,6 +32,7 @@ from acscp.homotopy import (HtpyCP, acs_search_cp4, acs_search_cp6,
                             validate_params, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, adams_ko, complexify, conjugate,
                            pontrjagin_total, real_reduce, total_chern)
+from tests.admissible import cp6_triples
 from tests.test_homotopy import DISPLAY_F1
 
 
@@ -96,12 +97,15 @@ def test_criterion_5_cp6_existence_and_agreement():
         pairs = [(s.a, s.c) for s in acs_search_cp6(X0, a_max=40, c_max=40)]
         assert (1, 1) in pairs
         assert (7, 35) in pairs
-        # exact criterion-vs-direct agreement on six valid triples with
-        # m = 0 mod 3 over the stated window (the search raises otherwise)
-        triples = [(0, 0, 0), (0, 31, -24), (0, -31, 24),
-                   (48, 12, -1747), (48, 43, -1099), (-48, 16, 2419)]
-        for m, n, q in triples:
-            acs_search_cp6(validate_params(6, m, n, q), a_max=200, c_max=200)
+        # exact criterion-vs-direct agreement on every valid triple with
+        # m = 0 mod 3, |m| <= 48 and |n| <= 43 over the stated window (the
+        # search raises otherwise); under the 1152 model the six stated
+        # triples (0, 0, 0), (0, +-31, -+24), (48, 12, -1747), (48, 43, -1099)
+        # and (-48, 16, 2419) are among them
+        triples = [mnq for mnq in cp6_triples(48, 43) if mnq[0] % 3 == 0]
+        assert triples
+        for mnq in triples:
+            acs_search_cp6(validate_params(6, *mnq), a_max=200, c_max=200)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -150,6 +150,19 @@ def test_mpolyz_refuses_a_zero_divisor_and_a_modulus_below_2():
     assert (3 * a + 1).reduce_mod(2) == a + 1 and (3 * a + 1).divexact(-1) == -3 * a - 1
 
 
+def test_mpolyz_refuses_a_composite_modulus_with_fermat_folding():
+    # x^p = x holds on integer points for prime p only: reduce_mod(4) folded
+    # a^4 - a to 0, while its value at a = 2 is 14 = 2 (mod 4)
+    a = MPolyZ.var("a")
+    assert (a ** 4 - a).evaluate(a=2) % 4 == 2
+    for p in (4, 6, 9, 15, 1001):
+        with pytest.raises(ValueError, match=f"x\\^p = x holds for prime p only, got p = {p}"):
+            (a ** 4 - a).reduce_mod(p, fermat_vars=("a",))
+        assert (a ** 4 - a).reduce_mod(p) == a ** 4 + (p - 1) * a
+    for p in (2, 3, 5, 7, 1009):
+        assert (a ** p - a).reduce_mod(p, fermat_vars=("a",)).is_zero()
+
+
 def test_mpolyz_refuses_a_negative_exponent():
     # coefficient(m=-1) returned 0, as for any monomial that is absent
     for call in (lambda: F.coefficient(m=-1), lambda: MPolyZ.var("m", -1)):

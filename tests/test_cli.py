@@ -15,6 +15,12 @@ from acscp.cli import (DIVISOR_TARGETS_M_MAX, main, _build_parser, _dumps,
 from acscp.homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, ACSSolution,
                             ConstraintViolated, HtpyCP)
 from acscp.ktheory import line_multiplicities
+from tests.admissible import cp4_pairs, cp6_triple
+
+# the flags of the admissible triple nearest (16, 11): (16, 11, 23) under the
+# 1152 model
+CP6_PARAMS = tuple(arg for flag, x in zip(("--m", "--n", "--q"), cp6_triple(16, 11))
+                   for arg in (flag, str(x)))
 
 
 def run(capsys, *argv):
@@ -68,8 +74,8 @@ def test_acs_cp5(capsys):
 
 
 def test_acs_cp6(capsys):
-    code, doc, _ = run_json(capsys, "acs", "--dim", "6", "--m", "16", "--n", "11",
-                            "--q", "23", "--a-max", "20", "--c-max", "20")
+    code, doc, _ = run_json(capsys, "acs", "--dim", "6", *CP6_PARAMS,
+                            "--a-max", "20", "--c-max", "20")
     assert code == 0
     pairs = [(s["a"], s["c"]) for s in doc["payload"]["solutions"]]
     assert (1, 1) in pairs
@@ -154,8 +160,8 @@ def test_divisor_targets_m_max_limit_at_and_one_above(capsys):
     rows = out.splitlines()
     assert code == 0 and rows[0] == "m,target"
     assert rows[1].startswith("-499996,")     # the first m = 0, 6 (mod 14)
-    assert len(rows) - 1 == sum(1 for m in range(-DIVISOR_TARGETS_M_MAX, DIVISOR_TARGETS_M_MAX + 1)
-                                if m % 14 in (0, 6))
+    assert [int(row.split(",")[0]) for row in rows[1:]] == [
+        m for m, _ in cp4_pairs(DIVISOR_TARGETS_M_MAX)]
     code, out, err = run(capsys, "table", "divisor-targets",
                          "--m-max", str(DIVISOR_TARGETS_M_MAX + 1))
     assert (code, out) == (64, "")
@@ -249,10 +255,9 @@ def test_acs_q_off_dim_6_is_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("argv, given", [
     (("--dim", "4", "--m", "6", "--n", "3"), ("--a-max", "200")),
-    (("--dim", "6", "--m", "16", "--n", "11", "--q", "23"), ("--a-max", "200")),
-    (("--dim", "6", "--m", "16", "--n", "11", "--q", "23"), ("--c-max", "200")),
-    (("--dim", "6", "--m", "16", "--n", "11", "--q", "23"),
-     ("--a-max", "200", "--c-max", "200")),
+    (("--dim", "6", *CP6_PARAMS), ("--a-max", "200")),
+    (("--dim", "6", *CP6_PARAMS), ("--c-max", "200")),
+    (("--dim", "6", *CP6_PARAMS), ("--a-max", "200", "--c-max", "200")),
 ])
 def test_acs_window_flags_default_to_200(capsys, argv, given):
     code, plain, _ = run(capsys, "acs", *argv)
@@ -486,6 +491,10 @@ def _solution_dict(sol):
 _solution_ints = st.one_of(
     st.integers(),
     st.sampled_from([2 ** 53, -(2 ** 53), 2 ** 53 - 1, -(2 ** 53) + 1, 2 ** 60, -(2 ** 60)]))
+# built once: a strategy built inside the draw is built again for every example
+_solution_counts = st.sampled_from([0, 1]) | st.integers(2, 40)
+_solution_vectors = {d: st.lists(_solution_ints, min_size=d, max_size=d).map(tuple)
+                     for d in (4, 6)}
 
 
 @st.composite
@@ -493,8 +502,8 @@ def _solution_lists(draw):
     # the solutions of one search share one shape: d = 4 without c, d = 6
     # with it; none, one or many
     d = draw(st.sampled_from([4, 6]))
-    count = draw(st.sampled_from([0, 1]) | st.integers(2, 40))
-    ints = st.lists(_solution_ints, min_size=d, max_size=d).map(tuple)
+    count = draw(_solution_counts)
+    ints = _solution_vectors[d]
     return [ACSSolution(d, draw(_solution_ints), draw(_solution_ints) if d == 6 else None,
                         draw(ints), draw(ints))
             for _ in range(count)]
@@ -563,8 +572,7 @@ def test_no_record_reaches_the_writer(capsys, monkeypatch):
     cli._solution_template.cache_clear()
     for argv in (["acs", "--dim", "4", "--m", "-8", "--n", "12"],
                  ["acs", "--dim", "5", "--m", "2", "--n", "0"],
-                 ["acs", "--dim", "6", "--m", "16", "--n", "11", "--q", "23",
-                  "--a-max", "3", "--c-max", "3"],
+                 ["acs", "--dim", "6", *CP6_PARAMS, "--a-max", "3", "--c-max", "3"],
                  ["realizable", "--dim", "2", "1", "1"],
                  ["table", "mod31"], ["verify", "cp5"]):
         assert main(argv) == 0

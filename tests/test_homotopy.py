@@ -31,6 +31,7 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP4_WINDOW_MAX,
                             _row_quotients, _signed_odds, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            pontrjagin_total)
+from tests.admissible import cp4_pair, cp4_pairs, cp6_triple, cp6_triples
 
 
 def per_cell(X, a, c=None):
@@ -52,6 +53,30 @@ def cp6_q_free(m, n):
     """The q-free part of the d = 6 constraint, written out here as an
     independent reference: the constraint is cp6_q_free(m, n) + 1488 q = 0."""
     return 32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1152 * n
+
+
+@pytest.fixture
+def model_1044(monkeypatch):
+    """The d = 6 model with 1044 n in place of 1152 n in the constraint,
+    which is then (3/8)(L_3(p) - 1), so the signature is 1 on its triples.
+    The caches that read the model are cleared before and after."""
+    m, n, q = MPolyZ.var("m"), MPolyZ.var("n"), MPolyZ.var("q")
+    constraint = 32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1044 * n + 1488 * q
+    caches = (homotopy._symbolic_cp6_rows, homotopy._cp6_f, homotopy._pontrjagin_cached)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(homotopy, "CP6_CONSTRAINT", constraint)
+    monkeypatch.setitem(homotopy._CONSTRAINTS, 6, constraint)
+    yield constraint
+    for cached in caches:
+        cached.cache_clear()
+
+
+@pytest.fixture(params=["1152", "1044"])
+def either_model(request):
+    """The d = 6 model of acscp.homotopy, and the 1044 model."""
+    if request.param == "1044":
+        request.getfixturevalue("model_1044")
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +121,8 @@ def test_validate_params_rejects_non_integers():
             divisor_target_cp4(m)
 
 
-# each record's repr, pinned to the text it had as a frozen dataclass
+# each record's repr, pinned to the text it had as a frozen dataclass; the
+# HtpyCP is a triple of the 1152 model
 _RECORDS = [
     (lambda: HtpyCP(6, 16, 11, 23), "HtpyCP(d=6, m=16, n=11, q=23)"),
     (lambda: acs_search_cp4(validate_params(4, -8, 12))[2],
@@ -125,24 +151,89 @@ def test_records_keep_their_repr_equality_hash_and_immutability(build, text):
 
 
 def test_every_route_to_a_manifold_checks_it():
-    X = HtpyCP(6, 16, 11, 23)
-    with pytest.raises(ConstraintViolated):
-        X._replace(q=24)
-    with pytest.raises(ConstraintViolated):
-        HtpyCP._make((6, 16, 11, 24))
-    with pytest.raises(TypeError):
-        X._replace(m=1.5)
-    assert X._replace(q=23) == X and HtpyCP._make(X) == X
-    # a tuple that skipped the checks is checked when copied or unpickled
-    forged = tuple.__new__(HtpyCP, (6, 16, 11, 24))
     copies = [copy.copy, copy.deepcopy] + [
         lambda x, p=p: pickle.loads(pickle.dumps(x, p))
         for p in range(pickle.HIGHEST_PROTOCOL + 1)]
-    for make in copies:
-        Y = make(X)
-        assert Y == X and type(Y) is HtpyCP
+    for m, n, q in cp6_triples():
+        X = HtpyCP(6, m, n, q)
         with pytest.raises(ConstraintViolated):
-            make(forged)
+            X._replace(q=q + 1)
+        with pytest.raises(ConstraintViolated):
+            HtpyCP._make((6, m, n, q + 1))
+        with pytest.raises(TypeError):
+            X._replace(m=1.5)
+        assert X._replace(q=q) == X and HtpyCP._make(X) == X
+        # a tuple that skipped the checks is checked when copied or unpickled
+        forged = tuple.__new__(HtpyCP, (6, m, n, q + 1))
+        for make in copies:
+            Y = make(X)
+            assert Y == X and type(Y) is HtpyCP
+            with pytest.raises(ConstraintViolated):
+                make(forged)
+
+
+# ---------------------------------------------------------------------------
+# the helper tests/admissible.py, against HtpyCP
+# ---------------------------------------------------------------------------
+
+def test_cp4_pairs_are_the_pairs_htpycp_accepts():
+    # every pair the helper returns constructs; at every m it skips, the two
+    # integers nearest -C(m, 0)/k do not, k the n coefficient
+    C = homotopy.CP4_CONSTRAINT
+    k = C.coefficient(n=1)
+    found = dict(cp4_pairs(48))
+    assert list(found) == sorted(found)
+    for m in range(-48, 49):
+        if m in found:
+            HtpyCP(4, m, found[m])
+            continue
+        below = -C.evaluate(m=m, n=0) // k
+        for n in (below, below + 1):
+            with pytest.raises(ConstraintViolated):
+                HtpyCP(4, m, n)
+    for m in (-48, 1, 15, 10 ** 10 + 1):
+        m1, n1 = cp4_pair(m)
+        HtpyCP(4, m1, n1)
+        assert m1 >= m and all(C.evaluate(m=m2, n=0) % k for m2 in range(m, m1))
+
+
+def test_cp6_triples_are_the_triples_htpycp_accepts(either_model):
+    # every triple the helper returns constructs; at every (m, n) of the box
+    # it skips, the two integers nearest -C(m, n, 0)/k do not, k the q
+    # coefficient
+    C = homotopy.CP6_CONSTRAINT
+    k = C.coefficient(q=1)
+    triples = cp6_triples()
+    assert triples == sorted(triples)
+    found = {(m, n): q for m, n, q in triples}
+    for m in range(-48, 49):
+        for n in range(-31, 32):
+            if (m, n) in found:
+                HtpyCP(6, m, n, found[m, n])
+                continue
+            below = -C.evaluate(m=m, n=n, q=0) // k
+            for q in (below, below + 1):
+                with pytest.raises(ConstraintViolated):
+                    HtpyCP(6, m, n, q)
+
+
+@pytest.mark.parametrize("m, n", [(1, 5), (-47, -40), (16 * 10 ** 8, 0)])
+def test_cp6_triple_takes_the_first_m_and_the_nearest_n(either_model, m, n):
+    C = homotopy.CP6_CONSTRAINT
+    k = C.coefficient(q=1)
+
+    def admits(m, *ns):
+        line = C.substitute(m=m, q=0)
+        return any(line.evaluate(n=n) % k == 0 for n in ns)
+
+    m1, n1, q = cp6_triple(m, n)
+    HtpyCP(6, m1, n1, q)
+    # no m' in [m, m1) admits an n: n over one period mod k is every n
+    assert m1 >= m and not any(admits(m2, *range(abs(k))) for m2 in range(m, m1))
+    # at m1 no n' is nearer n, and of two at the same distance n1 is the larger
+    d = abs(n1 - n)
+    assert not admits(m1, *range(n - d + 1, n + d))
+    assert n1 >= n or not admits(m1, n + d)
 
 
 def test_cp4_m_residues():
@@ -186,10 +277,10 @@ def test_model_polynomials_match_ktheory_at_any_parameters(m, n, q):
 
 def test_pontrjagin_two_routes_agree_on_samples():
     # pontrjagin_of_X asserts formula-vs-K-theory agreement internally
-    for (m, n) in ((-22, 77), (14, 23), (20, 50)):
-        pontrjagin_of_X(validate_params(4, m, n))
-    for (m, n, q) in ((0, 31, -24), (48, 12, -1747), (16, 11, 23)):
-        pontrjagin_of_X(validate_params(6, m, n, q))
+    for mn in cp4_pairs(48):
+        pontrjagin_of_X(validate_params(4, *mn))
+    for mnq in cp6_triples():
+        pontrjagin_of_X(validate_params(6, *mnq))
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +315,8 @@ def test_divisor_target_cp4():
     assert divisor_target_cp4(6) == 9529
     assert divisor_target_cp4(34) == 288889
     # D = 25 + 3*48*m(12m + 5)/7 and m(12m + 5) >= 0, so D >= 25
-    for m in range(-48, 49):
-        if m % 14 in (0, 6):
-            assert divisor_target_cp4(m) >= 25
+    for m, _ in cp4_pairs(48):
+        assert divisor_target_cp4(m) >= 25
 
 
 def test_acs_search_cp4_standard():
@@ -264,27 +354,29 @@ LARGE_M_TARGETS = {
 
 @pytest.mark.parametrize("m", sorted(LARGE_M_TARGETS))
 def test_acs_search_cp4_large_m(m):
-    n = (4 * m * m - 10 * m) // 28
+    X = HtpyCP(4, *cp4_pair(m))
     D = divisor_target_cp4(m)
     exps = LARGE_M_TARGETS[m]
     assert prod(p ** e for p, e in exps.items()) == D
     pos = sorted(prod(p ** k for p, k in zip(exps, ks))
                  for ks in product(*(range(e + 1) for e in exps.values())))
-    sols = acs_search_cp4(HtpyCP(4, m, n))
-    assert all(D % s.a == 0 for s in sols)
+    sols = acs_search_cp4(X)
+    assert X.m == m and all(D % s.a == 0 for s in sols)
     assert [s.a for s in sols] == [-d for d in reversed(pos)] + pos
 
 
-@pytest.mark.parametrize("X", [
-    *(HtpyCP(4, m, (2 * m * m - 5 * m) // 14) for m in (0, 6, -8, 14, -22, min(LARGE_M_TARGETS))),
-    # the triples of verify cp6
-    *(HtpyCP(6, *mnq) for mnq in ((16, 11, 23), (48, 12, -1747), (0, 31, -24), (32, 7, -442))),
-], ids=lambda X: "-".join(map(str, (f"d{X.d}", *X.params()))))
-def test_every_solution_is_the_line_product_of_its_decomposition(X):
+@pytest.mark.parametrize("params", [
+    *((4, *cp4_pair(m)) for m in (0, 6, -8, 14, -22, min(LARGE_M_TARGETS))),
+    # every triple of the box; under the 1152 model the four of verify cp6
+    # are among them
+    *((6, *mnq) for mnq in cp6_triples()),
+], ids=lambda params: "-".join(map(str, (f"d{params[0]}", *params[1:]))))
+def test_every_solution_is_the_line_product_of_its_decomposition(params):
     # chern_from_multiplicities multiplies out prod (1 + k u)^(a_k), a route
     # that shares no step with the searches' completion, Newton recursion,
     # adjugate rows or conjugation matrix; both halves of every solution
     # list, the conjugate half built as M dec
+    X = HtpyCP(*params)
     sols = acs_search_cp4(X) if X.d == 4 else acs_search_cp6(X, a_max=60, c_max=60)
     assert {s.a > 0 for s in sols} == {True, False}
     for s in sols:
@@ -294,10 +386,7 @@ def test_every_solution_is_the_line_product_of_its_decomposition(X):
 def test_acs_search_cp4_every_valid_m_up_to_40():
     # criterion-vs-direct agreement for every valid parameter pair
     # (window-restricted where the divisor target is large)
-    for m in range(-40, 41):
-        if m % 14 not in (0, 6):
-            continue
-        n = (2 * m * m - 5 * m) // 14
+    for m, n in cp4_pairs(40):
         window = min(abs(divisor_target_cp4(m)), 1500)
         acs_search_cp4(HtpyCP(4, m, n), cross_check_window=window)
 
@@ -347,12 +436,12 @@ def test_complete_chern_vector_computes_the_pontrjagin_data_once(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(-10 ** 4, 10 ** 4), st.sampled_from([0, 6]), st.data())
-def test_cp4_conjugate_cell_has_the_flipped_power_sums(k, r, data):
+@given(st.data())
+def test_cp4_conjugate_cell_has_the_flipped_power_sums(data):
     # v(-a) = (-a, c_2, -c_3, 5), so s_i(-a) = (-1)^i s_i(a); a is drawn from
     # the positive divisors of the target (cells that complete) or any odd a
-    m = 14 * k + r
-    p = pontrjagin_of_X(validate_params(4, m, (4 * m * m - 10 * m) // 28))
+    m, n = cp4_pair(data.draw(st.integers(-14 * 10 ** 4, 14 * 10 ** 4 + 6)))
+    p = pontrjagin_of_X(validate_params(4, m, n))
     a = data.draw(st.one_of(
         st.sampled_from([d for d in divisors_signed(divisor_target_cp4(m)) if d > 0]),
         st.integers(0, 10 ** 4).map(lambda j: 2 * j + 1)))
@@ -472,6 +561,7 @@ def test_q_adjugate_consistency():
 # ---------------------------------------------------------------------------
 
 def test_mod31_table():
+    # pinned under the 1152 model
     table = mod31_table()
     assert len(table) == 30
     assert (0, 0) in table and (16, 11) in table
@@ -485,13 +575,15 @@ def test_mod31_table_matches_brute_force():
 
 
 def test_no_valid_triples_at_missing_residue():
-    # m = -16 = 15 mod 31: the constraint has no solution mod 31
+    # m = -16 = 15 mod 31: the constraint of the 1152 model (cp6_q_free) has
+    # no solution mod 31
     for n in range(-200, 201):
         num = -cp6_q_free(-16, n)
         assert num % 1488 != 0
 
 
 def test_constraint_forces_m_divisible_by_16():
+    # the 1152 model, through its independent copy cp6_q_free
     for m in range(-64, 65):
         for n in range(-80, 81):
             lhs = cp6_q_free(m, n)
@@ -501,10 +593,11 @@ def test_constraint_forces_m_divisible_by_16():
 
 
 def test_divisor_target_cp6_values():
+    # the values are pinned under the 1152 model
     assert divisor_target_cp6(1, 0, 0) == 139
     assert divisor_target_cp6(35, 0, 0) == 147 - 8 * 35 * 35
     # integral at valid parameters, including m != 0 mod 3
-    for (m, n, q) in ((16, 11, 23), (48, 12, -1747), (32, 7, -442)):
+    for m, n, q in cp6_triples():
         validate_params(6, m, n, q)
         divisor_target_cp6(1, m, n)
 
@@ -525,11 +618,11 @@ def test_acs_search_cp6_standard():
 
 def test_acs_search_cp6_cross_checks():
     # the criterion agrees with the direct scan for m = 0 and m != 0 mod 3
-    for (m, n, q) in ((0, 31, -24), (48, 12, -1747), (16, 11, 23), (32, 7, -442)):
-        acs_search_cp6(validate_params(6, m, n, q), a_max=60, c_max=60)
+    for mnq in cp6_triples():
+        acs_search_cp6(validate_params(6, *mnq), a_max=60, c_max=60)
 
 
-@pytest.mark.parametrize("mnq", [(0, 0, 0), (16, 11, 23), (-48, 16, 2419)])
+@pytest.mark.parametrize("mnq", cp6_triples())
 def test_direct_scan_cp6_matches_public_ops(mnq):
     X = validate_params(6, *mnq)
     fast = set(_direct_set_cp6(pontrjagin_of_X(X), 23, 11))
@@ -546,7 +639,7 @@ def test_direct_scan_cp6_matches_public_ops(mnq):
     assert (1, 1) in fast
 
 
-@pytest.mark.parametrize("mnq", [(0, 0, 0), (16, 11, 23), (-48, 16, 2419), (48, 12, -1747)])
+@pytest.mark.parametrize("mnq", cp6_triples())
 def test_complete_tail_of_the_conjugate_cell_is_the_sign_flip(mnq):
     # (-a, -c) keeps c_2, c_4 and num_5 and negates c_1, c_3 and c_5
     p = pontrjagin_of_X(validate_params(6, *mnq))
@@ -567,13 +660,16 @@ def test_complete_tail_of_the_conjugate_cell_is_the_sign_flip(mnq):
     assert tails > 50
 
 
+# the triples nearest (0, 0), (16, 11), (-48, 16) and (32, 7): under the 1152
+# model these are (0, 0, 0), (16, 11, 23), (-48, 16, 2419) and (32, 7, -442)
 @pytest.mark.parametrize("mnq, a_max, c_max", [
-    ((0, 0, 0), 45, 29), ((16, 11, 23), 61, 35), ((-48, 16, 2419), 33, 47),
-    ((32, 7, -442), 1, 1),
-    # |m| = 1.6e9: n = 15 and q from the constraint
-    ((16 * 10 ** 8, 15, -88086021071827946474193560), 45, 45),
+    (cp6_triple(0), 45, 29), (cp6_triple(16, 11), 61, 35), (cp6_triple(-48, 16), 33, 47),
+    (cp6_triple(32, 7), 1, 1),
+    # |m| = 1.6e9, the least |n| there; (16 * 10^8, 15, -88086021071827946474193560)
+    # under the 1152 model
+    (cp6_triple(16 * 10 ** 8), 45, 45),
     # moduli 2|a| above _ROOT_TABLE_MAX, whose classes are found without a table
-    ((16, 11, 23), 301, 41),
+    (cp6_triple(16, 11), 301, 41),
 ])
 def test_direct_scan_cp6_returns_the_per_cell_solutions(mnq, a_max, c_max):
     # every cell, both signs of a and c, through the public operations with
@@ -633,20 +729,20 @@ def test_square_root_table_cells_equal_the_plain_filter(a, K, c_max):
 
 
 def test_square_root_tables_are_one_per_first_chern_class():
-    p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
-    _odd_square_roots.cache_clear()
-    direct = _direct_set_cp6(p, 200, 200)
-    filled = _odd_square_roots.cache_info()
-    assert 0 < filled.currsize <= len(range(1, 201, 2))
-    # a second job reads the tables the first one filled
-    assert _direct_set_cp6(p, 200, 200) == direct
-    assert _odd_square_roots.cache_info().misses == filled.misses
+    for mnq in cp6_triples():
+        p = pontrjagin_of_X(validate_params(6, *mnq))
+        _odd_square_roots.cache_clear()
+        direct = _direct_set_cp6(p, 200, 200)
+        filled = _odd_square_roots.cache_info()
+        assert 0 < filled.currsize <= len(range(1, 201, 2))
+        # a second job reads the tables the first one filled
+        assert _direct_set_cp6(p, 200, 200) == direct
+        assert _odd_square_roots.cache_info().misses == filled.misses
 
 
 def test_direct_scan_cp6_runs_one_newton_recursion_per_first_chern_class(monkeypatch):
     # the Newton recursions follow the |a| that have a cell with integral
     # c_5, not the cells: one each, at (c, c_5) = (0, 0)
-    p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
     calls = []
 
     def counted(cs):
@@ -654,17 +750,20 @@ def test_direct_scan_cp6_runs_one_newton_recursion_per_first_chern_class(monkeyp
         return newton_power_sums(cs)
 
     monkeypatch.setattr(homotopy, "newton_power_sums", counted)
-    direct = _direct_set_cp6(p, 200, 200)
-    expected, cells = [], 0
-    for a in range(1, 201, 2):
-        head = _complete_head(p, a)
-        tails = 0 if head is None else sum(
-            _complete_tail(a, head, c) is not None for c in range(1, 201, 2))
-        if tails:
-            expected.append((a, head[0], 0, head[1], 0, 7))
-        cells += 4 * tails
-    assert expected and calls == expected
-    assert cells >= 20 * len(calls) and len(direct) > 0
+    for mnq in cp6_triples():
+        p = pontrjagin_of_X(validate_params(6, *mnq))
+        calls.clear()
+        direct = _direct_set_cp6(p, 200, 200)
+        expected, cells = [], 0
+        for a in range(1, 201, 2):
+            head = _complete_head(p, a)
+            tails = 0 if head is None else sum(
+                _complete_tail(a, head, c) is not None for c in range(1, 201, 2))
+            if tails:
+                expected.append((a, head[0], 0, head[1], 0, 7))
+            cells += 4 * tails
+        assert expected and calls == expected
+        assert cells >= 20 * len(calls) and len(direct) > 0
 
 
 def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch):
@@ -672,7 +771,6 @@ def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch
     # reverse, so the 720 row (the last of _q_rows) opens every side; a later
     # row is formed only while some cell of the side has passed every row
     # before it, checked on the power sums of each cell
-    p = pontrjagin_of_X(validate_params(6, 16, 11, 23))
     assert _q_rows(6)[-1][1] == 720
     row_quotients = homotopy._row_quotients
     sides, side = [], {}
@@ -700,32 +798,36 @@ def test_direct_scan_cp6_forms_later_rows_only_for_sides_with_a_cell(monkeypatch
 
     monkeypatch.setattr(homotopy, "_q_rows", lambda d: Pulled(_q_rows(d)))
     monkeypatch.setattr(homotopy, "_row_quotients", counted)
-    direct = _direct_set_cp6(p, 200, 200)
-    classes = []
-    for a in range(1, 201, 2):
-        head = _complete_head(p, a)
-        if head is not None and any(_complete_tail(a, head, c) is not None
-                                    for c in range(1, 201, 2)):
-            classes.append(a)
-    assert [a for a, _, _, _ in sides] == classes and len(direct) > 0
-    assert all(formed[0] == 720 for _, _, _, formed in sides)
-    assert {(a, c) for a, _, passed, _ in sides for c in passed} == \
-        {(a, c) for a, c in direct if a > 0}
-    assert {(a, c) for a, c in direct if a < 0} == {(-a, -c) for a, c in direct if a > 0}
-    # on this triple the 720 row passes the solutions only, so every side
-    # without one stops at it
-    with_solution = [a for a, _, passed, _ in sides if passed]
-    assert len(with_solution) == len({a for a, _ in direct if a > 0})
-    assert sum(len(formed) == 6 for _, _, _, formed in sides) == len(with_solution)
-    assert sum(len(formed) for _, _, _, formed in sides) == \
-        6 * len(with_solution) + (len(sides) - len(with_solution))
+    for mnq in cp6_triples():
+        p = pontrjagin_of_X(validate_params(6, *mnq))
+        sides.clear()
+        direct = _direct_set_cp6(p, 200, 200)
+        classes = []
+        for a in range(1, 201, 2):
+            head = _complete_head(p, a)
+            if head is not None and any(_complete_tail(a, head, c) is not None
+                                        for c in range(1, 201, 2)):
+                classes.append(a)
+        assert [a for a, _, _, _ in sides] == classes and len(direct) > 0
+        assert all(formed[0] == 720 for _, _, _, formed in sides)
+        assert {(a, c) for a, _, passed, _ in sides for c in passed} == \
+            {(a, c) for a, c in direct if a > 0}
+        assert {(a, c) for a, c in direct if a < 0} == {(-a, -c) for a, c in direct if a > 0}
+        # on these triples the 720 row passes the solutions only, so every
+        # side without one stops at it
+        with_solution = [a for a, _, passed, _ in sides if passed]
+        assert len(with_solution) == len({a for a, _ in direct if a > 0})
+        assert sum(len(formed) == 6 for _, _, _, formed in sides) == len(with_solution)
+        assert sum(len(formed) for _, _, _, formed in sides) == \
+            6 * len(with_solution) + (len(sides) - len(with_solution))
 
 
 _MOD31 = dict(mod31_table())
 
 
 def literal_target_cp6(c, m, n):
-    """The d = 6 divisor target as a closed formula, an independent copy."""
+    """The d = 6 divisor target of the 1152 model as a closed formula, an
+    independent copy."""
     num = (-179712 * m ** 3 + 879552 * m * m + 2488320 * m * n
            + 262584 * m - 362880 * n)
     assert num % 31 == 0
@@ -746,16 +848,11 @@ def test_divisor_target_cp6_equals_closed_formula(m, j, k):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(-50, 50), st.integers(-50, 50),
-       st.integers(1, 60), st.integers(1, 60))
-def test_cp6_criterion_set_equals_direct_set(k, j, a_max, c_max):
-    # admissible triples through the mod-31 table: m = 16k, n = r(m) mod 31,
-    # and q solves the constraint exactly
-    m = 16 * k
-    assume(m % 31 in _MOD31)
-    n = _MOD31[m % 31] + 31 * j
-    lhs = cp6_q_free(m, n)
-    X = validate_params(6, m, n, -lhs // 1488)
+@given(st.data(), st.integers(1, 60), st.integers(1, 60))
+def test_cp6_criterion_set_equals_direct_set(data, a_max, c_max):
+    # the admissible triple at the first m' >= m, with the n' nearest n
+    m, n = data.draw(st.integers(-800, 800)), data.draw(st.integers(-1600, 1600))
+    X = validate_params(6, *cp6_triple(m, n))
     p = pontrjagin_of_X(X)
     direct = set(_direct_set_cp6(p, a_max, c_max))
     assert direct == _criterion_set_cp6(X, a_max, c_max)
@@ -763,11 +860,7 @@ def test_cp6_criterion_set_equals_direct_set(k, j, a_max, c_max):
                       if per_cell(X, a, c)}
 
 
-_CP6_PINNED = ((0, 0, 0), (16, 11, 23), (48, 12, -1747), (32, 7, -442),
-               (-48, 16, 2419), (0, 31, -24))
-
-
-@pytest.mark.parametrize("mnq", _CP6_PINNED)
+@pytest.mark.parametrize("mnq", cp6_triples())
 def test_cp6_criterion_set_equals_the_polynomial_target_route(mnq):
     # the reference evaluates the MPolyZ target at every c, as the criterion did
     X = validate_params(6, *mnq)
@@ -797,16 +890,16 @@ def test_cp6_criterion_refuses_a_vanishing_target(monkeypatch):
 
 def test_cp6_exists_everywhere():
     # every valid triple carries a structure; (1, 1) is always a witness
-    for (m, n, q) in ((0, 0, 0), (16, 11, 23), (48, 12, -1747), (-48, 16, 2419)):
-        X = validate_params(6, m, n, q)
+    for mnq in cp6_triples():
+        X = validate_params(6, *mnq)
         assert cp6_exists(X)
         v = complete_chern_vector(X, 1, 1)
         assert realizable(v) is not None
 
 
 def test_acs_witness_on_m_not_divisible_by_three():
-    # ground truth for the parameters (16, 11, 23): the direct route finds
-    # structures, e.g. (a, c) = (1, 1)
+    # ground truth for the parameters (16, 11, 23) of the 1152 model: the
+    # direct route finds structures, e.g. (a, c) = (1, 1)
     X = validate_params(6, 16, 11, 23)
     v = complete_chern_vector(X, 1, 1)
     assert v == (1, -195, 1, 6487, -162765, 7)
@@ -853,15 +946,16 @@ def test_cp6_job_takes_the_k_theory_route_once(monkeypatch):
     monkeypatch.setattr(homotopy, "pontrjagin_of_X", counted)
     homotopy._pontrjagin_cached.cache_clear()
     try:
-        X = validate_params(6, 48, 12, -1747)
+        X = validate_params(6, *cp6_triple(48, 12))
         assert acs_search_cp6(X, a_max=9, c_max=9) and cp6_exists(X)
         assert calls == [X]
     finally:
         homotopy._pontrjagin_cached.cache_clear()
 
 
-@pytest.mark.parametrize("d, X", [(4, HtpyCP(4, 6, 3)), (6, HtpyCP(6, 16, 11, 23))])
+@pytest.mark.parametrize("d, X", [(4, cp4_pair(6)), (6, cp6_triple(16, 11))])
 def test_pontrjagin_of_X_refuses_formulas_off_the_k_theory_route(monkeypatch, d, X):
+    X = HtpyCP(d, *X)
     formulas = homotopy._PONTRJAGIN[d]
     monkeypatch.setitem(homotopy._PONTRJAGIN, d, formulas[:-1] + (formulas[-1] + 1,))
     with pytest.raises(ArithmeticError, match="Pontrjagin mismatch"):
@@ -873,12 +967,13 @@ def test_pontrjagin_of_X_refuses_formulas_off_the_k_theory_route(monkeypatch, d,
 # ---------------------------------------------------------------------------
 
 def test_symbolic_denominators():
+    # pinned under the 1152 model
     sym = symbolic_cp6_numerators()
     assert sym.denominators == ((2976, 1), (23808, 1), (2976, 1),
                                 (23808, 1), (3720, 1), (23808, 1))
 
 
-# regression values of the symbolic pipeline under the current model,
+# regression values of the symbolic pipeline under the 1152 model,
 # exponent keys ordered (a, c, m, n, q): the a-free part F of the first
 # numerator, the first numerator f_1, and the multiples of F in every f_i
 CP6_F = {
@@ -915,42 +1010,51 @@ def test_symbolic_f_is_a_free_part_and_multiples():
             for f_i in sym.numerators] == list(CP6_F_MULTIPLES)
 
 
+def bend(monkeypatch, rows):
+    """Make symbolic_cp6_numerators read the rows (numerators, denominators)
+    and their F, the a-free part of the first numerator."""
+    monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", lambda: rows)
+    monkeypatch.setattr(homotopy, "_cp6_f", lambda: rows[0][0].substitute(a=0))
+
+
 def test_symbolic_numerators_refuse_an_a_free_part_off_the_multiples(monkeypatch):
     nums, dens = _symbolic_cp6_rows()
     for stray in (MPolyZ.var("c"), MPolyZ.const(1)):
-        bent = nums[:3] + (nums[3] + stray,) + nums[4:]
-        monkeypatch.setattr(homotopy, "_cp6_rows", lambda: (bent, dens))
+        bend(monkeypatch, (nums[:3] + (nums[3] + stray,) + nums[4:], dens))
         with pytest.raises(ArithmeticError, match="numerator 4 is not an integer multiple"):
             symbolic_cp6_numerators()
     # a first numerator without an a-free part leaves no f to divide by
-    F = homotopy._a_free_part(nums[0])
-    bent = (nums[0] - F,) + nums[1:]
-    monkeypatch.setattr(homotopy, "_cp6_rows", lambda: (bent, dens))
+    F = nums[0].substitute(a=0)
+    bend(monkeypatch, ((nums[0] - F,) + nums[1:], dens))
     with pytest.raises(ArithmeticError, match="first numerator vanishes"):
         symbolic_cp6_numerators()
     # a rational multiple is refused too: -19 F + F/5 in the second row
-    fifth = F.divexact(5)
-    bent = (nums[0], nums[1] + fifth) + nums[2:]
-    monkeypatch.setattr(homotopy, "_cp6_rows", lambda: (bent, dens))
+    bend(monkeypatch, ((nums[0], nums[1] + F.divexact(5)) + nums[2:], dens))
     with pytest.raises(ArithmeticError, match="numerator 2 is not an integer multiple"):
         symbolic_cp6_numerators()
 
 
-def test_divisor_target_follows_the_model(monkeypatch):
-    # the constraint with 1044 n in place of 1152 n: the target is derived
-    # from CP6_CONSTRAINT, so it moves with it and nothing else needs editing
-    m, n, q = MPolyZ.var("m"), MPolyZ.var("n"), MPolyZ.var("q")
-    homotopy._cp6_rows.cache_clear()
-    try:
-        monkeypatch.setattr(homotopy, "CP6_CONSTRAINT",
-                            32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n
-                            + 1044 * n + 1488 * q)
-        c = MPolyZ.var("c")
-        assert homotopy._cp6_f() == (-898560 * m ** 3 - 1240 * c * c + 4397760 * m * m
-                                     + 12441600 * m * n + 1312920 * m + 3628800 * n
-                                     + 22785)
-    finally:
-        homotopy._cp6_rows.cache_clear()
+def test_divisor_target_follows_the_model(model_1044):
+    # the target is derived from CP6_CONSTRAINT, so it moves with it and
+    # nothing else needs editing
+    c, m, n = MPolyZ.var("c"), MPolyZ.var("m"), MPolyZ.var("n")
+    assert homotopy._cp6_f() == (-898560 * m ** 3 - 1240 * c * c + 4397760 * m * m
+                                 + 12441600 * m * n + 1312920 * m + 3628800 * n
+                                 + 22785)
+
+
+def test_structural_checks_hold_under_the_1044_model(model_1044):
+    # every triple of the box under the constraint with 1044 n: the criterion
+    # equals the scan, a witness exists, and every solution is the line
+    # product of its decomposition
+    triples = cp6_triples()
+    assert len(triples) == 9 and (16, 11, 23) not in triples
+    for mnq in triples:
+        X = validate_params(6, *mnq)
+        sols = acs_search_cp6(X, a_max=61, c_max=61)
+        assert sols and cp6_exists(X)
+        for s in sols:
+            assert chern_from_multiplicities(s.decomposition) == s.full_chern
 
 
 @pytest.mark.parametrize("p2_m2", [288, 228])
@@ -984,8 +1088,7 @@ def test_symbolic_matches_numeric_oracle(p2_m2):
         assert apow == 0 or not num.divisible_by_variable("a")
 
 
-@pytest.mark.parametrize("m, n, q", [(0, 0, 0), (16, 11, 23), (48, 12, -1747),
-                                     (0, 31, -24), (32, 7, -442)])
+@pytest.mark.parametrize("m, n, q", cp6_triples())
 def test_symbolic_numerators_match_realizable(m, n, q):
     # f_i(a, c, m, n) / (D_i a^apow) at integer points is the numeric
     # decomposition: realizable's tuple, or NotRealizable.solution
@@ -1010,6 +1113,7 @@ def test_symbolic_numerators_match_realizable(m, n, q):
 
 
 def test_mod3_analysis():
+    # the numerators of the 1152 model
     sym = symbolic_cp6_numerators()
     # the third numerator is divisible by 3 identically once a^3 = a is used
     g3 = (sym.numerators[2] - 3 * sym.f).divide_by_variable("a")
@@ -1022,6 +1126,7 @@ def test_mod3_analysis():
         assert red in (target, (-(a * a - c * c)).reduce_mod(3, fermat_vars=("a", "c")))
 
 
+# the transcribed first numerator: the 228 slip under the 1152 constraint
 DISPLAY_F1 = {
     (1, 0, 0, 0, 0): -208320, (0, 0, 1, 0, 0): 1312920, (0, 0, 0, 1, 0): -1814400,
     (1, 1, 0, 0, 0): 43152, (1, 0, 1, 0, 0): -5461392, (1, 0, 0, 1, 0): -11336832,
@@ -1046,6 +1151,7 @@ def test_slip_reproduces_transcribed_numerator_exactly():
 
 
 def test_corrected_and_transcribed_targets_diverge_only_for_nonzero_m():
+    # both targets are those of the 1152 model
     transcribed = lambda c, m, n: 147 - 8 * c * c + (
         -1152 * m ** 3 + 931632 * m * m + 2488320 * m * n + 262584 * m
         - 362880 * n) // 31

@@ -112,21 +112,21 @@ def test_basis_decomposition_eliminates_each_w_once(monkeypatch):
                                     + [(n, 2 * n) for n in range(2, 10)])
 
 
-def test_verify_all_derives_the_default_cp6_rows_once(monkeypatch):
-    # symbolic_cp6_numerators and the divisor target read one cached row
-    # set; only the 228 regression derives its own rows
-    calls = []
+def test_verify_all_derives_the_default_cp6_rows_once():
+    # symbolic_cp6_numerators and the divisor target read the cached row set
+    # of the model, and the 228 regression its own: two derivations in a
+    # process, however many verify all runs it makes
     rows = homotopy._symbolic_cp6_rows
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return rows(*args, **kwargs)
-
-    monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", counted)
-    monkeypatch.setattr(acscp.suites, "_symbolic_cp6_rows", counted)
-    homotopy._cp6_rows.cache_clear()
+    rows.cache_clear()
+    homotopy._cp6_f.cache_clear()
     try:
-        assert all(c.passed for c in run_suite("all", 0))
+        for seed in (0, 1):
+            assert all(c.passed for c in run_suite("all", seed))
+        # the two arguments are the cached ones: reading them derives nothing
+        rows()
+        rows(p2_m2_coefficient=228)
+        info = rows.cache_info()
     finally:
-        homotopy._cp6_rows.cache_clear()
-    assert sorted(calls, key=len) == [{}, {"p2_m2_coefficient": 228}]
+        rows.cache_clear()
+        homotopy._cp6_f.cache_clear()
+    assert (info.misses, info.currsize) == (2, 2)
