@@ -15,10 +15,11 @@ is integral and a Fraction otherwise.  Integral classes (Chern and
 Pontrjagin classes above all) are then plain int arithmetic, while
 equality, hashing and the printed form are those of the rational values.
 
-The raw helpers at the end work on plain int lists: _line_product is the
-product of line-bundle factors (1 + j*u)^k, and _elementary_from_power_sums
-is the inverse of chernvec.newton_power_sums, the integer recursion that
-takes the power sums k!*ch_k of a class to its Chern classes.
+The raw helpers at the end work on plain lists: _line_product is the
+product of line-bundle factors (1 + j*u)^k over ints, and
+_elementary_from_power_sums is the inverse of chernvec.newton_power_sums,
+the integer recursion that takes the power sums k!*ch_k of a class to its
+Chern classes, over ints or integer polynomials (MPolyZ) alike.
 """
 
 from fractions import Fraction
@@ -286,15 +287,16 @@ def _line_product(mults, d):
 
 
 def _elementary_from_power_sums(sums):
-    """Elementary symmetric e_1..e_d from integer power sums s_1..s_d: the
-    inverse of chernvec.newton_power_sums, by Newton's identities solved
-    for e_k,
+    """Elementary symmetric e_1..e_d from power sums s_1..s_d, ints or
+    MPolyZ alike: the inverse of chernvec.newton_power_sums, by Newton's
+    identities solved for e_k,
 
         k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i,    e_0 = 1.
 
     With s_k = k!*ch_k(x) this takes a virtual class to its Chern classes in
     O(d^2) integer steps.  Raises ArithmeticError if a division by k is not
-    exact, i.e. the power sums are not those of an integral class.
+    exact (in some coefficient, for an MPolyZ), i.e. the power sums are not
+    those of an integral class.
     """
     es = [1]
     for k in range(1, len(sums) + 1):
@@ -304,6 +306,6 @@ def _elementary_from_power_sums(sums):
             acc = acc + term if i % 2 else acc - term
         e, r = divmod(acc, k)
         if r:
-            raise ArithmeticError(f"power sums {sums!r} give a non-integral e_{k} = {acc}/{k}")
+            raise ArithmeticError(f"power sums {sums!r} give a non-integral e_{k} = ({acc})/{k}")
         es.append(e)
     return es[1:]

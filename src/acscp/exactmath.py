@@ -654,6 +654,16 @@ class MPolyZ:
             raise NotDivisible(f"coefficients are not all divisible by {k}")
         return MPolyZ._build({e: c // k for e, c in self.terms.items()})
 
+    def __divmod__(self, k):
+        """(quotient, remainder) by an int k, coefficient by coefficient, so
+        the remainder is zero exactly when k divides every coefficient;
+        ZeroDivisionError for k = 0."""
+        if _require_int("the divisor k", k) == 0:
+            raise ZeroDivisionError("division by zero")
+        pairs = {e: divmod(c, k) for e, c in self.terms.items()}
+        return (MPolyZ({e: q for e, (q, _) in pairs.items()}),
+                MPolyZ({e: r for e, (_, r) in pairs.items()}))
+
     def coefficient(self, **exps):
         """Coefficient of the monomial with the given exponents (others
         zero); each exponent is checked as the power of var is."""

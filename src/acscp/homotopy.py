@@ -8,19 +8,23 @@ one constraint:
 
     d = 4:  xi = m(24w + 98w^2) + n(240w^2),
             4m^2 - 10m - 28n = 0
-    d = 5:  xi = m(24w + 98w^2 + w^3) + n(240w^2),
+    d = 5:  xi = m(24w + 98w^2 + 111w^3) + n(240w^2 + 380w^3),
             m even
     d = 6:  xi = m(24w + 98w^2 + 111w^3) + n(240w^2 + 380w^3) + q(504w^3),
             32m^3 - 252m^2 + 301m - 672mn + 1152n + 1488q = 0
 
-The d = 4 and 6 models live once, as the MPolyZ constants CP4_CONSTRAINT,
-CP6_CONSTRAINT and CP4_PONTRJAGIN, CP6_PONTRJAGIN (p_1, ..., p_(d/2) of T
-with n and q free), read by HtpyCP, pontrjagin_of_X (which still checks
-them against the K-theory route), mod31_table and the symbolic pipeline.
-The d = 6 divisor target is F / 155 with F derived from that model: the
-a-free part of the first row of the symbolic pipeline (_cp6_f), whose rows
-a process derives once per argument (_symbolic_cp6_rows).  The d = 5 model
-lives once too, as _cp5_e.
+(For d = 5, w^3 is 2-torsion, so its coefficient is m mod 2.)  The family
+is written once, as _tangent_coeffs, for ints or MPolyZ alike:
+tangent_ko_class reads it at the parameters of X, and the MPolyZ constants
+CP4_PONTRJAGIN and CP6_PONTRJAGIN (p_1, ..., p_(d/2) of T with n and q
+free) are derived from it at import, by the integer K-theory route of
+ktheory._pontrjagin run on polynomials.  pontrjagin_of_X takes that route
+at the numeric parameters.  The constraints are the MPolyZ constants
+CP4_CONSTRAINT and CP6_CONSTRAINT, read by HtpyCP, mod31_table, the cli and
+the symbolic pipeline.  The d = 6 divisor target is F / 155 with F derived
+from that model: the a-free part of the first row of the symbolic pipeline
+(_cp6_f), whose rows a process derives once per argument
+(_symbolic_cp6_rows).  The d = 5 structure lives once too, as _cp5_e.
 
 For d = 4 and 6 an almost complex structure is the same thing as an integer
 Chern vector (c_1, ..., c_d) with c_d = d + 1 whose even combinations match
@@ -144,7 +148,8 @@ Each row is brought to lowest terms once, at the end.
 For d = 5 real K-theory has 2-torsion and the Chern-vector correspondence is
 unavailable; instead an explicit K-theory class with the right real
 reduction and top Chern class 6u^5 is constructed, which settles existence
-for every (m, n).
+for every (m, n): symbolic_verify_cp5 runs the Chern route of total_chern
+on its coefficients as polynomials in (m, n).
 
 The records HtpyCP, ACSSolution, CP5Report and CP6Symbolic are named tuples:
 they unpack, sort and equal the plain tuple of their fields.  HtpyCP checks
@@ -160,8 +165,8 @@ from .chernvec import _decompose, _q_adjugate, _q_rows, newton_power_sums
 from .exactmath import (MPolyZ, NotDivisible, _require_int, _require_ints,
                         divisors_signed, poly_variables)
 from .ktheory import (KClass, KOClass, UnsupportedDimension, conjugate,
-                      line_multiplicities, pontrjagin_total, real_reduce,
-                      total_chern)
+                      line_multiplicities, real_reduce, total_chern, _chern,
+                      _ko_width, _pontrjagin)
 
 
 class ConstraintViolated(ValueError):
@@ -180,20 +185,23 @@ class ZeroFirstChern(ValueError):
 # Parameters: the constraints and Pontrjagin classes in (m, n, q)
 # ---------------------------------------------------------------------------
 
+def _tangent_coeffs(d, m, n, q=0):
+    """The w^j coefficients of the reduced stable tangent class T(CP^d) + xi
+    (see the module docstring), for ints or MPolyZ alike.  KOClass reduces
+    the 2-torsion w^3 coefficient 111m + 380n of d = 5 to m mod 2."""
+    return [0, d + 1 + 24 * m, 98 * m + 240 * n, 111 * m + 380 * n + 504 * q][:_ko_width(d)]
+
+
 _, _, _m, _n, _q = poly_variables()
 
 CP4_CONSTRAINT = 4 * _m ** 2 - 10 * _m - 28 * _n
-CP4_PONTRJAGIN = (5 + 24 * _m, 10 - 480 * _m + 288 * _m ** 2 - 1440 * _n)
+CP4_PONTRJAGIN = _pontrjagin(4, _tangent_coeffs(4, _m, _n))
 
 CP6_CONSTRAINT = (32 * _m ** 3 - 252 * _m ** 2 + 301 * _m - 672 * _m * _n
                   + 1152 * _n + 1488 * _q)
-CP6_PONTRJAGIN = (7 + 24 * _m,
-                  21 + 288 * _m ** 2 - 432 * _m - 1440 * _n,
-                  35 + 2304 * _m ** 3 - 12384 * _m ** 2 + 11592 * _m
-                  - 34560 * _m * _n + 40320 * _n + 60480 * _q)
+CP6_PONTRJAGIN = _pontrjagin(6, _tangent_coeffs(6, _m, _n, _q))
 
 _CONSTRAINTS = {4: CP4_CONSTRAINT, 6: CP6_CONSTRAINT}
-_PONTRJAGIN = {4: CP4_PONTRJAGIN, 6: CP6_PONTRJAGIN}
 
 
 class HtpyCP(namedtuple("HtpyCP", "d m n q")):
@@ -238,30 +246,15 @@ def validate_params(d, m, n, q=None):
 
 def tangent_ko_class(X):
     """Reduced stable tangent class in KO(CP^d)."""
-    m, n = X.m, X.n
-    if X.d == 4:
-        return KOClass(4, [0, 5 + 24 * m, 98 * m + 240 * n])
-    if X.d == 5:
-        return KOClass(5, [0, 6 + 24 * m, 98 * m + 240 * n, m])
-    return KOClass(6, [0, 7 + 24 * m, 98 * m + 240 * n,
-                       111 * m + 380 * n + 504 * X.q])
+    return KOClass(X.d, _tangent_coeffs(X.d, *X.params()))
 
 
 def pontrjagin_of_X(X):
-    """Coefficients (p_1, ..., p_(d/2)) with p_i(X) = p_i u^(2i).
-
-    Evaluated from the closed formulas in (m, n, q) and, independently, from
-    the total Pontrjagin class of the tangent KO-class; the two must agree.
-    """
-    if X.d not in _PONTRJAGIN:
-        raise UnsupportedDimension("Pontrjagin data is only defined for d = 4 and 6")
-    point = dict(zip("mnq", X.params()))
-    formulas = tuple(p.evaluate(**point) for p in _PONTRJAGIN[X.d])
-    total = pontrjagin_total(tangent_ko_class(X))
-    from_ko = tuple(total.coeff(2 * i) for i in range(1, X.d // 2 + 1))
-    if from_ko != formulas:
-        raise ArithmeticError(f"Pontrjagin mismatch: formulas {formulas}, K-theory {from_ko}")
-    return formulas
+    """Coefficients (p_1, ..., p_(d/2)) with p_i(X) = p_i u^(2i), from the
+    total Pontrjagin class of the tangent KO-class: the route that
+    CP4_PONTRJAGIN and CP6_PONTRJAGIN are derived on.  UnsupportedDimension
+    for d = 5."""
+    return _pontrjagin(X.d, tangent_ko_class(X).coeffs)
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -699,13 +692,6 @@ def _cp5_e(m, n):
             -19 * m - 20 * n - 6 * m * m + 80 * m * n]
 
 
-def _cp5_euler(m, k3, k4, k5):
-    """K with 6 + 6K the u^5 coefficient of the total Chern class of
-    6L + 12m L^2 + k_3 L^3 + k_4 L^4 + k_5 L^5 (see symbolic_verify_cp5),
-    for ints or MPolyZ alike."""
-    return k3 + 2 * k4 + 4 * k5 + 24 * m * m - 10 * m - 4 * (m * k3)
-
-
 def cp5_structure(X):
     """The stable almost complex structure
 
@@ -727,28 +713,13 @@ def cp5_structure(X):
 
 def symbolic_verify_cp5():
     """Verify symbolically that the top Chern class of the d = 5 structure
-    is 6u^5 for every admissible (m, n).
-
-    Writing k_i for the L^i coefficients, the u^5 coefficient of the total
-    Chern class is 6 + 6K with
-
-        K = k_3 + 2k_4 + 4k_5 + 24m^2 - 10m - 4m k_3,
-
-    and substituting the k_i formulas (_cp5_e) makes K the zero polynomial.
-    The coefficient identity itself (_cp5_euler, the same function at ints)
-    is confirmed against total_chern on a grid of independent
-    (m, k_3, k_4, k_5).
-    """
+    is 6u^5 for every (m, n): c_5 of E, with the L^i coefficients _cp5_e
+    taken as polynomials in m and n, is the constant 6.  The Chern classes
+    come from the integer route of total_chern run on MPolyZ coefficients,
+    so this is an identity of integer polynomials, not a sample;
+    ArithmeticError if some c_i is not an integer polynomial."""
     _, _, m, n, _ = poly_variables()
-    if not _cp5_euler(m, *_cp5_e(m, n)[3:]).is_zero():
-        return False
-    for mm in range(-3, 4):
-        for ks in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-                   (2, -3, 5), (-4, 7, -1), (6, 6, 6)):
-            e = KClass(5, [0, 6, 12 * mm, *ks])
-            if total_chern(e).coeff(5) != 6 + 6 * _cp5_euler(mm, *ks):
-                return False
-    return True
+    return _chern(5, _cp5_e(m, n))[4] == 6
 
 
 # ---------------------------------------------------------------------------

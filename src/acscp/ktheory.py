@@ -12,9 +12,9 @@ Supported maps:
 
   * t = conjugate:   ring map on K with t(L) = (1+L)^(-1) - 1
   * c = complexify:  ring map KO -> K with c(w) = L + t(L)
-  * r = real_reduce: KO-module map K -> KO, inverse-engineered from
-        c(y) = x + t(x) when KO is torsion-free (d = 4, 6) and given by an
-        explicit generator table when d = 5
+  * r = real_reduce: KO-module map K -> KO, solved from c(y) = x + t(x)
+        over the torsion-free KO(CP^6) and restricted to d = 4, 5, where r
+        is the same map by naturality under CP^d in CP^6
   * adams / adams_ko: Adams operations; on K, psi^k(L) = (1+L)^k - 1, and
         on KO, psi^k(w) = r((L+1)^k - 1)
   * chern_character, total_chern, pontrjagin_total
@@ -23,9 +23,11 @@ Supported maps:
 Total Chern classes come from the integer Chern character: the power sums
 s_k = k!*ch_k(x) are read off the cached Stirling table _ch_table(d), and
 the inverse Newton recursion cohomology._elementary_from_power_sums turns
-them into c_1..c_d in O(d^2) integer steps.  The product of binomial
-line-bundle factors stays the independent route, in
-chernvec.chern_from_multiplicities.
+them into c_1..c_d in O(d^2) integer steps.  That route, _chern, and the
+Pontrjagin route on it, _pontrjagin, take int or MPolyZ coefficients alike,
+so acscp.homotopy derives its Pontrjagin polynomials in (m, n, q) from the
+same code that evaluates them.  The product of binomial line-bundle factors
+stays the independent route, in chernvec.chern_from_multiplicities.
 
 KClass and KOClass take their arithmetic from cohomology._TruncatedRing;
 each checks its int coefficients at the constructor, and a result of +, -,
@@ -38,7 +40,7 @@ one loop behind the maps, real reduction (over the generator table
 _r_table) and the Chern character (over _ch_table).  _power_table is also
 the one power loop behind those two tables: _ch_table holds the powers of
 e^u - 1, and _r_table is solved against the powers of c(w) that complexify
-reads.
+and _pontrjagin read.
 
 The identities r(c(x)) = 2x and c(r(x)) = x + t(x) hold on the nose and are
 exercised heavily by the test suite.
@@ -198,10 +200,11 @@ def _power_table(image):
 
 
 def _combine(coeffs, table):
-    """sum_i coeffs[i] * table[i] over the int rows of a table, as an int
-    list as long as a row: the one row sum behind the ring maps (rows from
-    _power_table), r (_r_table) and the Chern character (_ch_table).  Rows
-    past the last coefficient are not read."""
+    """sum_i coeffs[i] * table[i] over the int rows of a table, as a list
+    as long as a row, of ints or, for MPolyZ coefficients, of polynomials:
+    the one row sum behind the ring maps (rows from _power_table), r
+    (_r_table), the Chern character (_ch_table) and _pontrjagin.  Rows past
+    the last coefficient are not read."""
     out = [0] * len(table[0])
     for c, row in zip(coeffs, table):
         if c:
@@ -226,17 +229,12 @@ def _ch_table(d):
                  for power in _power_table(exp_series(1, d) - 1))
 
 
-def _scaled_ch(x):
-    """k!*ch_k(x) for k = 0..d, as ints, from the rows of _ch_table."""
-    return _combine(x.coeffs, _ch_table(x.d))
-
-
 def chern_character(x):
     """ch(x) in Q[u]/(u^(d+1)): additive extension of ch(L^i) = (e^u - 1)^i.
     A Fraction is built only for a coefficient that is not integral."""
     _require(KClass, "chern_character", x)
     coeffs = []
-    for k, s in enumerate(_scaled_ch(x)):
+    for k, s in enumerate(_combine(x.coeffs, _ch_table(x.d))):
         q, r = divmod(s, factorial(k))
         coeffs.append(Fraction(s, factorial(k)) if r else q)
     return CohClass(x.d, coeffs)
@@ -269,12 +267,26 @@ def total_chern(x):
     integers.
     """
     _require(KClass, "total_chern", x)
-    return CohClass(x.d, [1] + _elementary_from_power_sums(_scaled_ch(x)[1:]))
+    return CohClass(x.d, [1] + _chern(x.d, x.coeffs))
+
+
+def _chern(d, coeffs):
+    """c_1..c_d of the class sum_i coeffs[i] L^i of K(CP^d), for int or
+    MPolyZ coefficients alike: the power sums k!*ch_k, one row sum over
+    _ch_table(d), through the inverse Newton recursion.  ArithmeticError
+    when a Chern class is not integral (not an integer polynomial)."""
+    return _elementary_from_power_sums(_combine(coeffs, _ch_table(d))[1:])
 
 
 # ---------------------------------------------------------------------------
 # Complexification and real reduction
 # ---------------------------------------------------------------------------
+
+def _c_of_w(d):
+    """c(w) = L + t(L) in K(CP^d), the image that complexify, _r_table and
+    _pontrjagin take the powers of."""
+    return KClass.L(d) + _t_of_L(d)
+
 
 def complexify(x):
     """c(x) in K(CP^d): ring map with c(w) = L + t(L).
@@ -283,26 +295,27 @@ def complexify(x):
     vanishes in Z[L]/(L^6), so the map is well defined on residues.
     """
     _require(KOClass, "complexify", x)
-    return _compose(x, KClass.L(x.d) + _t_of_L(x.d))
+    return _compose(x, _c_of_w(x.d))
 
 
 @lru_cache(maxsize=None)
 def _r_table(d):
-    """r(L^i) for i = 0..d, as KOClass coefficient tuples."""
-    if d == 5:
-        # the one case with 2-torsion; the table is pinned rather than derived
-        return ((2, 0, 0, 0),
-                (0, 1, 0, 0),
-                (0, 2, 1, 0),
-                (0, 0, 3, 1),
-                (0, 0, 2, 0),
-                (0, 0, 0, 1))
-    if d not in (4, 6):
+    """r(L^i) for i = 0..d, as KOClass coefficient tuples.
+
+    Over CP^6 KO is torsion-free and c is injective, so the table is solved
+    from c(y) = x + t(x).  r is natural under CP^d in CP^6, so the tables of
+    d = 4 and 5 are the first d + 1 rows of it restricted through
+    KOClass._build: the w^3 coordinate is dropped for d = 4, and reduced
+    mod 2, the 2-torsion of KO(CP^5), for d = 5.
+    """
+    if d in (4, 5):
+        return tuple(KOClass._build(d, row[:_ko_width(d)]).coeffs
+                     for row in _r_table(6)[:d + 1])
+    if d != 6:
         raise UnsupportedDimension(f"real reduction is modelled for d in 4..6, not {d}")
-    # torsion-free cases: c is injective, so solve c(y) = x + t(x) for y.
     # c(w^j) has leading term L^(2j), making the system triangular; its
     # coefficients are the powers of c(w) that complexify reads too.
-    c_powers = _power_table(KClass.L(d) + _t_of_L(d))
+    c_powers = _power_table(_c_of_w(d))
     table = []
     for i in range(d + 1):
         x = KClass(d, [0] * i + [1])
@@ -343,22 +356,26 @@ def adams_ko(k, x):
 
 
 def pontrjagin_total(x):
-    """Total Pontrjagin class of a KO-class, for the torsion-free d = 4, 6.
-
-    p_i = (-1)^i c_(2i)(complexification), assembled as 1 + p_1 u^2 +
-    p_2 u^4 + ...; odd-degree Chern coefficients of a complexification
-    cancel identically and are checked to vanish.
-    """
+    """Total Pontrjagin class 1 + p_1 u^2 + p_2 u^4 + ... of a KO-class,
+    for the torsion-free d = 4, 6 (see _pontrjagin)."""
     _require(KOClass, "pontrjagin_total", x)
-    d = x.d
+    coeffs = [1] + [0] * x.d
+    coeffs[2::2] = _pontrjagin(x.d, x.coeffs)
+    return CohClass(x.d, coeffs)
+
+
+def _pontrjagin(d, coeffs):
+    """(p_1, ..., p_(d/2)) of the class sum_j coeffs[j] w^j of KO(CP^d), for
+    the torsion-free d = 4, 6 and int or MPolyZ coefficients alike.
+
+    p_i = (-1)^i c_(2i) of the complexification, which is one row sum over
+    the powers of c(w); its odd Chern classes cancel identically and are
+    checked to vanish.
+    """
     if d not in (4, 6):
         raise UnsupportedDimension(f"Pontrjagin classes need torsion-free KO; d={d} is not supported")
-    cc = total_chern(complexify(x))
-    coeffs = [0] * (d + 1)
-    coeffs[0] = 1
-    for i in range(1, d // 2 + 1):
-        coeffs[2 * i] = (-1) ** i * cc.coeff(2 * i)
+    c = _chern(d, _combine(coeffs, _power_table(_c_of_w(d))))
     for j in range(1, d + 1, 2):
-        if cc.coeff(j) != 0:
+        if c[j - 1]:
             raise ArithmeticError(f"odd Chern coefficient u^{j} survived complexification")
-    return CohClass(d, coeffs)
+    return tuple((-1) ** i * c[2 * i - 1] for i in range(1, d // 2 + 1))

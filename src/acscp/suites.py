@@ -24,8 +24,9 @@ from .chernvec import (chern_from_multiplicities, closed_form_w,
                        power_sums_from_chern, realizable, w_matrix,
                        NotRealizable)
 from .exactmath import adjugate, det_exact
-from .homotopy import (HtpyCP, acs_search_cp4, acs_search_cp6, cp6_exists,
-                       cp5_structure, mod31_table, pontrjagin_of_X,
+from .homotopy import (ConstraintViolated, HtpyCP, acs_search_cp4,
+                       acs_search_cp6, cp6_exists, cp5_structure,
+                       mod31_table, pontrjagin_of_X,
                        symbolic_cp6_numerators, symbolic_verify_cp5,
                        _symbolic_cp6_rows)
 from .ktheory import (KClass, KOClass, adams, adams_ko, chern_character,
@@ -254,7 +255,7 @@ def suite_cp4(seed=0):
         for (m, n), window in (((-8, 12), 2000), ((14, 23), 2000), ((6, 3), 9529)):
             try:
                 acs_search_cp4(HtpyCP(4, m, n), cross_check_window=window)
-            except ArithmeticError as exc:
+            except (ArithmeticError, ConstraintViolated) as exc:
                 yield f"(m,n)=({m},{n}): {exc}"
 
     return [
@@ -295,11 +296,11 @@ def suite_cp6(seed=0):
 
     def disagreements():
         for (m, n, q) in ((16, 11, 23), (48, 12, -1747), (0, 31, -24), (32, 7, -442)):
-            X = HtpyCP(6, m, n, q)
             try:
+                X = HtpyCP(6, m, n, q)
                 acs_search_cp6(X, a_max=60, c_max=60)
                 cp6_exists(X)   # True, or ArithmeticError when the witness fails
-            except ArithmeticError as exc:
+            except (ArithmeticError, ConstraintViolated) as exc:
                 yield f"(m,n,q)=({m},{n},{q}): {exc}"
 
     return [

@@ -48,6 +48,7 @@ BOUNDARIES = {
     "evaluate": (INT, lambda x: F.evaluate(m=x, n=0)),
     "substitute": (INT, lambda x: F.substitute(m=x)),
     "divexact": (INT, lambda x: F.divexact(x)),
+    "divmod": (INT, lambda x: divmod(F, x)),
     "reduce_mod": (INT, lambda x: F.reduce_mod(x)),
     "coefficient": (INT, lambda x: F.coefficient(m=x)),
     "solve_exact-matrix": (RATIONAL, lambda x: solve_exact([[x]], [1])),
@@ -136,13 +137,15 @@ def test_a_negative_power_of_a_generator_is_refused(power):
 
 
 def test_mpolyz_refuses_a_zero_divisor_and_a_modulus_below_2():
-    # divexact(0) returned the zero polynomial on zero and raised from inside
+    # divmod(poly, 0) is refused like divexact(0); divexact(0) returned the zero polynomial on zero and raised from inside
     # its loop otherwise; reduce_mod(1) returned zero, reduce_mod(0) raised
     # ZeroDivisionError, and reduce_mod(-3) gave coefficients outside [0, p)
     a = MPolyZ.var("a")
     for poly in (MPolyZ(), F, 3 * a + 1):
         with pytest.raises(ZeroDivisionError, match="exact division by zero"):
             poly.divexact(0)
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            divmod(poly, 0)
         for p in (1, 0, -1, -3):
             for fermat_vars in ((), ("a",)):
                 with pytest.raises(ValueError, match=f"the modulus p must be at least 2, got {p}"):

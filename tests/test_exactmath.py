@@ -530,6 +530,18 @@ def test_divexact_and_content():
         p.divexact(4)
 
 
+def test_divmod_by_an_int_is_coefficientwise():
+    p = 7 * a * m - 9 * m + 3 * a * a - 4
+    q, r = divmod(p, 3)
+    assert q == 2 * a * m - 3 * m + a * a - 2 and r == a * m + 2
+    assert q * 3 + r == p
+    # a zero quotient or remainder coefficient leaves no term behind
+    assert 0 not in q.terms.values() and 0 not in r.terms.values()
+    assert divmod(6 * a + 9 * m, 3) == (2 * a + 3 * m, 0)
+    assert divmod(p, -3) == (-3 * a * m + 3 * m - a * a + 1, -2 * a * m - 1)
+    assert not divmod(MPolyZ(), 5)[1] and not divmod(MPolyZ(), 5)[0]
+
+
 def test_results_built_without_the_zero_filter_hold_no_zero():
     # negation, a nonzero scalar, divexact and divide_by_variable skip the
     # zero filter of __init__; each result equals the filtered construction

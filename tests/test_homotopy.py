@@ -30,7 +30,7 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP4_WINDOW_MAX,
                             _direct_set_cp6, _odd_classes, _odd_square_roots,
                             _row_quotients, _signed_odds, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
-                           pontrjagin_total)
+                           pontrjagin_total, total_chern)
 from tests.admissible import cp4_pair, cp4_pairs, cp6_triple, cp6_triples
 
 
@@ -53,23 +53,6 @@ def cp6_q_free(m, n):
     """The q-free part of the d = 6 constraint, written out here as an
     independent reference: the constraint is cp6_q_free(m, n) + 1488 q = 0."""
     return 32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1152 * n
-
-
-@pytest.fixture
-def model_1044(monkeypatch):
-    """The d = 6 model with 1044 n in place of 1152 n in the constraint,
-    which is then (3/8)(L_3(p) - 1), so the signature is 1 on its triples.
-    The caches that read the model are cleared before and after."""
-    m, n, q = MPolyZ.var("m"), MPolyZ.var("n"), MPolyZ.var("q")
-    constraint = 32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1044 * n + 1488 * q
-    caches = (homotopy._symbolic_cp6_rows, homotopy._cp6_f, homotopy._pontrjagin_cached)
-    for cached in caches:
-        cached.cache_clear()
-    monkeypatch.setattr(homotopy, "CP6_CONSTRAINT", constraint)
-    monkeypatch.setitem(homotopy._CONSTRAINTS, 6, constraint)
-    yield constraint
-    for cached in caches:
-        cached.cache_clear()
 
 
 @pytest.fixture(params=["1152", "1044"])
@@ -247,11 +230,48 @@ def test_cp4_m_residues():
             assert pontrjagin_of_X(X)[1] == 10 + (576 * m * m + 240 * m) // 7
 
 
+def tangent_reference(d, m, n, q=0):
+    """The stable tangent class of the model, one branch per d, written out
+    here as an independent reference; for d = 5 the 2-torsion w^3
+    coefficient is m."""
+    if d == 4:
+        return KOClass(4, [0, 5 + 24 * m, 98 * m + 240 * n])
+    if d == 5:
+        return KOClass(5, [0, 6 + 24 * m, 98 * m + 240 * n, m])
+    return KOClass(6, [0, 7 + 24 * m, 98 * m + 240 * n, 111 * m + 380 * n + 504 * q])
+
+
+def at(d, m, n, q):
+    """Parameters (m, n) or (m, n, q) of a CP^d that tangent_ko_class and
+    pontrjagin_of_X read, with no constraint checked."""
+    return SimpleNamespace(d=d, params=lambda: (m, n) if d != 6 else (m, n, q))
+
+
+# the Pontrjagin polynomials of the model with n and q free, written out
+# here as an independent reference for the derived constants
+_m, _n, _q = MPolyZ.var("m"), MPolyZ.var("n"), MPolyZ.var("q")
+CP4_PONTRJAGIN_REFERENCE = (5 + 24 * _m, 10 - 480 * _m + 288 * _m ** 2 - 1440 * _n)
+CP6_PONTRJAGIN_REFERENCE = (7 + 24 * _m,
+                            21 + 288 * _m ** 2 - 432 * _m - 1440 * _n,
+                            35 + 2304 * _m ** 3 - 12384 * _m ** 2 + 11592 * _m
+                            - 34560 * _m * _n + 40320 * _n + 60480 * _q)
+PONTRJAGIN_REFERENCE = {4: CP4_PONTRJAGIN_REFERENCE, 6: CP6_PONTRJAGIN_REFERENCE}
+
+
 def test_tangent_classes():
     assert tangent_ko_class(HtpyCP(5, 0, 0)) == KOClass(5, [0, 6, 0, 0])
     assert tangent_ko_class(HtpyCP(5, 2, 0)) == KOClass(5, [0, 54, 196, 0])
     assert tangent_ko_class(HtpyCP(6, 0, 0, 0)) == KOClass(6, [0, 7, 0, 0])
     assert tangent_ko_class(HtpyCP(4, 0, 0)) == KOClass(4, [0, 5, 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([4, 5, 6]), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_tangent_classes_match_the_reference_at_any_parameters(d, m, n, q):
+    # one generic family in src, three branches here; odd m reaches the
+    # 2-torsion coordinate of d = 5
+    assert tangent_ko_class(at(d, m, n, q)) == tangent_reference(d, m, n, q)
 
 
 def test_pontrjagin_of_x():
@@ -262,6 +282,13 @@ def test_pontrjagin_of_x():
         pontrjagin_of_X(HtpyCP(5, 0, 0))
 
 
+def test_derived_pontrjagin_polynomials_equal_the_reference():
+    # derived at import on the K-theory route, over MPolyZ
+    assert CP4_PONTRJAGIN == CP4_PONTRJAGIN_REFERENCE
+    assert CP6_PONTRJAGIN == CP6_PONTRJAGIN_REFERENCE
+    assert all(isinstance(p, MPolyZ) for p in CP4_PONTRJAGIN + CP6_PONTRJAGIN)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
        st.integers(-10 ** 6, 10 ** 6))
@@ -269,18 +296,20 @@ def test_model_polynomials_match_ktheory_at_any_parameters(m, n, q):
     # the polynomials hold with n and q free, not only on the constraint
     assert CP4_CONSTRAINT.evaluate(m=m, n=n) == 4 * m * m - 10 * m - 28 * n
     assert CP6_CONSTRAINT.evaluate(m=m, n=n, q=q) == cp6_q_free(m, n) + 1488 * q
-    for d, polys in ((4, CP4_PONTRJAGIN), (6, CP6_PONTRJAGIN)):
-        total = pontrjagin_total(tangent_ko_class(SimpleNamespace(d=d, m=m, n=n, q=q)))
-        assert (tuple(p.evaluate(m=m, n=n, q=q) for p in polys)
-                == tuple(total.coeff(2 * i) for i in range(1, d // 2 + 1)))
+    for d, polys in PONTRJAGIN_REFERENCE.items():
+        want = tuple(p.evaluate(m=m, n=n, q=q) for p in polys)
+        total = pontrjagin_total(tangent_reference(d, m, n, q))
+        assert tuple(total.coeff(2 * i) for i in range(1, d // 2 + 1)) == want
+        assert pontrjagin_of_X(at(d, m, n, q)) == want
 
 
 def test_pontrjagin_two_routes_agree_on_samples():
-    # pontrjagin_of_X asserts formula-vs-K-theory agreement internally
-    for mn in cp4_pairs(48):
-        pontrjagin_of_X(validate_params(4, *mn))
-    for mnq in cp6_triples():
-        pontrjagin_of_X(validate_params(6, *mnq))
+    # the K-theory route of pontrjagin_of_X against the reference polynomials
+    for d, params in ((4, cp4_pairs(48)), (6, cp6_triples())):
+        for mnq in params:
+            point = dict(zip("mnq", mnq))
+            assert (pontrjagin_of_X(validate_params(d, *mnq))
+                    == tuple(p.evaluate(**point) for p in PONTRJAGIN_REFERENCE[d]))
 
 
 # ---------------------------------------------------------------------------
@@ -953,15 +982,6 @@ def test_cp6_job_takes_the_k_theory_route_once(monkeypatch):
         homotopy._pontrjagin_cached.cache_clear()
 
 
-@pytest.mark.parametrize("d, X", [(4, cp4_pair(6)), (6, cp6_triple(16, 11))])
-def test_pontrjagin_of_X_refuses_formulas_off_the_k_theory_route(monkeypatch, d, X):
-    X = HtpyCP(d, *X)
-    formulas = homotopy._PONTRJAGIN[d]
-    monkeypatch.setitem(homotopy._PONTRJAGIN, d, formulas[:-1] + (formulas[-1] + 1,))
-    with pytest.raises(ArithmeticError, match="Pontrjagin mismatch"):
-        pontrjagin_of_X(X)
-
-
 # ---------------------------------------------------------------------------
 # CP^6 symbolic pipeline
 # ---------------------------------------------------------------------------
@@ -1193,6 +1213,37 @@ def test_cp5_structure_sweep():
 
 def test_symbolic_verify_cp5():
     assert symbolic_verify_cp5()
+
+
+def test_symbolic_verify_cp5_fails_on_a_perturbed_structure(monkeypatch):
+    # 44m in place of 43m: c_5 = 12m + 6
+    real = homotopy._cp5_e
+
+    def perturbed(m, n):
+        e = real(m, n)
+        return e[:4] + [e[4] + m] + e[5:]
+
+    monkeypatch.setattr(homotopy, "_cp5_e", perturbed)
+    assert symbolic_verify_cp5() is False
+
+
+def cp5_euler(m, k3, k4, k5):
+    """K with 6 + 6K the u^5 coefficient of the total Chern class of
+    6L + 12m L^2 + k_3 L^3 + k_4 L^4 + k_5 L^5, for ints or MPolyZ alike:
+    the hand-derived coefficient identity, kept here as a reference."""
+    return k3 + 2 * k4 + 4 * k5 + 24 * m * m - 10 * m - 4 * (m * k3)
+
+
+def test_cp5_euler_identity_on_a_grid_and_on_the_structure():
+    # the identity against total_chern on a grid of independent
+    # (m, k_3, k_4, k_5), and K = 0 on the coefficients of _cp5_e
+    for m in range(-3, 4):
+        for ks in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                   (2, -3, 5), (-4, 7, -1), (6, 6, 6)):
+            e = KClass(5, [0, 6, 12 * m, *ks])
+            assert total_chern(e).coeff(5) == 6 + 6 * cp5_euler(m, *ks)
+    m, n = MPolyZ.var("m"), MPolyZ.var("n")
+    assert cp5_euler(m, *homotopy._cp5_e(m, n)[3:]).is_zero()
 
 
 def test_cp5_cancellation_pieces():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 from operator import add, mul, sub
@@ -13,7 +14,8 @@ from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            UnsupportedOperation, adams, adams_ko,
                            chern_character, complexify, conjugate,
                            line_multiplicities, pontrjagin_total, real_reduce,
-                           total_chern, _power_table, _r_table)
+                           total_chern, _chern, _pontrjagin, _power_table,
+                           _r_table)
 
 
 def K(d, *coeffs):
@@ -308,6 +310,32 @@ def test_total_chern_agrees_with_chern_from_multiplicities(mults):
     assert total_chern(x).coeffs[1:] == chern_from_multiplicities(mults)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([4, 5, 6]), st.lists(st.integers(-10 ** 3, 10 ** 3), min_size=7, max_size=7),
+       st.integers(-10 ** 3, 10 ** 3), st.integers(-10 ** 3, 10 ** 3))
+def test_chern_route_on_polynomials_evaluates_to_the_int_route(d, ks, m, n):
+    # x = sum_i (k_i + k'_i m + k''_i n) L^i over Z[m, n], with c_1..c_d
+    # integer polynomials whenever their values are, here made so by
+    # multiplying the m and n parts by d!
+    pm, pn = MPolyZ.var("m"), MPolyZ.var("n")
+    coeffs = [k + factorial(d) * (i * pm + (k % 3) * pn) for i, k in enumerate(ks[:d + 1])]
+    at = [k + factorial(d) * (i * m + (k % 3) * n) for i, k in enumerate(ks[:d + 1])]
+    assert ([c.evaluate(m=m, n=n) for c in _chern(d, coeffs)]
+            == list(total_chern(KClass(d, at)).coeffs[1:]))
+    if d != 5:
+        y = coeffs[:d // 2 + 1]
+        want = pontrjagin_total(KOClass(d, at[:d // 2 + 1])).coeffs[2::2]
+        assert tuple(p.evaluate(m=m, n=n) for p in _pontrjagin(d, y)) == want
+
+
+def test_chern_route_refuses_a_class_that_is_not_an_integer_polynomial():
+    # c_2(m L) = m(m - 1)/2 is an integer at every m, but not an integer
+    # polynomial; the route raises rather than rounding a coefficient
+    with pytest.raises(ArithmeticError, match=re.escape("non-integral e_2 = (m^2 - m)/2")):
+        _chern(2, [0, MPolyZ.var("m")])
+    assert _chern(2, [0, 2 * MPolyZ.var("m")])[1] == 2 * MPolyZ.var("m", 2) - MPolyZ.var("m")
+
+
 def test_chern_character_keeps_integral_coefficients_as_ints():
     ch = chern_character(KClass(4, [3, 0, 2]))
     assert ch.coeffs == (3, 0, 2, 2, Fraction(7, 6))
@@ -401,10 +429,13 @@ def test_real_reduce_matches_ring_fold_seeded():
 
 
 def test_real_reduce_tables_derived():
-    # d = 4, 6 tables from solving c(y) = x + t(x) by hand:
+    # tables from solving c(y) = x + t(x) by hand:
     #   d=4: 2, w, 2w+w^2, 3w^2, 2w^2
     #   d=6: 2, w, 2w+w^2, 3w^2+w^3, 2w^2+4w^3, 5w^3, 2w^3
+    # and for d = 5, with 2w^3 = 0: 2, w, 2w+w^2, 3w^2+w^3, 2w^2, w^3
     assert _r_table(4) == ((2, 0, 0), (0, 1, 0), (0, 2, 1), (0, 0, 3), (0, 0, 2))
+    assert _r_table(5) == ((2, 0, 0, 0), (0, 1, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1),
+                           (0, 0, 2, 0), (0, 0, 0, 1))
     assert _r_table(6) == ((2, 0, 0, 0), (0, 1, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1),
                            (0, 0, 2, 4), (0, 0, 0, 5), (0, 0, 0, 2))
 

@@ -130,3 +130,14 @@ def test_verify_all_derives_the_default_cp6_rows_once():
         rows.cache_clear()
         homotopy._cp6_f.cache_clear()
     assert (info.misses, info.currsize) == (2, 2)
+
+
+def test_a_triple_the_model_refuses_fails_one_check(model_1044):
+    # under the 1044 model the fixed triple (16, 11, 23) is not admissible;
+    # the suite used to build it outside the check, so run_suite("cp6")
+    # raised ConstraintViolated instead of returning its checks
+    checks = {c.name: c for c in run_suite("cp6")}
+    assert len(checks) == 9
+    failed = checks["criterion-vs-direct"]
+    assert failed.passed is False
+    assert failed.detail.startswith("(m,n,q)=(16,11,23): ") and "!= 0" in failed.detail
