@@ -21,14 +21,16 @@ pay for it once.  Output is deterministic pretty-printed JSON on stdout,
 written from the raw payload by _dumps, in the bytes
 json.dumps(sort_keys=True, indent=2) would give after integers beyond the
 53-bit safe range become decimal strings and dict keys str(k); timing goes
-to stderr.  The solution list of an acs call reaches _dumps as one _Json
-fragment, its text already written by _solutions_json: the solutions of
-one search share one shape (has c_3, Chern length, decomposition length),
-so one template cached per shape, indented once for its place in the list,
-is joined once per solution and filled by one % format from one flat list
-of the ints, quoted at once when any lies beyond the 53-bit range.  The
-template is _dumps itself applied to the solution dict with "%s" holes, so
-the layout has one writer.
+to stderr.  An int item of a list is written in place, quoted beyond the
+53-bit range, so no integer costs a call of its own.  The solution list of
+an acs call reaches _dumps as one _Json fragment, its text already written
+by _solutions_json: the solutions of one search share one shape (has c_3,
+Chern length, decomposition length), so one template cached per shape,
+indented once for its place in the list, is joined once per solution and
+filled by one % format from one flat list of the ints, those beyond the
+53-bit range quoted in one pass when there are any.  The template is _dumps
+itself applied to the solution dict with "%s" holes, so the layout has one
+writer.
 Exit codes: 0 ok, 1 failed internal checks, 2 constraint violations, 64
 usage errors, a window or --m-max above its limit among them.
 """
@@ -77,13 +79,14 @@ def _dumps(value, newline="\n"):
     """json.dumps(value, sort_keys=True, indent=2) for a raw payload.
     Integers beyond the 53-bit safe range are written as decimal strings,
     dict keys as str(k), and tuples as lists; a _Json fragment is copied
-    with its line breaks indented to the depth it lands at.  With indent set
-    the standard library leaves its C encoder for a pure-Python one; this
-    writes the same bytes without it."""
+    with its line breaks indented to the depth it lands at.  An int item of
+    a list or tuple is written inline, with no call of its own; only items
+    of other types recurse (a bool is not an int here, by exact type).  With
+    indent set the standard library leaves its C encoder for a pure-Python
+    one; this writes the same bytes without it."""
     kind = type(value)
     if kind is int:
-        text = int.__repr__(value)
-        return text if -_SAFE < value < _SAFE else '"' + text + '"'
+        return f"{value}" if abs(value) < _SAFE else f'"{value}"'
     if kind is _Json:
         return value.replace("\n", newline)
     if kind is dict:
@@ -98,7 +101,9 @@ def _dumps(value, newline="\n"):
         if not value:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + newline + "]"
+        return "[" + inner + ("," + inner).join([
+            (f"{v}" if abs(v) < _SAFE else f'"{v}"') if type(v) is int
+            else _dumps(v, inner) for v in value]) + newline + "]"
     if isinstance(value, str):
         return _quote(value)
     # the rarer scalars (None, bool) in the standard encoder's spelling
@@ -145,9 +150,9 @@ def _solution_template(has_c, n_chern, n_dec):
 def _solutions_json(sols):
     """The JSON text of a list of ACSSolution, as _dumps would write the
     list of their dicts.  The solutions of one search share one shape, so
-    one template serves them all: their ints go into one flat list, quoted
-    at once when any lies beyond the 53-bit range, and fill the joined
-    templates in one % format."""
+    one template serves them all: their ints go into one flat list, those
+    beyond the 53-bit range quoted inline in one pass when there are any,
+    and fill the joined templates in one % format."""
     if not sols:
         return _Json("[]")
     first = sols[0]
@@ -161,7 +166,7 @@ def _solutions_json(sols):
         for s in sols:
             values += (s.a, *s.full_chern, *s.decomposition)
     if not (-_SAFE < min(values) and max(values) < _SAFE):
-        values = map(_dumps, values)
+        values = [v if abs(v) < _SAFE else f'"{v}"' for v in values]
     return _Json("[\n  " + ",\n  ".join([template] * len(sols)) % tuple(values) + "\n]")
 
 

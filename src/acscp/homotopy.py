@@ -24,7 +24,9 @@ CP4_CONSTRAINT and CP6_CONSTRAINT, read by HtpyCP, mod31_table, the cli and
 the symbolic pipeline.  The d = 6 divisor target is F / 155 with F derived
 from that model: the a-free part of the first row of the symbolic pipeline
 (_cp6_f), whose rows a process derives once per argument
-(_symbolic_cp6_rows).  The d = 5 structure lives once too, as _cp5_e.
+(_symbolic_cp6_rows).  The d = 4 target is derived too: the a-free part
+of the c_3 numerator, with n eliminated through CP4_CONSTRAINT
+(_cp4_target).  The d = 5 structure lives once too, as _cp5_e.
 
 For d = 4 and 6 an almost complex structure is the same thing as an integer
 Chern vector (c_1, ..., c_d) with c_d = d + 1 whose even combinations match
@@ -396,15 +398,52 @@ def _signed_odds(n):
 # d = 4: divisor criterion vs direct scan
 # ---------------------------------------------------------------------------
 
+def _linear_in(poly, var):
+    """(k, C) with poly = k var + C and C free of var; ArithmeticError when
+    poly is not of that form."""
+    k, free = poly.coefficient(**{var: 1}), poly.substitute(**{var: 0})
+    if poly != free + MPolyZ.var(var, 1, k):
+        raise ArithmeticError(f"{poly} is not linear in {var}")
+    return k, free
+
+
+@cache
+def _cp4_target():
+    """(coeffs, k): the d = 4 divisor target is (sum coeffs[i] m^(e - i))/k,
+    e = len(coeffs) - 1, derived from CP4_PONTRJAGIN and CP4_CONSTRAINT.
+
+    4 num_3 = 40 + (a^2 - p_1)^2 - 4 p_2 (see _complete_cp4) has the a-free
+    part G = 40 + p_1^2 - 4 p_2 = g n + G_0(m), and on the constraint
+    k n + C(m) = 0 that is (k G_0 - g C)/k, n eliminated by exact division
+    through k.  ArithmeticError when G or the constraint is not linear in n,
+    or the result is not a polynomial in m alone."""
+    p1, p2 = CP4_PONTRJAGIN
+    g, g0 = _linear_in(40 + p1 * p1 - 4 * p2, "n")
+    k, free = _linear_in(CP4_CONSTRAINT, "n")
+    num, coeffs = k * g0 - g * free, []
+    try:
+        while num:
+            coeffs.append(num.coefficient())
+            num = (num - coeffs[-1]).divide_by_variable("m")
+    except NotDivisible:
+        raise ArithmeticError("the d = 4 divisor target is not a polynomial in m") from None
+    return tuple(reversed(coeffs)), k
+
+
 def divisor_target_cp4(m):
-    """The integer whose divisors are the admissible c_1 coefficients:
-    25 + (3/7)(576 m^2 + 240 m).  TypeError unless m is an int (not a
-    bool)."""
+    """The integer whose divisors are the admissible c_1 coefficients,
+    derived from the model (see _cp4_target); under the current
+    CP4_CONSTRAINT and CP4_PONTRJAGIN it is 25 + (3/7)(576 m^2 + 240 m).
+    TypeError unless m is an int (not a bool), ArithmeticError when it is
+    not integral at m."""
     _require_int("m", m)
-    num = 576 * m * m + 240 * m
-    if num % 7:
-        raise ArithmeticError(f"(576 m^2 + 240 m)/7 is not integral at m={m}")
-    return 25 + 3 * (num // 7)
+    coeffs, k = _cp4_target()
+    num = 0
+    for x in coeffs:
+        num = num * m + x
+    if num % k:
+        raise ArithmeticError(f"the d = 4 divisor target is not integral at m={m}")
+    return num // k
 
 
 def _cp4_solutions(p, ks):
@@ -440,8 +479,9 @@ def acs_search_cp4(X, cross_check_window=200):
     Both routes run _cp4_solutions, over the positive divisors and over the
     odd k in the window.
 
-    The target D = 25 + 3*48*m(12m + 5)/7 never vanishes: m(12m + 5) >= 0
-    for every integer m (both factors share a sign, or m = 0), so D >= 25.
+    Under the current model the target D = 25 + 3*48*m(12m + 5)/7 never
+    vanishes: m(12m + 5) >= 0 for every integer m (both factors share a
+    sign, or m = 0), so D >= 25.
     """
     if X.d != 4:
         raise UnsupportedDimension("acs_search_cp4 needs d = 4")

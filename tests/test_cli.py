@@ -520,6 +520,69 @@ def test_dumps_on_empty_containers_and_edge_scalars():
     assert _dumps(value) == json.dumps(_jsonable(value), sort_keys=True, indent=2)
 
 
+_EDGE = [2 ** 53 - 1, -(2 ** 53) + 1, 2 ** 53, -(2 ** 53)]
+
+
+@pytest.mark.parametrize("value", [
+    _EDGE, tuple(_EDGE), [_EDGE, tuple(_EDGE)], [True, 1, 2 ** 60], [[2 ** 60], ()],
+    {"k": [2 ** 53]}, [False, None, -(2 ** 60), "x", 0],
+])
+def test_dumps_writes_int_items_inline_by_the_53_bit_rule(value):
+    # a list item that is an int is written in place; a bool is not an int
+    # here and keeps the standard encoder's spelling
+    assert _dumps(value) == json.dumps(_jsonable(value), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("at", [0, 1, 5, 8])
+@pytest.mark.parametrize("big", [2 ** 53, -(2 ** 53), 2 ** 60])
+def test_solutions_json_with_one_value_out_of_range(at, big):
+    # position at of the flat values a, c_1..c_4, dec_1..dec_4 of the second
+    # of two solutions
+    values = [3, 5, 10, 10, 5, 2 ** 53 - 1, -(2 ** 53) + 1, 0, 1]
+    values[at] = big
+    sols = [ACSSolution(4, 1, None, (1, 2, 3, 5), (1, 0, 0, 0)),
+            ACSSolution(4, values[0], None, tuple(values[1:5]), tuple(values[5:]))]
+    got = _dumps({"solutions": _solutions_json(sols)})
+    assert got == json.dumps(_jsonable({"solutions": [_solution_dict(s) for s in sols]}),
+                             sort_keys=True, indent=2)
+
+
+def test_divisor_targets_json_matches_the_reference(capsys):
+    argv = ["table", "divisor-targets", "--m-max", "2000"]
+    _, payload, _ = cli._cmd_table(_build_parser().parse_args(argv))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(payload["rows"]) > 500
+    assert out == json.dumps(_jsonable({"status": "ok", "payload": payload}),
+                             sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_calls_do_not_grow_with_the_integers_printed(capsys, monkeypatch):
+    # every int leaf is written where the writer meets it: in the big-integer
+    # pin job most of them lie beyond 2^53, and none costs a call of its own
+    calls, dumps = [], cli._dumps
+
+    def spy(value, newline="\n"):
+        calls.append(type(value))
+        return dumps(value, newline)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    cli._solution_template.cache_clear()
+    code, out, _ = run(capsys, "acs", "--dim", "4", "--m", "1400000006",
+                       "--n", "280000001900000003")
+    assert code == 0
+
+    def ints(v):
+        if isinstance(v, dict):
+            v = list(v.values())
+        if isinstance(v, list):
+            return sum(map(ints, v))
+        return type(v) is int or (isinstance(v, str) and v.lstrip("-").isdigit())
+
+    printed = ints(json.loads(out))
+    assert printed > 80
+    assert len(calls) < printed
+
+
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, "-m", "acscp", "verify", "cp4", "--seed", "0"],

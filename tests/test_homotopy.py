@@ -339,8 +339,40 @@ def test_complete_cp6():
 # CP^4 search
 # ---------------------------------------------------------------------------
 
+def literal_target_cp4(m):
+    """The d = 4 divisor target of the current model as a closed formula, an
+    independent copy; None where it is not integral."""
+    num = 576 * m * m + 240 * m
+    return None if num % 7 else 25 + 3 * (num // 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 30, 10 ** 30)))
+def test_divisor_target_cp4_equals_closed_formula(m):
+    # derived from CP4_PONTRJAGIN and CP4_CONSTRAINT; refused off the
+    # admissible m, as the closed formula is not integral there
+    expected = literal_target_cp4(m)
+    if expected is None:
+        with pytest.raises(ArithmeticError, match="not integral at m="):
+            divisor_target_cp4(m)
+    else:
+        assert divisor_target_cp4(m) == expected
+
+
+def test_divisor_target_cp4_needs_a_constraint_linear_in_n(monkeypatch):
+    n = MPolyZ.var("n")
+    homotopy._cp4_target.cache_clear()
+    monkeypatch.setattr(homotopy, "CP4_CONSTRAINT", CP4_CONSTRAINT + n * n)
+    try:
+        with pytest.raises(ArithmeticError, match="not linear in n"):
+            divisor_target_cp4(0)
+    finally:
+        homotopy._cp4_target.cache_clear()
+
+
 def test_divisor_target_cp4():
     assert divisor_target_cp4(0) == 25
+    assert divisor_target_cp4(1400000006) == 483840004291200009529
     assert divisor_target_cp4(6) == 9529
     assert divisor_target_cp4(34) == 288889
     # D = 25 + 3*48*m(12m + 5)/7 and m(12m + 5) >= 0, so D >= 25
