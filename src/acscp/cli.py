@@ -41,11 +41,12 @@ import sys
 import time
 from functools import cache
 
+from . import homotopy
 from .chernvec import NotRealizable, realizable
-from .homotopy import (CP4_CONSTRAINT, CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX,
-                       ConstraintViolated, ZeroFirstChern, acs_search_cp4,
-                       acs_search_cp6, cp5_structure, cp6_exists,
-                       divisor_target_cp4, mod31_table, validate_params)
+from .homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, ConstraintViolated,
+                       ZeroFirstChern, acs_search_cp4, acs_search_cp6,
+                       cp5_structure, cp6_exists, divisor_target_cp4,
+                       mod31_table, validate_params)
 from .ktheory import KOClass, pontrjagin_total
 from .suites import SUITES, run_suite
 
@@ -274,12 +275,11 @@ def _table_rows(args):
             raise _UsageError(f"--m-max must be at most {DIVISOR_TARGETS_M_MAX}, got {m_max}")
         # the admissible m: the constraint is k n + C(m), so k | C(m), which
         # depends on m mod k only
-        k = abs(CP4_CONSTRAINT.coefficient(n=1))
-        free = CP4_CONSTRAINT.substitute(n=0)
-        residues = {r for r in range(k) if free.evaluate(m=r) % k == 0}
+        k, free = homotopy._linear_in(homotopy.CP4_CONSTRAINT, "n")
+        residues = {r for r in range(abs(k)) if free.evaluate(m=r) % k == 0}
         rows = [[m, divisor_target_cp4(m)]
                 for m in range(-m_max, m_max + 1)
-                if m % k in residues]
+                if m % abs(k) in residues]
         return ["m", "target"], rows
     raise _UsageError(f"unknown table {args.table!r}")
 

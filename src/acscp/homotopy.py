@@ -20,13 +20,18 @@ CP4_PONTRJAGIN and CP6_PONTRJAGIN (p_1, ..., p_(d/2) of T with n and q
 free) are derived from it at import, by the integer K-theory route of
 ktheory._pontrjagin run on polynomials.  pontrjagin_of_X takes that route
 at the numeric parameters.  The constraints are the MPolyZ constants
-CP4_CONSTRAINT and CP6_CONSTRAINT, read by HtpyCP, mod31_table, the cli and
-the symbolic pipeline.  The d = 6 divisor target is F / 155 with F derived
-from that model: the a-free part of the first row of the symbolic pipeline
-(_cp6_f), whose rows a process derives once per argument
-(_symbolic_cp6_rows).  The d = 4 target is derived too: the a-free part
-of the c_3 numerator, with n eliminated through CP4_CONSTRAINT
-(_cp4_target).  The d = 5 structure lives once too, as _cp5_e.
+CP4_CONSTRAINT and CP6_CONSTRAINT, each bound once and read when called.
+HtpyCP evaluates them; every other reader takes them split in the last
+parameter v (n for d = 4, q for d = 6) as k v + C, k a nonzero int, by the
+one checked split _linear_in: mod31_table, the divisor-targets table of the
+cli, the d = 4 target and the symbolic pipeline.  The d = 6 divisor target
+is F / 155 with F derived from that model: the a-free part of the first row
+of the symbolic pipeline (_cp6_f), whose rows a process derives once per
+argument (_symbolic_cp6_rows).  The d = 4 target is derived too: the a-free
+part of the c_3 numerator, with n eliminated through CP4_CONSTRAINT
+(_cp4_target).  Both eliminations, of n there and of q from p_3 in the
+pipeline, are one step, _on_constraint.  The d = 5 structure lives once
+too, as _cp5_e.
 
 For d = 4 and 6 an almost complex structure is the same thing as an integer
 Chern vector (c_1, ..., c_d) with c_d = d + 1 whose even combinations match
@@ -165,7 +170,7 @@ from operator import mul
 
 from .chernvec import _decompose, _q_adjugate, _q_rows, newton_power_sums
 from .exactmath import (MPolyZ, NotDivisible, _require_int, _require_ints,
-                        divisors_signed, poly_variables)
+                        _var_index, divisors_signed, poly_variables)
 from .ktheory import (KClass, KOClass, UnsupportedDimension, conjugate,
                       line_multiplicities, real_reduce, total_chern, _chern,
                       _ko_width, _pontrjagin)
@@ -203,7 +208,25 @@ CP6_CONSTRAINT = (32 * _m ** 3 - 252 * _m ** 2 + 301 * _m - 672 * _m * _n
                   + 1152 * _n + 1488 * _q)
 CP6_PONTRJAGIN = _pontrjagin(6, _tangent_coeffs(6, _m, _n, _q))
 
-_CONSTRAINTS = {4: CP4_CONSTRAINT, 6: CP6_CONSTRAINT}
+
+def _linear_in(poly, var):
+    """(k, C) with poly = k var + C, k a nonzero int and C free of var: the
+    one split of a model polynomial in its last parameter.  ArithmeticError
+    naming var when poly is not of that form."""
+    k, free = poly.coefficient(**{var: 1}), poly.substitute(**{var: 0})
+    # free keeps the terms of poly without var: k var must be the one other term
+    if not k or len(poly.terms) != len(free.terms) + 1:
+        raise ArithmeticError(f"{poly} is not linear in {var} with a nonzero constant coefficient")
+    return k, free
+
+
+def _on_constraint(poly, constraint, var):
+    """(k, k poly with var eliminated): with poly = g var + G and
+    constraint = k var + C (_linear_in), k poly = k G - g C on the
+    constraint."""
+    g, free = _linear_in(poly, var)
+    k, c_free = _linear_in(constraint, var)
+    return k, k * free - g * c_free
 
 
 class HtpyCP(namedtuple("HtpyCP", "d m n q")):
@@ -223,10 +246,11 @@ class HtpyCP(namedtuple("HtpyCP", "d m n q")):
         if d == 5 and m % 2 != 0:
             raise ConstraintViolated(f"m = {m} must be even")
         self = super().__new__(cls, d, m, n, q)
-        if d in _CONSTRAINTS:
-            lhs = _CONSTRAINTS[d].evaluate(**dict(zip("mnq", self.params())))
+        if d != 5:
+            constraint = CP4_CONSTRAINT if d == 4 else CP6_CONSTRAINT
+            lhs = constraint.evaluate(**dict(zip("mnq", self.params())))
             if lhs != 0:
-                raise ConstraintViolated(f"{_CONSTRAINTS[d]} = {lhs} != 0")
+                raise ConstraintViolated(f"{constraint} = {lhs} != 0")
         return self
 
     @classmethod
@@ -398,15 +422,6 @@ def _signed_odds(n):
 # d = 4: divisor criterion vs direct scan
 # ---------------------------------------------------------------------------
 
-def _linear_in(poly, var):
-    """(k, C) with poly = k var + C and C free of var; ArithmeticError when
-    poly is not of that form."""
-    k, free = poly.coefficient(**{var: 1}), poly.substitute(**{var: 0})
-    if poly != free + MPolyZ.var(var, 1, k):
-        raise ArithmeticError(f"{poly} is not linear in {var}")
-    return k, free
-
-
 @cache
 def _cp4_target():
     """(coeffs, k): the d = 4 divisor target is (sum coeffs[i] m^(e - i))/k,
@@ -414,13 +429,11 @@ def _cp4_target():
 
     4 num_3 = 40 + (a^2 - p_1)^2 - 4 p_2 (see _complete_cp4) has the a-free
     part G = 40 + p_1^2 - 4 p_2 = g n + G_0(m), and on the constraint
-    k n + C(m) = 0 that is (k G_0 - g C)/k, n eliminated by exact division
-    through k.  ArithmeticError when G or the constraint is not linear in n,
-    or the result is not a polynomial in m alone."""
+    k n + C(m) = 0 that is (k G_0 - g C)/k (_on_constraint), n eliminated by
+    exact division through k.  ArithmeticError when G or the constraint is
+    not linear in n, or the result is not a polynomial in m alone."""
     p1, p2 = CP4_PONTRJAGIN
-    g, g0 = _linear_in(40 + p1 * p1 - 4 * p2, "n")
-    k, free = _linear_in(CP4_CONSTRAINT, "n")
-    num, coeffs = k * g0 - g * free, []
+    (k, num), coeffs = _on_constraint(40 + p1 * p1 - 4 * p2, CP4_CONSTRAINT, "n"), []
     try:
         while num:
             coeffs.append(num.coefficient())
@@ -690,16 +703,23 @@ def acs_search_cp6(X, a_max=200, c_max=200):
 def mod31_table():
     """All residue pairs (m, n) mod 31 allowed by the d = 6 constraint.
 
-    The q coefficient 1488 is 0 mod 31, so each m is substituted once into
-    the q-free part, which is linear in n, and the 31 values of n are tested
-    in integers.  Exactly one n for every m except m = 15, which admits none.
+    The constraint is k q + C(m, n) (_linear_in), and k = 1488 is 0 mod 31,
+    so each m is substituted once into C, which is linear in n, and the 31
+    values of n are tested in integers.  Exactly one n for every m except
+    m = 15, which admits none.  ArithmeticError when 31 does not divide k or
+    C is not linear in n.
     """
-    q_free = CP6_CONSTRAINT.substitute(q=0)
+    k, q_free = _linear_in(CP6_CONSTRAINT, "q")
+    if k % 31:
+        raise ArithmeticError(
+            f"the mod-31 table needs 31 | {k}, the q coefficient of {CP6_CONSTRAINT}")
+    if any(e[_var_index("n")] > 1 for e in q_free.terms):
+        raise ArithmeticError(f"{q_free} is not linear in n")
     out = []
     for m in range(31):
         line = q_free.substitute(m=m)
         k0, k1 = line.coefficient(), line.coefficient(n=1)
-        out.extend((m, n) for n in range(31) if (k0 + k1 * n) % 31 == 0)
+        out += [(m, n) for n in range(31) if (k0 + k1 * n) % 31 == 0]
     return out
 
 
@@ -803,14 +823,11 @@ def _symbolic_cp6_rows(p2_m2_coefficient=None):
     """
     a, c, m, _, _ = poly_variables()
 
-    p1, p2, p3_q = CP6_PONTRJAGIN
+    p1, p2, p3 = CP6_PONTRJAGIN
     if p2_m2_coefficient is not None:
         p2 = p2 + (p2_m2_coefficient - p2.coefficient(m=2)) * m * m
     # eliminate q, which appears linearly in the constraint, as k p_3
-    k = CP6_CONSTRAINT.coefficient(q=1)
-    p3_free = p3_q.substitute(q=0)
-    kp3 = (k * p3_free
-           - (p3_q - p3_free).divide_by_variable("q") * CP6_CONSTRAINT.substitute(q=0))
+    k, kp3 = _on_constraint(p3, CP6_CONSTRAINT, "q")
 
     t2 = a * a - p1                                     # 2 c_2
     t4 = 8 * a * c + 4 * p2 - t2 * t2                   # 8 c_4

@@ -5,19 +5,28 @@ import pytest
 from acscp import homotopy
 from acscp.exactmath import MPolyZ
 
+# the caches that read the model
+_MODEL_CACHES = (homotopy._symbolic_cp6_rows, homotopy._cp6_f, homotopy._cp4_target,
+                 homotopy._pontrjagin_cached)
+
 
 @pytest.fixture
-def model_1044(monkeypatch):
+def patch_model(monkeypatch):
+    """patch_model(name, poly) binds the model constant name (CP4_CONSTRAINT
+    or CP6_CONSTRAINT) to poly for the test.  The caches that read the model
+    are empty when the test starts and are cleared after it, so a test that
+    counts what they derive takes this fixture too."""
+    for cached in _MODEL_CACHES:
+        cached.cache_clear()
+    yield lambda name, poly: monkeypatch.setattr(homotopy, name, poly)
+    for cached in _MODEL_CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture
+def model_1044(patch_model):
     """The d = 6 model with 1044 n in place of 1152 n in the constraint,
-    which is then (3/8)(L_3(p) - 1), so the signature is 1 on its triples.
-    The caches that read the model are cleared before and after."""
+    which is then (3/8)(L_3(p) - 1), so the signature is 1 on its triples."""
     m, n, q = MPolyZ.var("m"), MPolyZ.var("n"), MPolyZ.var("q")
-    constraint = 32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1044 * n + 1488 * q
-    caches = (homotopy._symbolic_cp6_rows, homotopy._cp6_f, homotopy._pontrjagin_cached)
-    for cached in caches:
-        cached.cache_clear()
-    monkeypatch.setattr(homotopy, "CP6_CONSTRAINT", constraint)
-    monkeypatch.setitem(homotopy._CONSTRAINTS, 6, constraint)
-    yield constraint
-    for cached in caches:
-        cached.cache_clear()
+    patch_model("CP6_CONSTRAINT",
+                32 * m ** 3 - 252 * m * m + 301 * m - 672 * m * n + 1044 * n + 1488 * q)

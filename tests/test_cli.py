@@ -346,6 +346,14 @@ def test_table_divisor_targets(capsys):
     assert [34, 288889] in doc["payload"]["rows"]
 
 
+def test_table_divisor_targets_refuses_a_constraint_without_n(capsys, patch_model):
+    m = exactmath.MPolyZ.var("m")
+    patch_model("CP4_CONSTRAINT", 4 * m * m - 10 * m)
+    code, doc, _ = run_json(capsys, "table", "divisor-targets")
+    assert code == 1
+    assert "is not linear in n" in doc["payload"]["error"]
+
+
 def test_table_unknown(capsys):
     code, out, err = run(capsys, "table", "nope")
     assert code == 64

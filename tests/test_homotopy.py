@@ -161,31 +161,29 @@ def test_every_route_to_a_manifold_checks_it():
 
 def test_cp4_pairs_are_the_pairs_htpycp_accepts():
     # every pair the helper returns constructs; at every m it skips, the two
-    # integers nearest -C(m, 0)/k do not, k the n coefficient
-    C = homotopy.CP4_CONSTRAINT
-    k = C.coefficient(n=1)
+    # integers nearest -C(m)/k do not, the constraint split as k n + C(m)
+    k, C = homotopy._linear_in(homotopy.CP4_CONSTRAINT, "n")
     found = dict(cp4_pairs(48))
     assert list(found) == sorted(found)
     for m in range(-48, 49):
         if m in found:
             HtpyCP(4, m, found[m])
             continue
-        below = -C.evaluate(m=m, n=0) // k
+        below = -C.evaluate(m=m) // k
         for n in (below, below + 1):
             with pytest.raises(ConstraintViolated):
                 HtpyCP(4, m, n)
     for m in (-48, 1, 15, 10 ** 10 + 1):
         m1, n1 = cp4_pair(m)
         HtpyCP(4, m1, n1)
-        assert m1 >= m and all(C.evaluate(m=m2, n=0) % k for m2 in range(m, m1))
+        assert m1 >= m and all(C.evaluate(m=m2) % k for m2 in range(m, m1))
 
 
 def test_cp6_triples_are_the_triples_htpycp_accepts(either_model):
     # every triple the helper returns constructs; at every (m, n) of the box
-    # it skips, the two integers nearest -C(m, n, 0)/k do not, k the q
-    # coefficient
-    C = homotopy.CP6_CONSTRAINT
-    k = C.coefficient(q=1)
+    # it skips, the two integers nearest -C(m, n)/k do not, the constraint
+    # split as k q + C(m, n)
+    k, C = homotopy._linear_in(homotopy.CP6_CONSTRAINT, "q")
     triples = cp6_triples()
     assert triples == sorted(triples)
     found = {(m, n): q for m, n, q in triples}
@@ -194,7 +192,7 @@ def test_cp6_triples_are_the_triples_htpycp_accepts(either_model):
             if (m, n) in found:
                 HtpyCP(6, m, n, found[m, n])
                 continue
-            below = -C.evaluate(m=m, n=n, q=0) // k
+            below = -C.evaluate(m=m, n=n) // k
             for q in (below, below + 1):
                 with pytest.raises(ConstraintViolated):
                     HtpyCP(6, m, n, q)
@@ -202,11 +200,10 @@ def test_cp6_triples_are_the_triples_htpycp_accepts(either_model):
 
 @pytest.mark.parametrize("m, n", [(1, 5), (-47, -40), (16 * 10 ** 8, 0)])
 def test_cp6_triple_takes_the_first_m_and_the_nearest_n(either_model, m, n):
-    C = homotopy.CP6_CONSTRAINT
-    k = C.coefficient(q=1)
+    k, C = homotopy._linear_in(homotopy.CP6_CONSTRAINT, "q")
 
     def admits(m, *ns):
-        line = C.substitute(m=m, q=0)
+        line = C.substitute(m=m)
         return any(line.evaluate(n=n) % k == 0 for n in ns)
 
     m1, n1, q = cp6_triple(m, n)
@@ -359,15 +356,32 @@ def test_divisor_target_cp4_equals_closed_formula(m):
         assert divisor_target_cp4(m) == expected
 
 
-def test_divisor_target_cp4_needs_a_constraint_linear_in_n(monkeypatch):
-    n = MPolyZ.var("n")
-    homotopy._cp4_target.cache_clear()
-    monkeypatch.setattr(homotopy, "CP4_CONSTRAINT", CP4_CONSTRAINT + n * n)
-    try:
+def test_divisor_target_cp4_needs_a_constraint_linear_in_n(patch_model):
+    patch_model("CP4_CONSTRAINT", CP4_CONSTRAINT + MPolyZ.var("n", 2))
+    with pytest.raises(ArithmeticError, match="not linear in n"):
+        divisor_target_cp4(0)
+
+
+@pytest.mark.parametrize("term, call, match", [
+    # (p_3 - p_3|q=0)/q would keep the q
+    (MPolyZ.var("q", 2, 1488), _symbolic_cp6_rows, "not linear in q"),
+    # n^2 mod 31, which the per-m coefficients of n^0 and n^1 would not see
+    (MPolyZ.var("n", 2, 218), mod31_table, "not linear in n"),
+    # q coefficient 1489: the table would be that of the 1488 constraint
+    (MPolyZ.var("q"), mod31_table, "needs 31 \\| 1489"),
+], ids=["symbolic-rows-q-squared", "mod31-n-squared", "mod31-q-coefficient"])
+def test_a_d6_constraint_off_its_split_is_refused(patch_model, term, call, match):
+    patch_model("CP6_CONSTRAINT", CP6_CONSTRAINT + term)
+    with pytest.raises(ArithmeticError, match=match):
+        call()
+
+
+def test_the_split_needs_a_nonzero_constant_coefficient():
+    m, n = MPolyZ.var("m"), MPolyZ.var("n")
+    assert homotopy._linear_in(CP4_CONSTRAINT, "n") == (-28, 4 * m * m - 10 * m)
+    for poly in (4 * m * m - 10 * m, m * n + n, n * n + n):
         with pytest.raises(ArithmeticError, match="not linear in n"):
-            divisor_target_cp4(0)
-    finally:
-        homotopy._cp4_target.cache_clear()
+            homotopy._linear_in(poly, "n")
 
 
 def test_divisor_target_cp4():
@@ -475,7 +489,7 @@ def test_direct_scan_matches_public_ops_on_the_verify_windows(mn, window):
         assert acs_search_cp4(X, window) == [slow[a] for a in sorted(slow)]
 
 
-def test_complete_chern_vector_computes_the_pontrjagin_data_once(monkeypatch):
+def test_complete_chern_vector_computes_the_pontrjagin_data_once(monkeypatch, patch_model):
     calls = []
 
     def counted(X):
@@ -483,17 +497,13 @@ def test_complete_chern_vector_computes_the_pontrjagin_data_once(monkeypatch):
         return pontrjagin_of_X(X)
 
     monkeypatch.setattr(homotopy, "pontrjagin_of_X", counted)
-    homotopy._pontrjagin_cached.cache_clear()
-    try:
-        X = validate_params(4, 6, 3)
-        assert [complete_chern_vector(X, a) for a in (1, 13, 1)] == [
-            (1, -74, 1154, 5), (13, 10, -118, 5), (1, -74, 1154, 5)]
-        assert calls == [X]
-        # typed: a plain tuple equal to X does not read X's entry
-        with pytest.raises(AttributeError):
-            homotopy._pontrjagin_cached(tuple(X))
-    finally:
-        homotopy._pontrjagin_cached.cache_clear()
+    X = validate_params(4, 6, 3)
+    assert [complete_chern_vector(X, a) for a in (1, 13, 1)] == [
+        (1, -74, 1154, 5), (13, 10, -118, 5), (1, -74, 1154, 5)]
+    assert calls == [X]
+    # typed: a plain tuple equal to X does not read X's entry
+    with pytest.raises(AttributeError):
+        homotopy._pontrjagin_cached(tuple(X))
 
 
 @settings(max_examples=200, deadline=None)
@@ -995,7 +1005,7 @@ def test_cp6_exists_refuses_a_witness_that_does_not_decompose(monkeypatch):
         cp6_exists(validate_params(6, 0, 0, 0))
 
 
-def test_cp6_job_takes_the_k_theory_route_once(monkeypatch):
+def test_cp6_job_takes_the_k_theory_route_once(monkeypatch, patch_model):
     # the search and the witness of one acs --dim 6 job share the cached
     # Pontrjagin data
     calls = []
@@ -1005,13 +1015,9 @@ def test_cp6_job_takes_the_k_theory_route_once(monkeypatch):
         return pontrjagin_of_X(X)
 
     monkeypatch.setattr(homotopy, "pontrjagin_of_X", counted)
-    homotopy._pontrjagin_cached.cache_clear()
-    try:
-        X = validate_params(6, *cp6_triple(48, 12))
-        assert acs_search_cp6(X, a_max=9, c_max=9) and cp6_exists(X)
-        assert calls == [X]
-    finally:
-        homotopy._pontrjagin_cached.cache_clear()
+    X = validate_params(6, *cp6_triple(48, 12))
+    assert acs_search_cp6(X, a_max=9, c_max=9) and cp6_exists(X)
+    assert calls == [X]
 
 
 # ---------------------------------------------------------------------------

@@ -112,23 +112,17 @@ def test_basis_decomposition_eliminates_each_w_once(monkeypatch):
                                     + [(n, 2 * n) for n in range(2, 10)])
 
 
-def test_verify_all_derives_the_default_cp6_rows_once():
+def test_verify_all_derives_the_default_cp6_rows_once(patch_model):
     # symbolic_cp6_numerators and the divisor target read the cached row set
     # of the model, and the 228 regression its own: two derivations in a
     # process, however many verify all runs it makes
     rows = homotopy._symbolic_cp6_rows
-    rows.cache_clear()
-    homotopy._cp6_f.cache_clear()
-    try:
-        for seed in (0, 1):
-            assert all(c.passed for c in run_suite("all", seed))
-        # the two arguments are the cached ones: reading them derives nothing
-        rows()
-        rows(p2_m2_coefficient=228)
-        info = rows.cache_info()
-    finally:
-        rows.cache_clear()
-        homotopy._cp6_f.cache_clear()
+    for seed in (0, 1):
+        assert all(c.passed for c in run_suite("all", seed))
+    # the two arguments are the cached ones: reading them derives nothing
+    rows()
+    rows(p2_m2_coefficient=228)
+    info = rows.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
 
 
