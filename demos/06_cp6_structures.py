@@ -28,8 +28,8 @@ print("  f =", sym.f)
 
 g3 = (sym.numerators[2] - 3 * sym.f).divide_by_variable("a")
 print("(f_3 - 3f)/a reduced mod 3 with a^3 = a:", g3.reduce_mod(3, fermat_vars=("a",)))
-nums228, _ = _symbolic_cp6_rows(p2_m2_coefficient=228)
-g3s = (nums228[2] - 3 * nums228[0].substitute(a=0)).divide_by_variable("a")
+slip = _symbolic_cp6_rows(p2_m2_coefficient=228)
+g3s = (slip.numerators[2] - 3 * slip.f).divide_by_variable("a")
 print("same quantity under the 228 slip:", g3s.reduce_mod(3, fermat_vars=("a",)),
       " <- the spurious obstruction")
 

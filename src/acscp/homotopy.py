@@ -18,20 +18,26 @@ is written once, as _tangent_coeffs, for ints or MPolyZ alike:
 tangent_ko_class reads it at the parameters of X, and the MPolyZ constants
 CP4_PONTRJAGIN and CP6_PONTRJAGIN (p_1, ..., p_(d/2) of T with n and q
 free) are derived from it at import, by the integer K-theory route of
-ktheory._pontrjagin run on polynomials.  pontrjagin_of_X takes that route
-at the numeric parameters.  The constraints are the MPolyZ constants
-CP4_CONSTRAINT and CP6_CONSTRAINT, each bound once and read when called.
-HtpyCP evaluates them; every other reader takes them split in the last
+ktheory._pontrjagin run on polynomials.  The constraints are the MPolyZ
+constants CP4_CONSTRAINT and CP6_CONSTRAINT, each bound once and read when
+called.
+
+The model is derived once per process, and every per-manifold value is an
+evaluation of it: HtpyCP evaluates the constraint, pontrjagin_of_X
+evaluates the Pontrjagin polynomials at the parameters of X, and each
+divisor target evaluates a polynomial derived once from the model.  Every
+reader of a constraint other than HtpyCP takes it split in the last
 parameter v (n for d = 4, q for d = 6) as k v + C, k a nonzero int, by the
 one checked split _linear_in: mod31_table, the divisor-targets table of the
 cli, the d = 4 target and the symbolic pipeline.  The d = 6 divisor target
-is F / 155 with F derived from that model: the a-free part of the first row
-of the symbolic pipeline (_cp6_f), whose rows a process derives once per
-argument (_symbolic_cp6_rows).  The d = 4 target is derived too: the a-free
-part of the c_3 numerator, with n eliminated through CP4_CONSTRAINT
-(_cp4_target).  Both eliminations, of n there and of q from p_3 in the
-pipeline, are one step, _on_constraint.  The d = 5 structure lives once
-too, as _cp5_e.
+is F / 155 with F the a-free part of the first row of the symbolic
+pipeline, which a process derives once per argument, as the record
+CP6Symbolic(f, numerators, denominators) (_symbolic_cp6_rows).  The d = 4
+target is the a-free part of the c_3 numerator, with n eliminated through
+CP4_CONSTRAINT (_cp4_target).  These two are the caches that read the
+model.  Both eliminations, of n there and of q from p_3 in the pipeline,
+are one step, _on_constraint.  The d = 5 structure lives once too, as
+_cp5_e.
 
 For d = 4 and 6 an almost complex structure is the same thing as an integer
 Chern vector (c_1, ..., c_d) with c_d = d + 1 whose even combinations match
@@ -276,20 +282,14 @@ def tangent_ko_class(X):
 
 
 def pontrjagin_of_X(X):
-    """Coefficients (p_1, ..., p_(d/2)) with p_i(X) = p_i u^(2i), from the
-    total Pontrjagin class of the tangent KO-class: the route that
-    CP4_PONTRJAGIN and CP6_PONTRJAGIN are derived on.  UnsupportedDimension
-    for d = 5."""
-    return _pontrjagin(X.d, tangent_ko_class(X).coeffs)
-
-
-@lru_cache(maxsize=256, typed=True)
-def _pontrjagin_cached(X):
-    """pontrjagin_of_X(X), kept for the callers that complete one cell at a
-    time and for the d = 6 search and witness, so that an acs job on a CP^6
-    takes the K-theory route once; typed, so a plain tuple never reads the
-    entry of an equal HtpyCP."""
-    return pontrjagin_of_X(X)
+    """Coefficients (p_1, ..., p_(d/2)) with p_i(X) = p_i u^(2i):
+    CP4_PONTRJAGIN or CP6_PONTRJAGIN, the classes of the tangent KO-class
+    derived once at import, evaluated at the parameters of X.
+    UnsupportedDimension for d = 5."""
+    if X.d == 5:
+        raise UnsupportedDimension("Pontrjagin classes need torsion-free KO; d=5 is not supported")
+    point = dict(zip("mnq", X.params()))
+    return tuple(p.evaluate(**point) for p in (CP4_PONTRJAGIN if X.d == 4 else CP6_PONTRJAGIN))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ def complete_chern_vector(X, a, c=None):
         raise ValueError("d = 6 needs the c_3 coefficient c")
     if d == 4 and c is not None:
         raise ValueError("d = 4 determines c_3; do not pass c")
-    p = _pontrjagin_cached(X)
+    p = pontrjagin_of_X(X)
     if d == 4:
         v = _complete_cp4(p, a)
     else:
@@ -533,7 +533,7 @@ def cp6_exists(X):
     """
     if X.d != 6:
         raise UnsupportedDimension("cp6_exists needs d = 6")
-    head = _complete_head(_pontrjagin_cached(X), 1)
+    head = _complete_head(pontrjagin_of_X(X), 1)
     v = head and _complete_tail(1, head, 1)
     if v is None or _decompose(newton_power_sums(v)) is None:
         raise ArithmeticError(
@@ -543,19 +543,20 @@ def cp6_exists(X):
 
 def _target_cp6(m, n):
     """The d = 6 divisor target at fixed (m, n) as an MPolyZ in c: F / 155,
-    F = _cp6_f() the a-free part of the first symbolic numerator, derived
-    from CP6_CONSTRAINT and CP6_PONTRJAGIN.  ArithmeticError unless (m, n)
-    meets the constraint mod 31."""
+    with F the a-free part of the first symbolic numerator, the f of the
+    record _symbolic_cp6_rows() derives once from CP6_CONSTRAINT and
+    CP6_PONTRJAGIN, evaluated here.  ArithmeticError unless (m, n) meets
+    the constraint mod 31."""
     try:
-        return _cp6_f().substitute(m=m, n=n).divexact(155)
+        return _symbolic_cp6_rows().f.substitute(m=m, n=n).divexact(155)
     except NotDivisible:
         raise ArithmeticError(f"target is not integral at (m, n) = ({m}, {n})") from None
 
 
 def divisor_target_cp6(c, m, n):
-    """The integer that c_1 must divide when d = 6, F / 155 with F derived
-    from the model (see _cp6_f); under the current CP6_CONSTRAINT and
-    CP6_PONTRJAGIN it is
+    """The integer that c_1 must divide when d = 6, F / 155 with F the f of
+    the model's symbolic rows (see _target_cp6); under the current
+    CP6_CONSTRAINT and CP6_PONTRJAGIN it is
 
         F / 155 = 147 - 8c^2 + (1/31)(-179712 m^3 + 879552 m^2 + 2488320 mn
                                       + 262584 m - 362880 n),
@@ -693,7 +694,7 @@ def acs_search_cp6(X, a_max=200, c_max=200):
     _check_window("c_max", c_max, CP6_WINDOW_AREA_MAX)
     _check_window("a_max * c_max", a_max * c_max, CP6_WINDOW_AREA_MAX)
     crit = _criterion_set_cp6(X, a_max, c_max)
-    direct = _direct_set_cp6(_pontrjagin_cached(X), a_max, c_max)
+    direct = _direct_set_cp6(pontrjagin_of_X(X), a_max, c_max)
     if crit != direct.keys():
         raise ArithmeticError(
             f"criterion and direct scan disagree on the window: {sorted(crit ^ direct.keys())}")
@@ -788,7 +789,8 @@ def symbolic_verify_cp5():
 
 class CP6Symbolic(namedtuple("CP6Symbolic", "f numerators denominators")):
     """Numerators and denominators, as (integer, power of a) pairs, of the
-    symbolic decomposition vector."""
+    symbolic decomposition vector, and f, the a-free part of the first
+    numerator."""
 
     __slots__ = ()
 
@@ -813,13 +815,14 @@ def _symbolic_cp6_rows(p2_m2_coefficient=None):
     Z[a, c, m, n], with q eliminated through the constraint.
 
     Works on the integer polynomials C_i = T^i c_i, T = 2ka (see the module
-    docstring), and returns (numerators, denominators) with each row in
-    lowest terms f_i / (den * a^apow).  The m^2 coefficient of the degree-4
-    Pontrjagin input is that of CP6_PONTRJAGIN unless p2_m2_coefficient
-    replaces it, so the regression tests can demonstrate how a transcribed
-    228 (for 288) propagates downstream.  Cached: a process derives the rows
-    of each argument once, and a test that patches the model clears the
-    cache.
+    docstring), and returns the record CP6Symbolic(f, numerators,
+    denominators) with each row in lowest terms f_i / (den * a^apow) and f
+    the a-free part of the first numerator.  The m^2 coefficient of the
+    degree-4 Pontrjagin input is that of CP6_PONTRJAGIN unless
+    p2_m2_coefficient replaces it, so the regression tests can demonstrate
+    how a transcribed 228 (for 288) propagates downstream.  Cached: a
+    process derives the rows of each argument once, and a test that patches
+    the model clears the cache.
     """
     a, c, m, _, _ = poly_variables()
 
@@ -843,15 +846,9 @@ def _symbolic_cp6_rows(p2_m2_coefficient=None):
     rows = [_lowest_terms(sum((x * s for x, s in zip(row, scaled)), MPolyZ()),
                           det * (2 * k) ** 6, 6)
             for row in adj]
-    return (tuple(num for num, _, _ in rows),
-            tuple((den, apow) for _, den, apow in rows))
-
-
-@cache
-def _cp6_f():
-    """F, the a-free part of the first row of _symbolic_cp6_rows(): the
-    numerator of the d = 6 divisor target."""
-    return _symbolic_cp6_rows()[0][0].substitute(a=0)
+    return CP6Symbolic(rows[0][0].substitute(a=0),
+                       tuple(num for num, _, _ in rows),
+                       tuple((den, apow) for _, den, apow in rows))
 
 
 def _multiple_of(g, f):
@@ -866,18 +863,18 @@ def _multiple_of(g, f):
 def symbolic_cp6_numerators():
     """Compute v = Q^-1 C symbolically over Z[a, c, m, n].
 
-    Each entry of v is reduced to lowest terms f_i / (D_i * a).  The facts
-    used by the mod-3 existence argument are asserted here: f is the a-free
-    part of f_1, and the a-free part of every f_i is an integer multiple
+    Each entry of v is reduced to lowest terms f_i / (D_i * a), and f is
+    the a-free part of f_1, as the cached record of _symbolic_cp6_rows()
+    carries them.  The fact used by the mod-3 existence argument is asserted
+    here on that record: the a-free part of every f_i is an integer multiple
     k_i f, i.e. f_i - k_i f is divisible by a; ArithmeticError otherwise.
     Under the current model the multiples are (1, -19, 3, -17, 1, -1); the
-    tests pin them and f_1.
+    tests pin them and f_1.  Each call returns a fresh record.
     """
-    numerators, denominators = _symbolic_cp6_rows()
-    f = _cp6_f()
-    if f.is_zero():
+    sym = _symbolic_cp6_rows()
+    if sym.f.is_zero():
         raise ArithmeticError("the a-free part of the first numerator vanishes")
-    for i, f_i in enumerate(numerators, 1):
-        if _multiple_of(f_i, f) is None:
+    for i, f_i in enumerate(sym.numerators, 1):
+        if _multiple_of(f_i, sym.f) is None:
             raise ArithmeticError(f"the a-free part of numerator {i} is not an integer multiple of f")
-    return CP6Symbolic(f, numerators, denominators)
+    return CP6Symbolic(*sym)

@@ -287,8 +287,8 @@ def suite_cp6(seed=0):
 
     sym = symbolic_cp6_numerators()
     g3 = (sym.numerators[2] - 3 * sym.f).divide_by_variable("a")
-    nums228, _ = _symbolic_cp6_rows(p2_m2_coefficient=228)
-    g3s = (nums228[2] - 3 * nums228[0].substitute(a=0)).divide_by_variable("a")
+    slip = _symbolic_cp6_rows(p2_m2_coefficient=228)
+    g3s = (slip.numerators[2] - 3 * slip.f).divide_by_variable("a")
 
     sols = acs_search_cp6(HtpyCP(6, 0, 0, 0), a_max=40, c_max=40)
     pairs = [(s.a, s.c) for s in sols]

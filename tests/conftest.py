@@ -5,21 +5,23 @@ import pytest
 from acscp import homotopy
 from acscp.exactmath import MPolyZ
 
-# the caches that read the model
-_MODEL_CACHES = (homotopy._symbolic_cp6_rows, homotopy._cp6_f, homotopy._cp4_target,
-                 homotopy._pontrjagin_cached)
+# every cache defined in acscp.homotopy, the ones that read the model among
+# them, found rather than listed so that a new one is cleared too
+_CACHES = [f for f in vars(homotopy).values()
+           if hasattr(f, "cache_clear") and f.__module__ == homotopy.__name__]
 
 
 @pytest.fixture
 def patch_model(monkeypatch):
     """patch_model(name, poly) binds the model constant name (CP4_CONSTRAINT
-    or CP6_CONSTRAINT) to poly for the test.  The caches that read the model
-    are empty when the test starts and are cleared after it, so a test that
-    counts what they derive takes this fixture too."""
-    for cached in _MODEL_CACHES:
+    or CP6_CONSTRAINT) to poly for the test.  Every cache of acscp.homotopy,
+    so every one that reads the model, is empty when the test starts and is
+    cleared after it, so a test that counts what they derive takes this
+    fixture too."""
+    for cached in _CACHES:
         cached.cache_clear()
     yield lambda name, poly: monkeypatch.setattr(homotopy, name, poly)
-    for cached in _MODEL_CACHES:
+    for cached in _CACHES:
         cached.cache_clear()
 
 

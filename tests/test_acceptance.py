@@ -135,8 +135,8 @@ def test_criterion_6_cp6_symbolic():
             (0, 0, 2, 0, 0): 4397760, (0, 0, 3, 0, 0): -898560,
             (0, 0, 0, 0, 0): 22785})
         # the transcribed display is exactly the image of the 228 slip
-        nums228, _ = _symbolic_cp6_rows(p2_m2_coefficient=228)
-        assert nums228[0] == MPolyZ(DISPLAY_F1)
+        slip = _symbolic_cp6_rows(p2_m2_coefficient=228)
+        assert slip.numerators[0] == MPolyZ(DISPLAY_F1)
 
 
 @pytest.mark.xfail(strict=True, reason=(

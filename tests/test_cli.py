@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acscp import cli, exactmath, homotopy
+from acscp import cli, exactmath, homotopy, ktheory
 from acscp.cli import (DIVISOR_TARGETS_M_MAX, main, _build_parser, _dumps,
                        _solutions_json)
 from acscp.homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, ACSSolution,
                             ConstraintViolated, HtpyCP)
-from acscp.ktheory import line_multiplicities
+from acscp.ktheory import line_multiplicities, _chern
 from tests.admissible import cp4_pairs, cp6_triple
 
 # the flags of the admissible triple nearest (16, 11): (16, 11, 23) under the
@@ -209,6 +209,25 @@ def test_acs_cross_check_failure_is_an_error(capsys, monkeypatch, argv, patch, m
     code, doc, _ = run_json(capsys, *argv)
     assert code == 1 and doc["status"] == "error"
     assert message in doc["payload"]["error"]
+
+
+@pytest.mark.parametrize("argv", [CP4_ARGV, ("acs", "--dim", "6", *CP6_PARAMS)],
+                         ids=["cp4", "cp6"])
+def test_acs_job_does_not_rerun_the_k_theory_route(capsys, monkeypatch, patch_model, argv):
+    # the Pontrjagin classes of a job are the polynomials derived at import,
+    # evaluated at its parameters; the Chern route they were derived on does
+    # not run again, even with every cache of homotopy empty
+    calls = []
+
+    def counted(d, coeffs):
+        calls.append(d)
+        return _chern(d, coeffs)
+
+    monkeypatch.setattr(ktheory, "_chern", counted)
+    monkeypatch.setattr(homotopy, "_chern", counted)
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0 and doc["payload"]["solutions"]
+    assert calls == []
 
 
 def test_divisor_targets_m_max_defaults_to_34(capsys):

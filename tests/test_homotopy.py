@@ -24,9 +24,9 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP4_WINDOW_MAX,
                             mod31_table, pontrjagin_of_X,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
                             tangent_ko_class, validate_params,
-                            ACSSolution, _check_window, _complete_cp4,
-                            _complete_head, _complete_tail, _conjugation,
-                            _cp4_solutions, _criterion_set_cp6,
+                            ACSSolution, CP6Symbolic, _check_window,
+                            _complete_cp4, _complete_head, _complete_tail,
+                            _conjugation, _cp4_solutions, _criterion_set_cp6,
                             _direct_set_cp6, _odd_classes, _odd_square_roots,
                             _row_quotients, _signed_odds, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
@@ -487,23 +487,6 @@ def test_direct_scan_matches_public_ops_on_the_verify_windows(mn, window):
     if mn == (6, 3):
         assert sorted(slow) == divisors_signed(9529)
         assert acs_search_cp4(X, window) == [slow[a] for a in sorted(slow)]
-
-
-def test_complete_chern_vector_computes_the_pontrjagin_data_once(monkeypatch, patch_model):
-    calls = []
-
-    def counted(X):
-        calls.append(X)
-        return pontrjagin_of_X(X)
-
-    monkeypatch.setattr(homotopy, "pontrjagin_of_X", counted)
-    X = validate_params(4, 6, 3)
-    assert [complete_chern_vector(X, a) for a in (1, 13, 1)] == [
-        (1, -74, 1154, 5), (13, 10, -118, 5), (1, -74, 1154, 5)]
-    assert calls == [X]
-    # typed: a plain tuple equal to X does not read X's entry
-    with pytest.raises(AttributeError):
-        homotopy._pontrjagin_cached(tuple(X))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1005,21 +988,6 @@ def test_cp6_exists_refuses_a_witness_that_does_not_decompose(monkeypatch):
         cp6_exists(validate_params(6, 0, 0, 0))
 
 
-def test_cp6_job_takes_the_k_theory_route_once(monkeypatch, patch_model):
-    # the search and the witness of one acs --dim 6 job share the cached
-    # Pontrjagin data
-    calls = []
-
-    def counted(X):
-        calls.append(X)
-        return pontrjagin_of_X(X)
-
-    monkeypatch.setattr(homotopy, "pontrjagin_of_X", counted)
-    X = validate_params(6, *cp6_triple(48, 12))
-    assert acs_search_cp6(X, a_max=9, c_max=9) and cp6_exists(X)
-    assert calls == [X]
-
-
 # ---------------------------------------------------------------------------
 # CP^6 symbolic pipeline
 # ---------------------------------------------------------------------------
@@ -1056,7 +1024,7 @@ CP6_F_MULTIPLES = (1, -19, 3, -17, 1, -1)
 def test_symbolic_first_numerator_regression():
     sym = symbolic_cp6_numerators()
     assert sym.numerators[0] == MPolyZ(CP6_F1)
-    assert sym.f == MPolyZ(CP6_F) == homotopy._cp6_f()
+    assert sym.f == MPolyZ(CP6_F) == _symbolic_cp6_rows().f
 
 
 def test_symbolic_f_is_a_free_part_and_multiples():
@@ -1068,26 +1036,33 @@ def test_symbolic_f_is_a_free_part_and_multiples():
             for f_i in sym.numerators] == list(CP6_F_MULTIPLES)
 
 
-def bend(monkeypatch, rows):
-    """Make symbolic_cp6_numerators read the rows (numerators, denominators)
-    and their F, the a-free part of the first numerator."""
-    monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", lambda: rows)
-    monkeypatch.setattr(homotopy, "_cp6_f", lambda: rows[0][0].substitute(a=0))
+@pytest.mark.parametrize("kwargs", [{}, {"p2_m2_coefficient": 228}], ids=["model", "228"])
+def test_symbolic_rows_carry_the_a_free_part_of_their_first_numerator(kwargs):
+    # the two cached arguments: the record is the one producer of F
+    sym = _symbolic_cp6_rows(**kwargs)
+    assert type(sym) is CP6Symbolic and sym is _symbolic_cp6_rows(**kwargs)
+    assert sym.f == sym.numerators[0].substitute(a=0) and not sym.f.is_zero()
+
+
+def bend(monkeypatch, nums, dens):
+    """Make symbolic_cp6_numerators read the record of the rows nums, dens,
+    with F the a-free part of the first numerator."""
+    sym = CP6Symbolic(nums[0].substitute(a=0), nums, dens)
+    monkeypatch.setattr(homotopy, "_symbolic_cp6_rows", lambda: sym)
 
 
 def test_symbolic_numerators_refuse_an_a_free_part_off_the_multiples(monkeypatch):
-    nums, dens = _symbolic_cp6_rows()
+    F, nums, dens = _symbolic_cp6_rows()
     for stray in (MPolyZ.var("c"), MPolyZ.const(1)):
-        bend(monkeypatch, (nums[:3] + (nums[3] + stray,) + nums[4:], dens))
+        bend(monkeypatch, nums[:3] + (nums[3] + stray,) + nums[4:], dens)
         with pytest.raises(ArithmeticError, match="numerator 4 is not an integer multiple"):
             symbolic_cp6_numerators()
     # a first numerator without an a-free part leaves no f to divide by
-    F = nums[0].substitute(a=0)
-    bend(monkeypatch, ((nums[0] - F,) + nums[1:], dens))
+    bend(monkeypatch, (nums[0] - F,) + nums[1:], dens)
     with pytest.raises(ArithmeticError, match="first numerator vanishes"):
         symbolic_cp6_numerators()
     # a rational multiple is refused too: -19 F + F/5 in the second row
-    bend(monkeypatch, ((nums[0], nums[1] + F.divexact(5)) + nums[2:], dens))
+    bend(monkeypatch, (nums[0], nums[1] + F.divexact(5)) + nums[2:], dens)
     with pytest.raises(ArithmeticError, match="numerator 2 is not an integer multiple"):
         symbolic_cp6_numerators()
 
@@ -1096,9 +1071,9 @@ def test_divisor_target_follows_the_model(model_1044):
     # the target is derived from CP6_CONSTRAINT, so it moves with it and
     # nothing else needs editing
     c, m, n = MPolyZ.var("c"), MPolyZ.var("m"), MPolyZ.var("n")
-    assert homotopy._cp6_f() == (-898560 * m ** 3 - 1240 * c * c + 4397760 * m * m
-                                 + 12441600 * m * n + 1312920 * m + 3628800 * n
-                                 + 22785)
+    assert _symbolic_cp6_rows().f == (-898560 * m ** 3 - 1240 * c * c + 4397760 * m * m
+                                      + 12441600 * m * n + 1312920 * m + 3628800 * n
+                                      + 22785)
 
 
 def test_structural_checks_hold_under_the_1044_model(model_1044):
@@ -1119,7 +1094,7 @@ def test_structural_checks_hold_under_the_1044_model(model_1044):
 def test_symbolic_matches_numeric_oracle(p2_m2):
     # independent route: plain Fractions through the same completion, with
     # the m^2 coefficient of p_2 as a parameter so the slip path is checked too
-    nums, dens = _symbolic_cp6_rows(p2_m2_coefficient=p2_m2)
+    _, nums, dens = _symbolic_cp6_rows(p2_m2_coefficient=p2_m2)
 
     def numeric_rows(a, c, m, n):
         q = Fraction(-cp6_q_free(m, n), 1488)
@@ -1200,7 +1175,7 @@ def test_slip_reproduces_transcribed_numerator_exactly():
     # Feeding the 228-for-288 slip into the degree-4 Pontrjagin input
     # reproduces the widely transcribed first numerator term for term, and
     # reintroduces the spurious mod-3 obstruction.
-    nums, dens = _symbolic_cp6_rows(p2_m2_coefficient=228)
+    _, nums, dens = _symbolic_cp6_rows(p2_m2_coefficient=228)
     assert nums[0] == MPolyZ(DISPLAY_F1)
     assert dens == ((2976, 1), (23808, 1), (2976, 1), (23808, 1), (3720, 1), (23808, 1))
     f = MPolyZ({e: co for e, co in nums[0].terms.items() if e[0] == 0})
