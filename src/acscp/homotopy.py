@@ -72,12 +72,12 @@ a (or (a, c)) with entry i multiplied by (-1)^i: those of the conjugate
 class.  ch(H^-j - 1) has the power sums (-j)^i, so power sums that
 decompose as dec have a flip that decomposes as M dec, where column j of
 the integer d x d matrix M = _conjugation(d) holds the multiplicities of
-H^-j - 1 over the H^k - 1, read from ktheory.conjugate.  M is certified
-once per d against the lattice, sum_k k^i M_kj = (-j)^i, so this holds for
-every vector at once, and the conjugate cell is a solution exactly when
-its partner is.  Both searches test the cells with a > 0 only and write
-each conjugate solution with the decomposition M dec, so the cost of the
-conjugate cells follows the solutions found.
+H^-j - 1 over the H^k - 1: the lattice decomposition (_decompose) of its
+power sums (-j)^i, taken once per d.  So sum_k k^i M_kj = (-j)^i, this
+holds for every vector at once, and the conjugate cell is a solution
+exactly when its partner is.  Both searches test the cells with a > 0
+only and write each conjugate solution with the decomposition M dec, so
+the cost of the conjugate cells follows the solutions found.
 
 For d = 6 the completion is one head per a (_complete_head): c_2,
 h_4 = (p_2 - c_2^2)/2 and K = 14 + 2 c_2 h_4 + p_3; and one tail per c
@@ -177,9 +177,8 @@ from operator import mul
 from .chernvec import _decompose, _q_adjugate, _q_rows, newton_power_sums
 from .exactmath import (MPolyZ, NotDivisible, _require_int, _require_ints,
                         _var_index, divisors_signed, poly_variables)
-from .ktheory import (KClass, KOClass, UnsupportedDimension, conjugate,
-                      line_multiplicities, real_reduce, total_chern, _chern,
-                      _ko_width, _pontrjagin)
+from .ktheory import (KClass, KOClass, UnsupportedDimension, real_reduce,
+                      total_chern, _chern, _ko_width, _pontrjagin)
 
 
 class ConstraintViolated(ValueError):
@@ -395,20 +394,17 @@ def _conjugation(d):
     """The d x d integer matrix M, as a tuple of rows, that takes the
     decomposition dec of power sums s over the q_k (acscp.chernvec) to that
     of their flip (-1)^i s_i: column j holds the multiplicities of
-    conjugate(H^j - 1) = H^-j - 1 over the H^k - 1, k = 1..d.
+    H^-j - 1, the conjugate of H^j - 1, over the H^k - 1, k = 1..d.
 
     ch(H^-j - 1) has the power sums (-j)^i, so with Q[i][j] = j^i and
     Q(-1)[i][j] = (-j)^i, s = Q dec gives flip(s) = Q(-1) dec, and
-    Q M = Q(-1) makes M dec the decomposition of flip(s), integral whenever
-    dec is.  That identity is checked here, once per d, entry by entry, so
-    it holds for every vector; ArithmeticError if it fails."""
-    h = KClass.H(d)
-    cols = [line_multiplicities(conjugate(h ** j - 1))[1:] for j in range(1, d + 1)]
-    for j, col in enumerate(cols, 1):
-        if any(sum(k ** i * x for k, x in enumerate(col, 1)) != (-j) ** i
-               for i in range(1, d + 1)):
-            raise ArithmeticError(
-                f"the conjugate of H^{j} - 1 in K(CP^{d}) leaves the exponential lattice")
+    M = Q^-1 Q(-1) makes M dec the decomposition of flip(s), integral
+    whenever dec is.  Column j is the lattice decomposition of (-j)^i;
+    ArithmeticError if one leaves the lattice."""
+    cols = [_decompose([(-j) ** i for i in range(1, d + 1)]) for j in range(1, d + 1)]
+    if None in cols:
+        raise ArithmeticError(f"the conjugate of H^{cols.index(None) + 1} - 1 in K(CP^{d})"
+                              " leaves the exponential lattice")
     return tuple(zip(*cols))
 
 

@@ -14,7 +14,6 @@ from acscp.cli import (DIVISOR_TARGETS_M_MAX, main, _build_parser, _dumps,
                        _solutions_json)
 from acscp.homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, ACSSolution,
                             ConstraintViolated, HtpyCP)
-from acscp.ktheory import line_multiplicities, _chern
 from tests.admissible import cp4_pairs, cp6_triple
 
 # the flags of the admissible triple nearest (16, 11): (16, 11, 23) under the
@@ -182,12 +181,18 @@ CP6_ARGV = ("acs", "--dim", "6", "--m", "0", "--n", "0", "--q", "0")
 
 
 def perturb_conjugation(mp):
-    """Add 1 to the multiplicity of H in every class that homotopy expands
-    over the line bundles, so that the conjugation matrix fails its lattice
-    check at column 1.  _conjugation gets a fresh cache for the patch, which
+    """Make the lattice decomposition that homotopy reads refuse the power
+    sums (-1)^i of H^-1 - 1, so that column 1 of the conjugation matrix
+    leaves the lattice.  _conjugation gets a fresh cache for the patch, which
     the undo drops, so no perturbed matrix outlives it."""
-    mp.setattr(homotopy, "line_multiplicities",
-               lambda x: [m + (j == 1) for j, m in enumerate(line_multiplicities(x))])
+    decompose = homotopy._decompose
+
+    def refuse_the_unit_flip(sums):
+        if sums == [(-1) ** i for i in range(1, len(sums) + 1)]:
+            return None
+        return decompose(sums)
+
+    mp.setattr(homotopy, "_decompose", refuse_the_unit_flip)
     mp.setattr(homotopy, "_conjugation", cache(homotopy._conjugation.__wrapped__))
 
 
@@ -213,19 +218,22 @@ def test_acs_cross_check_failure_is_an_error(capsys, monkeypatch, argv, patch, m
 
 @pytest.mark.parametrize("argv", [CP4_ARGV, ("acs", "--dim", "6", *CP6_PARAMS)],
                          ids=["cp4", "cp6"])
-def test_acs_job_does_not_rerun_the_k_theory_route(capsys, monkeypatch, patch_model, argv):
+def test_acs_job_does_not_rerun_the_k_theory_route(capsys, patch_model, argv):
     # the Pontrjagin classes of a job are the polynomials derived at import,
-    # evaluated at its parameters; the Chern route they were derived on does
-    # not run again, even with every cache of homotopy empty
+    # evaluated at its parameters, and the conjugation matrix is a lattice
+    # decomposition: no code of acscp.ktheory runs, even with every cache of
+    # homotopy empty
     calls = []
 
-    def counted(d, coeffs):
-        calls.append(d)
-        return _chern(d, coeffs)
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == ktheory.__file__:
+            calls.append(frame.f_code.co_name)
 
-    monkeypatch.setattr(ktheory, "_chern", counted)
-    monkeypatch.setattr(homotopy, "_chern", counted)
-    code, doc, _ = run_json(capsys, *argv)
+    sys.setprofile(record)
+    try:
+        code, doc, _ = run_json(capsys, *argv)
+    finally:
+        sys.setprofile(None)
     assert code == 0 and doc["payload"]["solutions"]
     assert calls == []
 
