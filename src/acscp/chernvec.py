@@ -14,11 +14,12 @@ from the c_k by Newton's identities
 
 The integrality test is done in integers, as adj(Q) C == 0 (mod det Q), with
 the adjugate and determinant taken from one integer elimination of [Q | I]
-(exactmath.adjugate) once per d and cached.  Each row is
-tested with its gcd g with det Q divided out, as (row/g) C == 0 (mod det/g),
-which has the same quotient; for d = 6 the moduli drop from 24883200 to
-120, 48, 36, 48, 120, 720.  Every caller that decomposes a Chern vector
-(realizable and the searches in acscp.homotopy) goes through that one test.
+(exactmath.adjugate) once per d.  The one cached form of Q^-1, _q_rows(d),
+keeps each row with its gcd g with det Q divided out, as the pair
+(row/g, det/g): (row/g) C == 0 (mod det/g) has the same quotient, and for
+d = 6 the moduli drop from 24883200 to 120, 48, 36, 48, 120, 720.  Every
+reader of Q^-1 (realizable and its NotRealizable report, the searches and
+the symbolic CP^6 rows in acscp.homotopy) goes through that one table.
 
 The recursion is the single source of truth for C.  (A commonly transcribed
 closed form of the degree-6 power sum contains "- 2c_3^2 + 3c_3^2" where the
@@ -139,19 +140,12 @@ def power_sums_from_chern(chern):
 
 
 @lru_cache(maxsize=None)
-def _q_adjugate(d):
-    """(adjugate rows, determinant) of the d x d exponential-lattice matrix,
-    for fast integrality tests: Q^-1 s integral iff det | (adj @ s)."""
-    adj, det = adjugate(q_matrix(d))
-    return tuple(map(tuple, adj)), det
-
-
-@lru_cache(maxsize=None)
 def _q_rows(d):
-    """The pairs (row/g, det/g) for the rows of _q_adjugate(d), g the gcd of
-    the row and det: row . s == 0 (mod det) iff (row/g) . s == 0 (mod det/g),
-    and the quotients agree."""
-    adj, det = _q_adjugate(d)
+    """Q^-1 for the d x d exponential-lattice matrix, as one pair (row/g,
+    det/g) per row of adj(Q), g the gcd of the row and det = det Q: row i of
+    Q^-1 s is (row/g) . s / (det/g), and it is an integer iff
+    (row/g) . s == 0 (mod det/g)."""
+    adj, det = adjugate(q_matrix(d))
     out = []
     for row in adj:
         g = gcd(det, *row)
@@ -183,9 +177,8 @@ def realizable(chern):
     s = power_sums_from_chern(chern)
     dec = _decompose(s)
     if dec is None:
-        adj, det = _q_adjugate(len(s))
-        raise NotRealizable(chern, [Fraction(sum(a * x for a, x in zip(row, s)), det)
-                                    for row in adj])
+        raise NotRealizable(chern, [Fraction(sum(map(mul, row, s)), det)
+                                    for row, det in _q_rows(len(s))])
     return dec
 
 

@@ -4,7 +4,8 @@ Subcommands:
 
     realizable --dim D C1 ... CD     decompose a Chern vector, or reject it
     acs --dim D --m M --n N [--q Q]  decide/enumerate almost complex structures
-                                     (--q with --dim 6 only; --a-max A >= 1,
+                                     (--q with, and only with, --dim 6;
+                                     --a-max A >= 1,
                                      default 200, with --dim 4 and 6;
                                      --c-max C >= 1, default 200, with
                                      --dim 6 only; A <= 4000000 with --dim 4,
@@ -32,7 +33,8 @@ filled by one % format from one flat list of the ints, those beyond the
 itself applied to the solution dict with "%s" holes, so the layout has one
 writer.
 Exit codes: 0 ok, 1 failed internal checks, 2 constraint violations, 64
-usage errors, a window or --m-max above its limit among them.
+usage errors, a window or --m-max above its limit and a --q that --dim does
+not take, or lacks, among them.
 """
 
 import argparse
@@ -204,6 +206,8 @@ def _acs_window(args):
 def _cmd_acs(args):
     if args.q is not None and args.dim != 6:
         raise _UsageError(f"acs --dim {args.dim} takes no --q")
+    if args.q is None and args.dim == 6:
+        raise _UsageError("acs --dim 6 needs --q")
     window = _acs_window(args)
     X = validate_params(args.dim, args.m, args.n, args.q)
     payload = {"dim": args.dim, "params": {"m": X.m, "n": X.n}}

@@ -154,9 +154,10 @@ integer polynomial in (m, n), and with T = 2ka every C_i = T^i c_i is one
 too: C_1 = 2k a^2, C_2 = 2k^2 a^2 t_2, C_3 = T^3 c, C_4 = 2k^4 a^4 t_4,
 C_5 = 2k^4 a^4 t_5 and C_6 = 7 T^6, where t_2 = 2 c_2, t_4 = 8 c_4 and
 t_5 = 16ka c_5.  The power sum s_i has weighted degree i, so
-s_i(c) = s_i(C) / T^i, and row i of Q^-1 s is sum_j adj_ij s_j(C) T^(6-j)
-over det T^6, with adj and det the cached adjugate of acscp.chernvec.
-Each row is brought to lowest terms once, at the end.
+s_i(c) = s_i(C) / T^i, and row i of Q^-1 s is sum_j r_j s_j(C) T^(6-j)
+over det T^6, with (r, det) the reduced row i of _q_rows(6), the one cached
+form of Q^-1 in acscp.chernvec.  Each row is brought to lowest terms once,
+at the end.
 
 For d = 5 real K-theory has 2-torsion and the Chern-vector correspondence is
 unavailable; instead an explicit K-theory class with the right real
@@ -174,7 +175,7 @@ from functools import cache, lru_cache
 from math import gcd
 from operator import mul
 
-from .chernvec import _decompose, _q_adjugate, _q_rows, newton_power_sums
+from .chernvec import _decompose, _q_rows, newton_power_sums
 from .exactmath import (MPolyZ, NotDivisible, _require_int, _require_ints,
                         _var_index, divisors_signed, poly_variables)
 from .ktheory import (KClass, KOClass, UnsupportedDimension, real_reduce,
@@ -835,13 +836,12 @@ def _symbolic_cp6_rows(p2_m2_coefficient=None):
     k4a4 = 2 * k ** 4 * a ** 4
     sums = newton_power_sums([T * a, 2 * k * k * a * a * t2, T ** 3 * c,
                               k4a4 * t4, k4a4 * t5, 7 * T ** 6])
-    # s_j(c) = s_j(C) / T^j, so row i of Q^-1 s(c) is (adj_i . S) / (det T^6)
-    # with S_j = s_j(C) T^(6-j)
+    # s_j(c) = s_j(C) / T^j, so row i of Q^-1 s(c) is (row . S) / (det T^6)
+    # with S_j = s_j(C) T^(6-j), for (row, det) the reduced row i of Q^-1
     scaled = [s * T ** (6 - j) for j, s in enumerate(sums, 1)]
-    adj, det = _q_adjugate(6)
     rows = [_lowest_terms(sum((x * s for x, s in zip(row, scaled)), MPolyZ()),
                           det * (2 * k) ** 6, 6)
-            for row in adj]
+            for row, det in _q_rows(6)]
     return CP6Symbolic(rows[0][0].substitute(a=0),
                        tuple(num for num, _, _ in rows),
                        tuple((den, apow) for _, den, apow in rows))

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from acscp.chernvec import (NotRealizable, chern_from_multiplicities,
                             closed_form_w, moment_vector, newton_power_sums,
                             power_sums_from_chern, q_matrix, q_vector,
-                            realizable, w_matrix, _decompose, _q_adjugate,
-                            _q_rows)
+                            realizable, w_matrix, _decompose, _q_rows)
 from acscp.cohomology import exp_series
-from acscp.exactmath import MPolyZ, det_exact, poly_variables, solve_exact
+from acscp.exactmath import (MPolyZ, adjugate, det_exact, poly_variables,
+                             solve_exact)
 from acscp.ktheory import KClass, chern_character
 
 
@@ -215,7 +215,7 @@ def test_newton_power_sums_commute_with_the_sign_flip(v):
 
 def _decompose_unreduced(sums):
     """adj(Q) s / det Q with the full determinant on every row, a reference."""
-    adj, det = _q_adjugate(len(sums))
+    adj, det = adjugate(q_matrix(len(sums)))
     out = []
     for row in adj:
         x, r = divmod(sum(a * s for a, s in zip(row, sums)), det)
@@ -227,7 +227,7 @@ def _decompose_unreduced(sums):
 
 def test_q_rows_are_the_adjugate_rows_over_their_gcd():
     for d in range(1, 9):
-        adj, det = _q_adjugate(d)
+        adj, det = adjugate(q_matrix(d))
         for (row, mod), full in zip(_q_rows(d), adj):
             g = det // mod
             assert mod * g == det and [x * g for x in row] == list(full)

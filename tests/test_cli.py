@@ -311,9 +311,15 @@ def test_acs_constraint_violation_names_the_value(capsys, argv, value):
 
 
 def test_acs_missing_q(capsys):
-    code, doc, _ = run_json(capsys, "acs", "--dim", "6", "--m", "0", "--n", "0")
-    assert code == 2
-    assert doc["status"] == "violation"
+    # exited 2 with a "violation" payload on stdout; now a usage error, the
+    # mirror of a --q that --dim 4 or 5 does not take, window flag or not
+    for window in ((), ("--a-max", "5")):
+        code, out, err = run(capsys, "acs", "--dim", "6", "--m", "0", "--n", "0", *window)
+        assert code == 64 and out == ""
+        assert "acs --dim 6 needs --q" in err
+    # the library still reports the missing parameter as a constraint violation
+    with pytest.raises(ConstraintViolated, match="d=6 needs a third parameter q"):
+        HtpyCP(6, 0, 0)
 
 
 def test_verify_suite(capsys):

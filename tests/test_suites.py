@@ -5,7 +5,7 @@ import pytest
 
 import acscp.suites
 from acscp import exactmath, homotopy
-from acscp.chernvec import _q_adjugate
+from acscp.chernvec import _q_rows
 from acscp.cli import main
 from acscp.suites import SUITES, Check, _every, _expect, run_suite
 
@@ -97,7 +97,7 @@ def test_basis_decomposition_eliminates_each_w_once(monkeypatch):
     # W(d) for d = 1..8 is eliminated once as [W | I] for its adjugate, and
     # once more on its own by the w-determinant check
     for d in range(1, 9):
-        _q_adjugate(d)
+        _q_rows(d)
     shapes = []
     eliminate = exactmath._eliminate
 
