@@ -479,24 +479,37 @@ class MPolyZ:
 
     Terms are a dict mapping exponent 5-tuples to nonzero integers.  Unused
     variables simply carry exponent zero, so every polynomial lives in the
-    same ring and arithmetic never needs variable reconciliation.
+    same ring and arithmetic never needs variable reconciliation.  This
+    layout is private to exactmath: every other module reads a polynomial
+    through the methods below.
 
-    __init__ drops zero coefficients.  A result that cannot hold one
-    (negation, a nonzero scalar multiple, divexact, divide_by_variable) is
-    built by _build, without that filter.
+    __init__ checks the layout it is given: ValueError for a key that is not
+    a tuple of five powers or that has a negative power, TypeError (the
+    integer rule of _require_int) for a power or a coefficient that is not
+    an int, and zero coefficients are dropped.  Every ring result is built
+    by _build, which drops zeros and checks nothing.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        checked = {}
+        for e, c in (terms or {}).items():
+            if type(e) is not tuple or len(e) != _NVARS:
+                raise ValueError(f"an exponent must be a tuple of {_NVARS} powers, got {e!r}")
+            for k in e:
+                if _require_int("a power", k) < 0:
+                    raise ValueError(f"negative power {k} in the exponent {e!r}")
+            if _require_int("a coefficient", c):
+                checked[e] = c
+        self.terms = checked
 
     @classmethod
     def _build(cls, terms):
-        """The polynomial with this dict of terms, taken as it is: every
-        coefficient must already be nonzero."""
+        """The polynomial with this dict of terms, its zero coefficients
+        dropped and nothing checked: the constructor of every ring result."""
         self = object.__new__(cls)
-        self.terms = terms
+        self.terms = {e: c for e, c in terms.items() if c}
         return self
 
     @classmethod
@@ -506,7 +519,7 @@ class MPolyZ:
     @classmethod
     def const(cls, k):
         """The constant k; TypeError unless k is an int (a bool is refused)."""
-        return cls({_ZERO_EXP: _require_int("the constant", k)})
+        return cls._build({_ZERO_EXP: _require_int("the constant", k)})
 
     @classmethod
     def var(cls, name, power=1, coeff=1):
@@ -514,8 +527,7 @@ class MPolyZ:
         bool is refused), ValueError for a negative power."""
         e = [0] * _NVARS
         e[_power_index(name, power)] = power
-        _require_int("the coefficient", coeff)
-        return cls({tuple(e): coeff})
+        return cls._build({tuple(e): _require_int("the coefficient", coeff)})
 
     def is_zero(self):
         return not self.terms
@@ -531,7 +543,7 @@ class MPolyZ:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MPolyZ(out)
+        return MPolyZ._build(out)
 
     __radd__ = __add__
 
@@ -558,7 +570,7 @@ class MPolyZ:
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return MPolyZ(out)
+        return MPolyZ._build(out)
 
     __rmul__ = __mul__
 
@@ -567,7 +579,7 @@ class MPolyZ:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = MPolyZ({_ZERO_EXP: other})
+            other = MPolyZ._build({_ZERO_EXP: other})
         return isinstance(other, MPolyZ) and self.terms == other.terms
 
     def substitute(self, **values):
@@ -581,7 +593,7 @@ class MPolyZ:
                 coeff = c * value ** e[idx]
                 enew = e[:idx] + (0,) + e[idx + 1:]
                 acc[enew] = acc.get(enew, 0) + coeff
-            out = MPolyZ(acc)
+            out = MPolyZ._build(acc)
         return out
 
     def evaluate(self, **values):
@@ -636,7 +648,7 @@ class MPolyZ:
                 e = tuple((ei - 1) % (p - 1) + 1 if (i in fold and ei > 0) else ei
                           for i, ei in enumerate(e))
             out[e] = (out.get(e, 0) + c) % p
-        return MPolyZ(out)
+        return MPolyZ._build(out)
 
     def content(self):
         """gcd of the absolute coefficients (0 for the zero polynomial)."""
@@ -661,8 +673,8 @@ class MPolyZ:
         if _require_int("the divisor k", k) == 0:
             raise ZeroDivisionError("division by zero")
         pairs = {e: divmod(c, k) for e, c in self.terms.items()}
-        return (MPolyZ({e: q for e, (q, _) in pairs.items()}),
-                MPolyZ({e: r for e, (_, r) in pairs.items()}))
+        return (MPolyZ._build({e: q for e, (q, _) in pairs.items()}),
+                MPolyZ._build({e: r for e, (_, r) in pairs.items()}))
 
     def coefficient(self, **exps):
         """Coefficient of the monomial with the given exponents (others

@@ -22,22 +22,26 @@ ktheory._pontrjagin run on polynomials.  The constraints are the MPolyZ
 constants CP4_CONSTRAINT and CP6_CONSTRAINT, each bound once and read when
 called.
 
-The model is derived once per process, and every per-manifold value is an
-evaluation of it: HtpyCP evaluates the constraint, pontrjagin_of_X
+The model is derived once per process, and every per-manifold value is
+an evaluation of it: HtpyCP evaluates the constraint, pontrjagin_of_X
 evaluates the Pontrjagin polynomials at the parameters of X, and each
-divisor target evaluates a polynomial derived once from the model.  Every
-reader of a constraint other than HtpyCP takes it split in the last
-parameter v (n for d = 4, q for d = 6) as k v + C, k a nonzero int, by the
-one checked split _linear_in: mod31_table, the divisor-targets table of the
-cli, the d = 4 target and the symbolic pipeline.  The d = 6 divisor target
-is F / 155 with F the a-free part of the first row of the symbolic
-pipeline, which a process derives once per argument, as the record
-CP6Symbolic(f, numerators, denominators) (_symbolic_cp6_rows).  The d = 4
-target is the a-free part of the c_3 numerator, with n eliminated through
-CP4_CONSTRAINT (_cp4_target).  These two are the caches that read the
-model.  Both eliminations, of n there and of q from p_3 in the pipeline,
-are one step, _on_constraint.  The d = 5 structure lives once too, as
-_cp5_e.
+divisor target evaluates a polynomial derived once from the model.
+Every reader of a constraint other than HtpyCP takes it split in the
+last parameter v (n for d = 4, q for d = 6) as k v + C, k a nonzero int,
+by the one checked split _linear_in: mod31_table, the divisor-targets
+table of the cli, the d = 4 target and the symbolic pipeline;
+mod31_table splits each of its per-m lines in n by it too.  The d = 6
+divisor target is F / 155 with F the a-free part of the first row of the
+symbolic pipeline, which a process derives once per argument, as the
+record CP6Symbolic(f, numerators, denominators) (_symbolic_cp6_rows).
+The d = 4 target is the a-free part of the c_3 numerator, with n
+eliminated through CP4_CONSTRAINT: a pair (k, N), N in Z[m]
+(_cp4_target), and divisor_target_cp4 is N(m) / k, N read by
+MPolyZ.evaluate.  These two are the caches that read the model, and this
+module reads a model polynomial only through the methods of MPolyZ and
+_linear_in, never its terms.  Both eliminations, of n there and of q
+from p_3 in the pipeline, are one step, _on_constraint.  The d = 5
+structure lives once too, as _cp5_e.
 
 For d = 4 and 6 an almost complex structure is the same thing as an integer
 Chern vector (c_1, ..., c_d) with c_d = d + 1 whose even combinations match
@@ -177,7 +181,7 @@ from operator import mul
 
 from .chernvec import _decompose, _q_rows, newton_power_sums
 from .exactmath import (MPolyZ, NotDivisible, _require_int, _require_ints,
-                        _var_index, divisors_signed, poly_variables)
+                        divisors_signed, poly_variables)
 from .ktheory import (KClass, KOClass, UnsupportedDimension, real_reduce,
                       total_chern, _chern, _ko_width, _pontrjagin)
 
@@ -220,8 +224,7 @@ def _linear_in(poly, var):
     one split of a model polynomial in its last parameter.  ArithmeticError
     naming var when poly is not of that form."""
     k, free = poly.coefficient(**{var: 1}), poly.substitute(**{var: 0})
-    # free keeps the terms of poly without var: k var must be the one other term
-    if not k or len(poly.terms) != len(free.terms) + 1:
+    if not k or poly - free != MPolyZ.var(var, coeff=k):
         raise ArithmeticError(f"{poly} is not linear in {var} with a nonzero constant coefficient")
     return k, free
 
@@ -421,39 +424,29 @@ def _signed_odds(n):
 
 @cache
 def _cp4_target():
-    """(coeffs, k): the d = 4 divisor target is (sum coeffs[i] m^(e - i))/k,
-    e = len(coeffs) - 1, derived from CP4_PONTRJAGIN and CP4_CONSTRAINT.
+    """(k, N): the d = 4 divisor target is N(m) / k, with N in Z[m],
+    derived from CP4_PONTRJAGIN and CP4_CONSTRAINT.
 
     4 num_3 = 40 + (a^2 - p_1)^2 - 4 p_2 (see _complete_cp4) has the a-free
     part G = 40 + p_1^2 - 4 p_2 = g n + G_0(m), and on the constraint
-    k n + C(m) = 0 that is (k G_0 - g C)/k (_on_constraint), n eliminated by
-    exact division through k.  ArithmeticError when G or the constraint is
-    not linear in n, or the result is not a polynomial in m alone."""
+    k n + C(m) = 0 that is N / k with N = k G_0 - g C (_on_constraint).
+    _linear_in leaves G_0 and C free of n, so N is a polynomial in m alone.
+    ArithmeticError when G or the constraint is not linear in n."""
     p1, p2 = CP4_PONTRJAGIN
-    (k, num), coeffs = _on_constraint(40 + p1 * p1 - 4 * p2, CP4_CONSTRAINT, "n"), []
-    try:
-        while num:
-            coeffs.append(num.coefficient())
-            num = (num - coeffs[-1]).divide_by_variable("m")
-    except NotDivisible:
-        raise ArithmeticError("the d = 4 divisor target is not a polynomial in m") from None
-    return tuple(reversed(coeffs)), k
+    return _on_constraint(40 + p1 * p1 - 4 * p2, CP4_CONSTRAINT, "n")
 
 
 def divisor_target_cp4(m):
     """The integer whose divisors are the admissible c_1 coefficients,
-    derived from the model (see _cp4_target); under the current
-    CP4_CONSTRAINT and CP4_PONTRJAGIN it is 25 + (3/7)(576 m^2 + 240 m).
-    TypeError unless m is an int (not a bool), ArithmeticError when it is
-    not integral at m."""
-    _require_int("m", m)
-    coeffs, k = _cp4_target()
-    num = 0
-    for x in coeffs:
-        num = num * m + x
-    if num % k:
+    N(m) / k with (k, N) = _cp4_target(), N evaluated by MPolyZ.evaluate;
+    under the current CP4_CONSTRAINT and CP4_PONTRJAGIN it is
+    25 + (3/7)(576 m^2 + 240 m).  TypeError unless m is an int (not a
+    bool), ArithmeticError when it is not integral at m."""
+    k, num = _cp4_target()
+    target, rest = divmod(num.evaluate(m=m), k)
+    if rest:
         raise ArithmeticError(f"the d = 4 divisor target is not integral at m={m}")
-    return num // k
+    return target
 
 
 def _cp4_solutions(p, ks):
@@ -702,21 +695,22 @@ def mod31_table():
     """All residue pairs (m, n) mod 31 allowed by the d = 6 constraint.
 
     The constraint is k q + C(m, n) (_linear_in), and k = 1488 is 0 mod 31,
-    so each m is substituted once into C, which is linear in n, and the 31
-    values of n are tested in integers.  Exactly one n for every m except
-    m = 15, which admits none.  ArithmeticError when 31 does not divide k or
-    C is not linear in n.
+    so each m = 0..30 is substituted once into C, the line is split as
+    k1 n + k0 by _linear_in, and the 31 values of n are tested in integers.
+    Exactly one n for every m except m = 15, which admits none.
+    ArithmeticError when 31 does not divide k, or when a line is not linear
+    in n: that split also refuses a model whose n coefficient vanishes at
+    some m in 0..30, which cannot happen under the n coefficient 1152 - 672m
+    (or 1044 - 672m).
     """
     k, q_free = _linear_in(CP6_CONSTRAINT, "q")
     if k % 31:
         raise ArithmeticError(
             f"the mod-31 table needs 31 | {k}, the q coefficient of {CP6_CONSTRAINT}")
-    if any(e[_var_index("n")] > 1 for e in q_free.terms):
-        raise ArithmeticError(f"{q_free} is not linear in n")
     out = []
     for m in range(31):
-        line = q_free.substitute(m=m)
-        k0, k1 = line.coefficient(), line.coefficient(n=1)
+        k1, line = _linear_in(q_free.substitute(m=m), "n")
+        k0 = line.evaluate()
         out += [(m, n) for n in range(31) if (k0 + k1 * n) % 31 == 0]
     return out
 
@@ -793,17 +787,16 @@ class CP6Symbolic(namedtuple("CP6Symbolic", "f numerators denominators")):
 
 
 def _lowest_terms(num, den, apow):
-    """num / (den * a^apow) in lowest terms: the gcd of the content of num
-    and den is cancelled, then, in one pass over the terms, the largest
-    power of a, at most a^apow, that divides num.  The form is unique, so
-    equal fractions give equal (num, den, apow)."""
+    """num / (den * a^apow), den > 0, in lowest terms: the gcd of the
+    content of num and den is cancelled, then a is divided out of num while
+    it divides num and apow > 0.  The form is unique, so equal fractions
+    give equal (num, den, apow), and a zero num gives (0, 1, 0)."""
     g = gcd(num.content(), den)
     if g > 1:
         num, den = num.divexact(g), den // g
-    k = min(apow, *(e[0] for e in num.terms))
-    if k:
-        num = MPolyZ({(e[0] - k,) + e[1:]: coeff for e, coeff in num.terms.items()})
-    return num, den, apow - k
+    while apow and num.divisible_by_variable("a"):
+        num, apow = num.divide_by_variable("a"), apow - 1
+    return num, den, apow
 
 
 @cache
@@ -849,11 +842,11 @@ def _symbolic_cp6_rows(p2_m2_coefficient=None):
 
 def _multiple_of(g, f):
     """The integer k for which g - k f is divisible by a, i.e. the a-free
-    part of g is k f, for a nonzero a-free MPolyZ f; None when there is no
-    such k."""
-    e, lead = next(iter(f.terms.items()))
-    k, r = divmod(g.terms.get(e, 0), lead)
-    return k if not r and (g - k * f).divisible_by_variable("a") else None
+    part g0 of g is k f, for a nonzero a-free MPolyZ f; None when there is
+    no such k.  |k| is the content of g0 over that of f."""
+    g0 = g.substitute(a=0)
+    k = g0.content() // f.content()
+    return next((s for s in (k, -k) if g0 == s * f), None)
 
 
 def symbolic_cp6_numerators():

@@ -43,6 +43,8 @@ BOUNDARIES = {
     "elem_sym-value": (RATIONAL, lambda x: elem_sym([x, 2], 1)),
     "divisors_signed": (INT, divisors_signed),
     "const": (INT, MPolyZ.const),
+    "MPolyZ-coefficient": (INT, lambda x: MPolyZ({(0, 0, 1, 0, 0): x})),
+    "MPolyZ-power": (INT, lambda x: MPolyZ({(0, 0, x, 0, 0): 1})),
     "var-power": (INT, lambda x: MPolyZ.var("m", x)),
     "var-coeff": (INT, lambda x: MPolyZ.var("m", 1, x)),
     "evaluate": (INT, lambda x: F.evaluate(m=x, n=0)),
@@ -172,6 +174,21 @@ def test_mpolyz_refuses_a_negative_exponent():
         with pytest.raises(ValueError, match="negative power -1 of m"):
             call()
     assert F.coefficient(m=2) == 4 and F.coefficient(m=0) == F.coefficient() == 0
+
+
+@pytest.mark.parametrize("terms, match", [
+    ({(1,): 2}, "an exponent must be a tuple of 5 powers, got (1,)"),
+    ({(0, 0, 1, 0, 0, 0): 2}, "an exponent must be a tuple of 5 powers, got (0, 0, 1, 0, 0, 0)"),
+    ({"m": 2}, "an exponent must be a tuple of 5 powers, got 'm'"),
+    ({(-1, 0, 0, 0, 0): 3}, "negative power -1 in the exponent (-1, 0, 0, 0, 0)"),
+    ({(0, 0, 2, 0, 0): 1, (0, 0, 0, -2, 0): 1}, "negative power -2 in the exponent (0, 0, 0, -2, 0)"),
+], ids=["short-tuple", "long-tuple", "not-a-tuple", "negative-power", "negative-power-later"])
+def test_mpolyz_refuses_an_exponent_off_the_layout(terms, match):
+    # MPolyZ({(1,): 2}) printed 2*a, and its product with a was cut short by
+    # zip; MPolyZ({(-1, 0, 0, 0, 0): 3}) printed 3*a and evaluated to 1.5 at a = 2
+    with pytest.raises(ValueError, match=re.escape(match)):
+        MPolyZ(terms)
+    assert MPolyZ({(1, 0, 0, 0, 0): 3, (0, 0, 0, 0, 0): 0}) == MPolyZ.var("a", 1, 3)
 
 
 @pytest.mark.parametrize("call", [

@@ -526,9 +526,47 @@ def test_a_d6_constraint_off_its_split_is_refused(patch_model, term, call, match
 def test_the_split_needs_a_nonzero_constant_coefficient():
     m, n = MPolyZ.var("m"), MPolyZ.var("n")
     assert homotopy._linear_in(CP4_CONSTRAINT, "n") == (-28, 4 * m * m - 10 * m)
-    for poly in (4 * m * m - 10 * m, m * n + n, n * n + n):
+    for poly in (4 * m * m - 10 * m, m * n + n, n * n + n, 2 * m * n):
         with pytest.raises(ArithmeticError, match="not linear in n"):
             homotopy._linear_in(poly, "n")
+
+
+def test_mod31_table_refuses_an_n_coefficient_that_vanishes(patch_model):
+    # without its constant part the n coefficient is -672m, which vanishes at
+    # m = 0, where the line is the constant 0 and every n would pass; the
+    # per-m split refuses the line
+    k = CP6_CONSTRAINT.coefficient(n=1)
+    patch_model("CP6_CONSTRAINT", CP6_CONSTRAINT - MPolyZ.var("n", 1, k))
+    with pytest.raises(ArithmeticError, match="not linear in n"):
+        mod31_table()
+
+
+def test_lowest_terms_on_hand_built_fractions():
+    a, c, m = MPolyZ.var("a"), MPolyZ.var("c"), MPolyZ.var("m")
+    lowest = homotopy._lowest_terms
+    assert lowest(MPolyZ(), 6, 3) == (0, 1, 0) == lowest(MPolyZ(), 1, 2)
+    # a-valuation 3 above apow = 2: a^2 is cancelled, the content 2 with den
+    assert lowest(6 * a ** 3 * m + 4 * a ** 4, 10, 2) == (3 * a * m + 2 * a * a, 5, 0)
+    # a-valuation 1 below apow = 3
+    assert lowest(a * m + a * a * c, 1, 3) == (m + a * c, 1, 2)
+    # a content 3 shared with den, no a to cancel
+    assert lowest(6 * m + 9, 12, 1) == (2 * m + 3, 4, 1)
+    # equal fractions, equal triples
+    assert lowest(2 * a * m + 6 * a, 4, 2) == lowest(m + 3, 2, 1) == (m + 3, 2, 1)
+    assert lowest(-5 * a * a * c, 15, 2) == lowest(-c, 3, 0) == (-c, 3, 0)
+
+
+def test_multiple_of_on_hand_built_polynomials():
+    a, c, m, n = MPolyZ.var("a"), MPolyZ.var("c"), MPolyZ.var("m"), MPolyZ.var("n")
+    f = 2 * m + 4 * n
+    multiple = homotopy._multiple_of
+    assert multiple(-3 * f + a * c, f) == -3
+    assert multiple(5 * f + a * a * m, f) == 5
+    assert multiple(a * m + 7 * a * c, f) == 0
+    assert multiple(MPolyZ(), f) == 0
+    # 3m + 6n = (3/2) f, and m + 4n, -m - 4n have the content of f but are not +-f
+    for g in (3 * m + 6 * n, m + 2 * n + a, 2 * m - 4 * n, 4 * m + 8 * n + 1):
+        assert multiple(g, f) is None
 
 
 def test_divisor_target_cp4():

@@ -5,7 +5,8 @@ A private function, class or constant that only its own definition and the
 tests mention is dead code kept alive by a test import; this test fails on
 it, so such a helper is deleted or put back to use.  An import that nothing
 reads is what a refactor leaves behind; __init__ is exempt, since its
-imports are the public re-exports.
+imports are the public re-exports.  And MPolyZ's term layout, a dict from
+exponent 5-tuples to ints, is read in exactmath alone.
 """
 
 import ast
@@ -86,3 +87,29 @@ def test_every_imported_name_is_read():
         unread += [f"{path.stem}:{line} {name}" for name, line in _imported(tree)
                    if name not in read]
     assert unread == []
+
+
+# the names of MPolyZ's term layout besides its dict, .terms: the helpers
+# that index a variable in an exponent tuple or build one
+LAYOUT_NAMES = {"_var_index", "_NVARS", "_ZERO_EXP"}
+
+
+def _layout_reads(tree):
+    """(line, name) for each read of .terms and each mention of a name in
+    LAYOUT_NAMES under tree, an import included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES | {"terms"}:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Name) and node.id in LAYOUT_NAMES:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.alias) and node.name in LAYOUT_NAMES:
+            yield node.lineno, node.name
+
+
+def test_only_exactmath_reads_the_term_layout_of_mpolyz():
+    # every other module reads a polynomial through MPolyZ's methods, so a
+    # change of how MPolyZ stores its terms is a change to exactmath alone
+    readers = [f"{path.stem}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+               if path.stem != "exactmath"
+               for line, name in _layout_reads(ast.parse(path.read_text()))]
+    assert readers == []
