@@ -20,7 +20,12 @@ CP4_PONTRJAGIN and CP6_PONTRJAGIN (p_1, ..., p_(d/2) of T with n and q
 free) are derived from it at import, by the integer K-theory route of
 ktheory._pontrjagin run on polynomials.  The constraints are the MPolyZ
 constants CP4_CONSTRAINT and CP6_CONSTRAINT, each bound once and read when
-called.
+called.  The d = 4 constraint is derived at import too: it is the
+numerator of (L_2 - 1)/8, the surgery obstruction (sigma - 1)/8 with the
+signature sigma = L_2(p_1, p_2) (_signature_condition, on the Newton pair
+of acscp.chernvec and acscp.cohomology).  The d = 6 constraint is still
+the literal above, with 1152n where the numerator of (L_3 - 1)/8 has
+1044n.
 
 The model is derived once per process, and every per-manifold value is
 an evaluation of it: HtpyCP evaluates the constraint, pontrjagin_of_X
@@ -175,11 +180,13 @@ its parameters in __new__, which _make, _replace, copy and pickle all reach.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .chernvec import _decompose, _q_rows, newton_power_sums
+from .cohomology import _elementary_from_power_sums
 from .exactmath import (MPolyZ, NotDivisible, _require_int, _require_ints,
                         divisors_signed, poly_variables)
 from .ktheory import (KClass, KOClass, UnsupportedDimension, real_reduce,
@@ -211,8 +218,35 @@ def _tangent_coeffs(d, m, n, q=0):
 
 _, _, _m, _n, _q = poly_variables()
 
-CP4_CONSTRAINT = 4 * _m ** 2 - 10 * _m - 28 * _n
+# log(sqrt(x)/tanh(sqrt(x))) = sum_j a_j x^j, the log of the characteristic
+# series of L, with a_j = 2^(2j) (2^(2j) - 2) B_(2j) / (2j (2j)!)
+_L_LOG = (Fraction(1, 3), Fraction(-7, 90), Fraction(62, 2835))
+
+
+def _signature_condition(pontrjagin):
+    """The numerator of (L_k - 1)/8 in lowest terms, k = len(pontrjagin),
+    the surgery obstruction (sigma - 1)/8 of a homotopy CP^(2k) with these
+    Pontrjagin classes, which vanishes on the model.
+
+    L = exp(sum_j a_j s_j), s_j the power sums of the Pontrjagin roots
+    (newton_power_sums), and the series exp(sum_j b_j t^j) has the
+    elementary classes of the power sums (-1)^(j-1) j b_j
+    (_elementary_from_power_sums).  With D the lcm of the denominators of
+    _L_LOG those sums, scaled by D^j, are integral and e_k = D^k L_k.
+    UnsupportedDimension unless 1 <= k <= 3.
+    """
+    k = len(pontrjagin)
+    if not 0 < k <= len(_L_LOG):
+        raise UnsupportedDimension(f"the signature condition needs 1 to 3 Pontrjagin classes, not {k}")
+    D = lcm(*(a.denominator for a in _L_LOG))
+    sums = [s * int((-1) ** (j - 1) * j * a * D ** j)
+            for j, (a, s) in enumerate(zip(_L_LOG, newton_power_sums(pontrjagin)), 1)]
+    N = _elementary_from_power_sums(sums)[-1] - D ** k
+    return N.divexact(gcd(N.content(), 8 * D ** k))
+
+
 CP4_PONTRJAGIN = _pontrjagin(4, _tangent_coeffs(4, _m, _n))
+CP4_CONSTRAINT = _signature_condition(CP4_PONTRJAGIN)
 
 CP6_CONSTRAINT = (32 * _m ** 3 - 252 * _m ** 2 + 301 * _m - 672 * _m * _n
                   + 1152 * _n + 1488 * _q)

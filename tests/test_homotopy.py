@@ -28,7 +28,8 @@ from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP4_WINDOW_MAX,
                             _complete_cp4, _complete_head, _complete_tail,
                             _conjugation, _cp4_solutions, _criterion_set_cp6,
                             _direct_set_cp6, _odd_classes, _odd_square_roots,
-                            _row_quotients, _signed_odds, _symbolic_cp6_rows)
+                            _row_quotients, _signature_condition,
+                            _signed_odds, _symbolic_cp6_rows)
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension, conjugate,
                            line_multiplicities, pontrjagin_total, total_chern)
 from tests.admissible import cp4_pair, cp4_pairs, cp6_triple, cp6_triples
@@ -363,6 +364,33 @@ def test_1044_constraint_is_the_signature_condition(model_1044):
     "items 1-3"))
 def test_cp6_constraint_is_the_signature_condition():
     assert signature_numerator(CP6_PONTRJAGIN) == CP6_CONSTRAINT
+
+
+def test_signature_route_on_generic_classes_is_l_minus_its_denominator():
+    # (L_k - 1)/8 = (D L_k - D)/(8 D) with content(D L_k - D) prime to 8 D
+    # here, so the numerator is D L_k - D, the L_POLYNOMIALS entry
+    classes = ((_m,), (_m, _n), (_m, _n, _q))
+    assert ([_signature_condition(p) for p in classes]
+            == [_m - 3, 7 * _n - _m ** 2 - 45, 2 * _m ** 3 - 13 * _m * _n + 62 * _q - 945]
+            == [numerator(*p) - den for p, (den, numerator) in zip(classes, L_POLYNOMIALS)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_signature_route_vanishes_on_the_standard_cp2k(k):
+    # p(CP^(2k)) = (1 + u^2)^(2k + 1), and the signature of CP^(2k) is 1
+    assert _signature_condition(tuple(MPolyZ.const(comb(2 * k + 1, i))
+                                      for i in range(1, k + 1))) == 0
+
+
+def test_signature_route_refuses_four_pontrjagin_classes():
+    # a fourth class has no a_4 in _L_LOG; it is refused, not truncated
+    with pytest.raises(UnsupportedDimension):
+        _signature_condition((_m,) * 4)
+
+
+def test_signature_route_matches_the_reference_on_the_cp6_classes():
+    # reads no CP6_CONSTRAINT, so it holds under the 1044 model too
+    assert _signature_condition(CP6_PONTRJAGIN) == signature_numerator(CP6_PONTRJAGIN)
 
 
 # Hirzebruch's chi_y genus from the Chern side: with the characteristic
@@ -1223,7 +1251,7 @@ def test_symbolic_first_numerator_regression():
 
 def test_symbolic_f_is_a_free_part_and_multiples():
     sym = symbolic_cp6_numerators()
-    assert all(e[0] == 0 for e in sym.f.terms)
+    assert sym.f == sym.f.substitute(a=0)
     for f_i, k in zip(sym.numerators, CP6_F_MULTIPLES):
         assert (f_i - k * sym.f).divisible_by_variable("a")
     assert [homotopy._multiple_of(f_i, sym.f)
@@ -1372,7 +1400,7 @@ def test_slip_reproduces_transcribed_numerator_exactly():
     _, nums, dens = _symbolic_cp6_rows(p2_m2_coefficient=228)
     assert nums[0] == MPolyZ(DISPLAY_F1)
     assert dens == ((2976, 1), (23808, 1), (2976, 1), (23808, 1), (3720, 1), (23808, 1))
-    f = MPolyZ({e: co for e, co in nums[0].terms.items() if e[0] == 0})
+    f = nums[0].substitute(a=0)
     g3 = (nums[2] - 3 * f).divide_by_variable("a")
     assert g3.reduce_mod(3, fermat_vars=("a",)) == MPolyZ.var("m", 2)
 
