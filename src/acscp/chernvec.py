@@ -56,7 +56,7 @@ def w_matrix(d):
 
     Column j holds the coefficient sequence of q_j against the basis
     1, u, u^2/2, ..., u^d/d!.  det = 1! * 2! * ... * d!.  Raises TypeError
-    unless d is an int and ValueError for d < 1.
+    unless d is an int and ValueError for d < 1 or d > DEGREE_MAX (32).
     """
     _check_degree(d)
     return [[j ** i for j in range(d + 1)] for i in range(d + 1)]
@@ -88,7 +88,8 @@ def closed_form_w(m, d):
     non-integral entry (which the identity rules out) would still show.  The
     signed binomials come from a table cached per d, and the products
     leaving out one factor from prefix and suffix products of the m - j.
-    Raises TypeError unless m and d are ints, and ValueError for d < 1.
+    Raises TypeError unless m and d are ints, and ValueError for d < 1
+    or d > DEGREE_MAX (32).
     """
     _require_int("m", m)
     _check_degree(d)
@@ -134,9 +135,14 @@ def newton_power_sums(cs):
 def power_sums_from_chern(chern):
     """Integer power sums i!*ch_(2i) of a class with the given Chern vector.
 
-    Raises TypeError unless every entry is an int (a bool is refused too).
+    Raises TypeError unless every entry is an int (a bool is refused too),
+    and ValueError when a non-empty vector breaks the degree rule of
+    exactmath._check_degree for its length.
     """
-    return newton_power_sums(_require_ints("each Chern coefficient", chern))
+    chern = _require_ints("each Chern coefficient", chern)
+    if chern:
+        _check_degree(len(chern))
+    return newton_power_sums(chern)
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +176,9 @@ def realizable(chern):
 
     Returns the integer multiplicity tuple (a_1, ..., a_d) with Q a = C;
     raises NotRealizable when the exact solution is non-integral, ValueError
-    for an empty vector and TypeError for a non-integer entry.
+    for an empty vector or one longer than exactmath.DEGREE_MAX (checked by
+    power_sums_from_chern before any elimination), and TypeError for a
+    non-integer entry.
     """
     if len(chern) == 0:
         raise ValueError("a Chern vector needs at least one coefficient")
@@ -186,7 +194,10 @@ def chern_from_multiplicities(mults):
     """Chern vector of sum_k a_k (H^k - 1): coefficients of prod (1+k*u)^(a_k).
 
     Raises TypeError unless every multiplicity is an int (a bool is refused
-    too).
+    too), and ValueError when a non-empty vector breaks the degree rule of
+    exactmath._check_degree for its length.
     """
     mults = _require_ints("each multiplicity", mults)
+    if mults:
+        _check_degree(len(mults))
     return tuple(_line_product(mults, len(mults))[1:])

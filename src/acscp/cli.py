@@ -17,6 +17,11 @@ Subcommands:
                                      500000, default 34, --dim 4]; only
                                      divisor-targets takes --m-max)
 
+Each table's rows come from its one library builder (mod31_table and
+divisor_target_table of acscp.homotopy, pontrjagin_omega_table of
+acscp.ktheory), the same rows verify checks where a golden file exists;
+_table_rows adds only the usage checks and the column names.
+
 The parser is built once per process, so repeated in-process calls of main
 pay for it once.  Output is deterministic pretty-printed JSON on stdout,
 written from the raw payload by _dumps, in the bytes
@@ -43,20 +48,17 @@ import sys
 import time
 from functools import cache
 
-from . import homotopy
 from .chernvec import NotRealizable, realizable
-from .homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, ConstraintViolated,
-                       ZeroFirstChern, acs_search_cp4, acs_search_cp6,
-                       cp5_structure, cp6_exists, divisor_target_cp4,
-                       mod31_table, validate_params)
-from .ktheory import KOClass, pontrjagin_total
+from .homotopy import (CP4_WINDOW_MAX, CP6_WINDOW_AREA_MAX, DIVISOR_TARGETS_M_MAX,
+                       ConstraintViolated, ZeroFirstChern, acs_search_cp4,
+                       acs_search_cp6, cp5_structure, cp6_exists,
+                       divisor_target_cp4, divisor_target_table, mod31_table,
+                       validate_params)
+from .ktheory import pontrjagin_omega_table
 from .suites import SUITES, run_suite
 
 USAGE_ERROR = 64
 _SAFE = 1 << 53
-
-# the largest --m-max of table divisor-targets: 142857 rows, about a second
-DIVISOR_TARGETS_M_MAX = 500_000
 
 
 _EXIT_CODES = {"ok": 0, "violation": 2, "error": 1}
@@ -259,16 +261,11 @@ def _table_rows(args):
     if args.table == "mod31":
         if dim != 6:
             raise _UsageError("the mod-31 table is defined for --dim 6")
-        return ["m", "n"], [list(r) for r in mod31_table()]
+        return ["m", "n"], mod31_table()
     if args.table == "pontrjagin-omega":
         if dim not in (4, 6):
             raise _UsageError("pontrjagin-omega needs --dim 4 or 6")
-        rows = []
-        for k in range(1, dim // 2 + 1):
-            p = pontrjagin_total(KOClass.omega(dim, k))
-            for i in range(1, dim // 2 + 1):
-                rows.append([k, i, p.coeff(2 * i)])
-        return ["power", "index", "coefficient"], rows
+        return ["power", "index", "coefficient"], pontrjagin_omega_table(dim)
     if args.table == "divisor-targets":
         if dim != 4:
             raise _UsageError("divisor targets are defined for --dim 4")
@@ -277,14 +274,7 @@ def _table_rows(args):
             raise _UsageError(f"--m-max must be at least 0, got {m_max}")
         if m_max > DIVISOR_TARGETS_M_MAX:
             raise _UsageError(f"--m-max must be at most {DIVISOR_TARGETS_M_MAX}, got {m_max}")
-        # the admissible m: the constraint is k n + C(m), so k | C(m), which
-        # depends on m mod k only
-        k, free = homotopy._linear_in(homotopy.CP4_CONSTRAINT, "n")
-        residues = {r for r in range(abs(k)) if free.evaluate(m=r) % k == 0}
-        rows = [[m, divisor_target_cp4(m)]
-                for m in range(-m_max, m_max + 1)
-                if m % abs(k) in residues]
-        return ["m", "target"], rows
+        return ["m", "target"], divisor_target_table(m_max)
     raise _UsageError(f"unknown table {args.table!r}")
 
 

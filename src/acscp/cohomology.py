@@ -74,7 +74,10 @@ class _TruncatedRing:
     @classmethod
     def _monomial(cls, d, power=0, coeff=1):
         """coeff * gen^power for an int power, zero from the width on;
-        ValueError for a negative power."""
+        ValueError for a negative power.  d is checked before the width is
+        read, so a huge d allocates nothing and KOClass meets the degree
+        rule before its own."""
+        _check_degree(d)
         if _require_int("the power", power) < 0:
             raise ValueError(f"negative powers are not defined in this ring, got power {power}")
         coeffs = [0] * cls._width(d)
@@ -156,10 +159,10 @@ class CohClass(_TruncatedRing):
     _term = "({})*{}"
 
     def __init__(self, d, coeffs):
-        """Raises TypeError unless d is an int, ValueError for d < 1 or
-        unless there are d + 1 coefficients, and TypeError for one that is
-        not an int or a Fraction (a bool is refused for d and coefficients
-        alike)."""
+        """Raises TypeError unless d is an int, ValueError for d outside
+        1..32 (exactmath.DEGREE_MAX) or unless there are d + 1
+        coefficients, and TypeError for one that is not an int or a
+        Fraction (a bool is refused for d and coefficients alike)."""
         _check_degree(d)
         coeffs = tuple(coeffs)
         if len(coeffs) != d + 1:

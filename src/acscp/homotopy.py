@@ -33,8 +33,8 @@ evaluates the Pontrjagin polynomials at the parameters of X, and each
 divisor target evaluates a polynomial derived once from the model.
 Every reader of a constraint other than HtpyCP takes it split in the
 last parameter v (n for d = 4, q for d = 6) as k v + C, k a nonzero int,
-by the one checked split _linear_in: mod31_table, the divisor-targets
-table of the cli, the d = 4 target and the symbolic pipeline;
+by the one checked split _linear_in: mod31_table, divisor_target_table,
+the d = 4 target and the symbolic pipeline;
 mod31_table splits each of its per-m lines in n by it too.  The d = 6
 divisor target is F / 155 with F the a-free part of the first row of the
 symbolic pipeline, which a process derives once per argument, as the
@@ -413,16 +413,19 @@ class ACSSolution(namedtuple("ACSSolution", "d a c full_chern decomposition")):
 # acs_search_cp4, and the area a_max * c_max of acs_search_cp6.  At either
 # limit `acscp acs` runs about a second on a 2-vCPU VM; for d = 6 the worst
 # shape is a_max = 1, where every odd c is a class and about a sixth of the
-# cells are solutions, and a square window costs far less.
+# cells are solutions, and a square window costs far less.  The window
+# |m| <= m_max of divisor_target_table is bounded the same way: 142857 rows,
+# about a second.
 CP4_WINDOW_MAX = 4_000_000
 CP6_WINDOW_AREA_MAX = 100_000
+DIVISOR_TARGETS_M_MAX = 500_000
 
 
-def _check_window(name, value, limit):
+def _check_window(name, value, limit, least=1):
     """Refuse a search window that is not an int (or is a bool) with
-    TypeError, and one below 1 or above limit with ValueError."""
-    if _require_int(name, value) < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+    TypeError, and one below least or above limit with ValueError."""
+    if _require_int(name, value) < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
     if value > limit:
         raise ValueError(f"{name} must be at most {limit}, got {value}")
 
@@ -481,6 +484,21 @@ def divisor_target_cp4(m):
     if rest:
         raise ArithmeticError(f"the d = 4 divisor target is not integral at m={m}")
     return target
+
+
+def divisor_target_table(m_max):
+    """The rows (m, divisor_target_cp4(m)) over the admissible m of the
+    d = 4 model with |m| <= m_max, in order of m.  The constraint is
+    k n + C(m) (_linear_in), so m is admissible when k | C(m), which
+    depends on m mod k only: the admissible residues are found once.
+    TypeError unless m_max is an int (not a bool), ValueError unless
+    0 <= m_max <= DIVISOR_TARGETS_M_MAX, ArithmeticError when the
+    constraint is not linear in n."""
+    _check_window("m_max", m_max, DIVISOR_TARGETS_M_MAX, least=0)
+    k, free = _linear_in(CP4_CONSTRAINT, "n")
+    residues = {r for r in range(abs(k)) if free.evaluate(m=r) % k == 0}
+    return [(m, divisor_target_cp4(m)) for m in range(-m_max, m_max + 1)
+            if m % abs(k) in residues]
 
 
 def _cp4_solutions(p, ks):

@@ -20,6 +20,11 @@ Supported maps:
   * chern_character, total_chern, pontrjagin_total
   Each raises TypeError for an argument from another ring.
 
+pontrjagin_omega_table(d) lists p_i(w^k) for the powers of the generator
+w over the torsion-free d = 4, 6: the one builder of the rows that
+`acscp table pontrjagin-omega` prints and `verify ktheory` checks against
+its golden file.
+
 Total Chern classes come from the integer Chern character: the power sums
 s_k = k!*ch_k(x) are read off the cached Stirling table _ch_table(d), and
 the inverse Newton recursion cohomology._elementary_from_power_sums turns
@@ -75,8 +80,9 @@ def _int_coeffs(coeffs, width):
 class KClass(_TruncatedRing):
     """Element of Z[L]/(L^(d+1)); coeffs[i] is the coefficient of L^i.
 
-    Raises TypeError unless d is an int, ValueError for d < 1, and TypeError
-    for a coefficient that is not an int (a bool is refused for both).
+    Raises TypeError unless d is an int, ValueError for d outside 1..32
+    (exactmath.DEGREE_MAX), and TypeError for a coefficient that is not an
+    int (a bool is refused for both).
     """
 
     __slots__ = ()
@@ -110,9 +116,9 @@ class KOClass(_TruncatedRing):
 
     coeffs[j] is the coefficient of w^j.  For d = 5 the w^3 coefficient is
     a 2-torsion residue and is stored reduced mod 2.  Raises TypeError
-    unless d is an int, ValueError for d < 1, UnsupportedDimension for any
-    other d outside {4, 5, 6}, and TypeError for a coefficient that is not
-    an int (a bool is refused for both).
+    unless d is an int, ValueError for d outside 1..32, UnsupportedDimension
+    for any other d outside {4, 5, 6}, and TypeError for a coefficient that
+    is not an int (a bool is refused for both).
     """
 
     __slots__ = ()
@@ -379,3 +385,14 @@ def _pontrjagin(d, coeffs):
         if c[j - 1]:
             raise ArithmeticError(f"odd Chern coefficient u^{j} survived complexification")
     return tuple((-1) ** i * c[2 * i - 1] for i in range(1, d // 2 + 1))
+
+
+def pontrjagin_omega_table(d):
+    """The rows (k, i, p_i(w^k)), k and i = 1..d/2, of the Pontrjagin
+    classes of the powers of the generator w of KO(CP^d), for the
+    torsion-free d = 4, 6: the rows `acscp table pontrjagin-omega` prints
+    and `verify ktheory` checks against its golden file.  d is checked as
+    by KOClass, and d = 5 raises UnsupportedDimension."""
+    w = KOClass(d, [0, 1])
+    return [(k, i, p) for k in range(1, d // 2 + 1)
+            for i, p in enumerate(_pontrjagin(d, (w ** k).coeffs), 1)]

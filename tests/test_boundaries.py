@@ -1,30 +1,35 @@
-"""The two type rules at the public boundaries of acscp.
+"""The two type rules at the public boundaries of acscp, and the degree
+rule.
 
 An integer argument must be exactly an int, and a rational one exactly an
 int or a Fraction; a bool is refused by both.  Each rule is written once, in
 exactmath (_require_int, _require_ints, _require_rational), with one
-wording, and every boundary below goes through it.
+wording, and every boundary below goes through it.  A degree d, given or
+read off a vector's length, lies in 1..DEGREE_MAX (exactmath._check_degree).
 """
 
 import ast
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import acscp
-from acscp.chernvec import (chern_from_multiplicities, closed_form_w,
-                            moment_vector, power_sums_from_chern, q_vector,
-                            realizable, w_matrix)
+from acscp.chernvec import (NotRealizable, chern_from_multiplicities,
+                            closed_form_w, moment_vector, power_sums_from_chern,
+                            q_matrix, q_vector, realizable, w_matrix)
 from acscp.cohomology import CohClass, exp_series
-from acscp.exactmath import (MPolyZ, adjugate, det_exact, divisors_signed,
-                             elem_sym, inverse_exact, solve_exact,
-                             vandermonde_inverse, vandermonde_matrix)
+from acscp.exactmath import (DEGREE_MAX, MPolyZ, adjugate, det_exact,
+                             divisors_signed, elem_sym, inverse_exact,
+                             solve_exact, vandermonde_inverse,
+                             vandermonde_matrix)
 from acscp.homotopy import (HtpyCP, acs_search_cp4, acs_search_cp6,
                             complete_chern_vector, divisor_target_cp4,
-                            divisor_target_cp6)
-from acscp.ktheory import KClass, KOClass, adams, adams_ko
+                            divisor_target_cp6, divisor_target_table)
+from acscp.ktheory import (KClass, KOClass, adams, adams_ko,
+                           pontrjagin_omega_table)
 
 INT = "must be an int, got"
 RATIONAL = "must be an int or a Fraction, got"
@@ -77,6 +82,7 @@ BOUNDARIES = {
     "KOClass-coefficient": (INT, lambda x: KOClass(4, [0, x])),
     "adams": (INT, lambda x: adams(x, KClass.L(4))),
     "adams_ko": (INT, lambda x: adams_ko(x, KOClass.omega(4))),
+    "pontrjagin_omega_table": (INT, pontrjagin_omega_table),
     # homotopy
     "HtpyCP-d": (INT, lambda x: HtpyCP(x, 0, 0)),
     "HtpyCP-m": (INT, lambda x: HtpyCP(4, x, 0)),
@@ -88,6 +94,7 @@ BOUNDARIES = {
     "acs_search_cp6-a_max": (INT, lambda x: acs_search_cp6(X6, x, 1)),
     "divisor_target_cp4": (INT, divisor_target_cp4),
     "divisor_target_cp6": (INT, lambda x: divisor_target_cp6(1, x, 0)),
+    "divisor_target_table": (INT, divisor_target_table),
 }
 
 # a Fraction is a rational value, so it is passed only where ints are required
@@ -106,6 +113,54 @@ def test_every_boundary_refuses_with_its_rule(name, bad):
     rule, call = BOUNDARIES[name]
     with pytest.raises(TypeError, match=re.escape(f"{rule} {bad!r}")):
         call(bad)
+
+
+# every entry of the degree rule, as a call at degree d; KOClass models
+# d = 4, 5, 6 only, so its entries are called above the bound alone
+DEGREES = {
+    "CohClass": lambda d: CohClass(d, [1] * (d + 1)),
+    "CohClass.u": CohClass.u,
+    "exp_series": lambda d: exp_series(1, d),
+    "KClass": lambda d: KClass(d, [0, 1]),
+    "KClass.one": KClass.one,
+    "w_matrix": w_matrix,
+    "q_matrix": q_matrix,
+    "moment_vector": lambda d: moment_vector(2, d),
+    "closed_form_w": lambda d: closed_form_w(2, d),
+    "power_sums_from_chern": lambda d: power_sums_from_chern([1] * d),
+    "chern_from_multiplicities": lambda d: chern_from_multiplicities([1] * d),
+    "realizable": lambda d: realizable([1] * d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREES))
+def test_every_degree_entry_accepts_the_bound(name):
+    try:
+        DEGREES[name](DEGREE_MAX)
+    except NotRealizable:
+        pass    # a decomposition that is not integral, not a refused degree
+
+
+KO_DEGREES = {"KOClass": lambda d: KOClass(d, [0, 1]), "KOClass.omega": KOClass.omega}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREES | KO_DEGREES))
+def test_every_degree_entry_refuses_one_above_the_bound_at_once(name):
+    # realizable of an all-ones vector took 16 s at d = 80 and
+    # total_chern(KClass(200, ...)) 10 s; above the bound no work starts,
+    # and KOClass.omega(33) said "KO(CP^33) is not modelled"
+    call = (DEGREES | KO_DEGREES)[name]
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"the degree d must be at most {DEGREE_MAX}, "
+                                         f"got {DEGREE_MAX + 1}"):
+        call(DEGREE_MAX + 1)
+    assert time.perf_counter() - started < 0.25
+
+
+def test_an_empty_vector_keeps_its_answer():
+    assert power_sums_from_chern(()) == [] and chern_from_multiplicities(()) == ()
+    with pytest.raises(ValueError, match="needs at least one coefficient"):
+        realizable(())
 
 
 def test_only_q_of_htpycp_may_be_none():

@@ -371,6 +371,14 @@ def test_table_pontrjagin(capsys):
     assert [2, 2, -6] in rows and [3, 3, 120] in rows
 
 
+def test_table_pontrjagin_csv_is_the_golden_file(capsys):
+    # verify ktheory checks these rows against the same file
+    golden = Path(cli.__file__).parent / "golden" / "pontrjagin_omega.csv"
+    code, out, _ = run(capsys, "table", "pontrjagin-omega", "--csv")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
+
+
 def test_table_divisor_targets(capsys):
     code, doc, _ = run_json(capsys, "table", "divisor-targets", "--dim", "4",
                             "--m-max", "34")

@@ -16,12 +16,12 @@ from acscp.chernvec import (NotRealizable, chern_from_multiplicities,
 from acscp.exactmath import MPolyZ, adjugate, divisors_signed, solve_exact
 from acscp.homotopy import (CP4_CONSTRAINT, CP4_PONTRJAGIN, CP4_WINDOW_MAX,
                             CP6_CONSTRAINT, CP6_PONTRJAGIN,
-                            CP6_WINDOW_AREA_MAX, ConstraintViolated, HtpyCP,
-                            NoCompletion, ZeroFirstChern, acs_search_cp4,
-                            acs_search_cp6, complete_chern_vector,
-                            cp5_structure, cp6_exists,
+                            CP6_WINDOW_AREA_MAX, DIVISOR_TARGETS_M_MAX,
+                            ConstraintViolated, HtpyCP, NoCompletion,
+                            ZeroFirstChern, acs_search_cp4, acs_search_cp6,
+                            complete_chern_vector, cp5_structure, cp6_exists,
                             divisor_target_cp4, divisor_target_cp6,
-                            mod31_table, pontrjagin_of_X,
+                            divisor_target_table, mod31_table, pontrjagin_of_X,
                             symbolic_cp6_numerators, symbolic_verify_cp5,
                             tangent_ko_class, validate_params,
                             ACSSolution, CP6Symbolic, _check_window,
@@ -535,6 +535,22 @@ def test_divisor_target_cp4_needs_a_constraint_linear_in_n(patch_model):
     patch_model("CP4_CONSTRAINT", CP4_CONSTRAINT + MPolyZ.var("n", 2))
     with pytest.raises(ArithmeticError, match="not linear in n"):
         divisor_target_cp4(0)
+    with pytest.raises(ArithmeticError, match="not linear in n"):
+        divisor_target_table(0)
+
+
+@pytest.mark.parametrize("m_max", [0, 34, 2000])
+def test_divisor_target_table_is_the_target_over_the_admissible_m(m_max):
+    assert divisor_target_table(m_max) == [(m, divisor_target_cp4(m))
+                                           for m, _ in cp4_pairs(m_max)]
+
+
+def test_divisor_target_table_refuses_a_window_off_its_range():
+    with pytest.raises(ValueError, match="m_max must be at least 0, got -1"):
+        divisor_target_table(-1)
+    with pytest.raises(ValueError, match=f"m_max must be at most {DIVISOR_TARGETS_M_MAX}, "
+                                         f"got {DIVISOR_TARGETS_M_MAX + 1}"):
+        divisor_target_table(DIVISOR_TARGETS_M_MAX + 1)
 
 
 @pytest.mark.parametrize("term, call, match", [

@@ -13,9 +13,9 @@ from acscp.exactmath import MPolyZ, elem_sym
 from acscp.ktheory import (KClass, KOClass, UnsupportedDimension,
                            UnsupportedOperation, adams, adams_ko,
                            chern_character, complexify, conjugate,
-                           line_multiplicities, pontrjagin_total, real_reduce,
-                           total_chern, _chern, _pontrjagin, _power_table,
-                           _r_table)
+                           line_multiplicities, pontrjagin_omega_table,
+                           pontrjagin_total, real_reduce, total_chern, _chern,
+                           _pontrjagin, _power_table, _r_table)
 
 
 def K(d, *coeffs):
@@ -61,11 +61,13 @@ def test_exponents_that_are_not_ints_are_refused(call):
     lambda d: CohClass(d, [1, 2]),
     lambda d: KClass(d, [0, 1]),
     lambda d: KOClass(d, [0]),
+    KOClass.omega,
     lambda d: exp_series(1, d),
-], ids=["CohClass", "KClass", "KOClass", "exp_series"])
+], ids=["CohClass", "KClass", "KOClass", "KOClass.omega", "exp_series"])
 def test_ring_dimensions_are_checked_at_the_boundary(build, d, error):
     # each used to be accepted (KOClass(6.0, [0]) stored d = 6.0) or to die
-    # with an unrelated TypeError deeper in
+    # with an unrelated TypeError deeper in; KOClass.omega(True) raised
+    # UnsupportedDimension
     with pytest.raises(error, match="the degree d must be"):
         build(d)
 
@@ -585,6 +587,17 @@ def test_pontrjagin_standard_tangent():
 def test_pontrjagin_rejects_torsion_dimension():
     with pytest.raises(UnsupportedDimension):
         pontrjagin_total(KOClass.omega(5))
+
+
+def test_pontrjagin_omega_table_reads_the_total_classes():
+    assert pontrjagin_omega_table(4) == [(1, 1, 1), (1, 2, 0), (2, 1, 0), (2, 2, -6)]
+    for d in (4, 6):
+        assert pontrjagin_omega_table(d) == [
+            (k, i, pontrjagin_total(KOClass.omega(d, k)).coeff(2 * i))
+            for k in range(1, d // 2 + 1) for i in range(1, d // 2 + 1)]
+    for d in (5, 3, 7):
+        with pytest.raises(UnsupportedDimension):
+            pontrjagin_omega_table(d)
 
 
 # ---------------------------------------------------------------------------

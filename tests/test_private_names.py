@@ -116,3 +116,56 @@ def test_only_exactmath_reads_the_term_layout_of_mpolyz():
     readers = [f"{path.parent.name}/{path.name}:{line} {name}" for path in paths
                for line, name in _layout_reads(ast.parse(path.read_text()))]
     assert readers == []
+
+
+# the model's constants and its one constraint split: homotopy derives every
+# table and target from them, so no other module names them
+MODEL_NAMES = {"CP4_CONSTRAINT", "CP6_CONSTRAINT", "CP4_PONTRJAGIN", "CP6_PONTRJAGIN",
+               "_linear_in"}
+
+
+def _mentions(tree, names):
+    """(line, name) for each mention under tree of a name in names: read or
+    bound as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in names:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias) and node.name in names:
+            yield node.lineno, node.name
+
+
+def _foreign_private_names(tree):
+    """(line, name) for each private name that tree takes from another acscp
+    module: imported by name (`from .m import _x`), or read as an attribute
+    of a module it imports (`from . import m`, then `m._x`)."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("acscp")):
+            for alias in node.names:
+                if _private(alias.name):
+                    yield node.lineno, alias.name
+                if node.module in (None, "acscp"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or "acscp" for alias in node.names
+                           if alias.name.split(".")[0] == "acscp")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                yield node.lineno, node.attr
+
+
+def test_the_cli_reads_no_model_internals():
+    # the cli prints the rows of the library's table builders; the model is
+    # read in homotopy alone, so a second reading of it cannot drift
+    cli = ast.parse((SRC / "cli.py").read_text())
+    readers = [f"cli.py:{line} {name}" for line, name in _foreign_private_names(cli)]
+    readers += [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+                if path.stem != "homotopy"
+                for line, name in _mentions(ast.parse(path.read_text()), MODEL_NAMES)]
+    assert readers == []
